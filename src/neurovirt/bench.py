@@ -8,7 +8,10 @@ repeated runs emit byte-identical CSV.
 from __future__ import annotations
 
 import io
+from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from neurovirt.engine import Engine, round_half_up
 from neurovirt.fabric import Fabric, FabricConfig
@@ -118,6 +121,13 @@ class _SpikingTask:
     params: LifParams
     batch: SpikeBatch
     next_event: int | None = None
+    # swap targets of the pre-drawn steps, one list of `rate` per step
+    swaps: Iterator[list[int]] = iter(())
+
+
+# uniforms pre-drawn per refill of a task's input stream: bounds the
+# look-ahead memory per active task whatever its step count
+INPUT_BLOCK = 1024
 
 
 class SpikingExecutor:
@@ -172,11 +182,24 @@ class SpikingExecutor:
 
     def _pick_inputs(self, job: _SpikingTask) -> tuple[int, ...]:
         # partial Fisher-Yates prefix: `rate` distinct ids, seeded stream
+        swaps = next(job.swaps, None)
+        if swaps is None:
+            job.swaps = self._draw_swaps(job)
+            swaps = next(job.swaps)
         pool = list(range(job.n_inputs))
-        for k in range(job.rate):
-            j = k + int(self.engine.rng.next(job.stream) * (job.n_inputs - k))
+        for k, j in enumerate(swaps):
             pool[k], pool[j] = pool[j], pool[k]
         return tuple(sorted(pool[: job.rate]))
+
+    def _draw_swaps(self, job: _SpikingTask) -> Iterator[list[int]]:
+        """Swap targets ``k + floor(u * (n_inputs - k))`` for the next block
+        of steps. The stream is the task's own, so drawing ahead leaves each
+        value and its order unchanged."""
+        steps = min(job.remaining, max(1, INPUT_BLOCK // job.rate))
+        u = self.engine.rng.values(job.stream, steps * job.rate)
+        k = np.arange(job.rate)
+        swaps = k + (u.reshape(steps, job.rate) * (job.n_inputs - k)).astype(np.int64)
+        return iter(swaps.tolist())
 
     def _step(self, task_id: str) -> None:
         job = self.active.get(task_id)

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
@@ -57,29 +59,39 @@ class RandomStreams:
         self._keys: dict[str, int] = {}
         self._index: dict[str, int] = {}
 
-    def next(self, stream_id: str) -> float:
-        """Uniform value in [0, 1)."""
+    def _key(self, stream_id: str) -> int:
         key = self._keys.get(stream_id)
         if key is None:
-            key = _stream_key(self.seed, stream_id)
-            self._keys[stream_id] = key
-            self._index[stream_id] = 0
-        idx = self._index[stream_id]
+            key = self._keys[stream_id] = _stream_key(self.seed, stream_id)
+        return key
+
+    def next(self, stream_id: str) -> float:
+        """Uniform value in [0, 1)."""
+        idx = self._index.get(stream_id, 0)
         self._index[stream_id] = idx + 1
         return self.value_at(stream_id, idx)
 
     def value_at(self, stream_id: str, index: int) -> float:
-        key = self._keys.get(stream_id)
-        if key is None:
-            key = _stream_key(self.seed, stream_id)
-            self._keys[stream_id] = key
-            self._index.setdefault(stream_id, 0)
-        bits = _mix64(key + (index + 1) * _GOLDEN)
+        bits = _mix64(self._key(stream_id) + (index + 1) * _GOLDEN)
         return (bits >> 11) / float(1 << 53)
 
-    def randint(self, stream_id: str, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi]."""
-        return lo + int(self.next(stream_id) * (hi - lo + 1))
+    def values(self, stream_id: str, n: int) -> np.ndarray:
+        """The stream's next ``n`` uniforms, bit-identical to ``n`` calls of
+        :meth:`next`: the same splitmix64 over a range of indices, in
+        wrapping ``uint64`` arithmetic."""
+        key = self._key(stream_id)
+        idx = self._index.get(stream_id, 0)
+        self._index[stream_id] = idx + n
+        z = np.arange(idx + 1, idx + 1 + n, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(key)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
+        return z.astype(np.float64) / float(1 << 53)
 
 
 @dataclass

@@ -114,7 +114,6 @@ class IoDriver:
         self.backpressured = 0
         self.drained = 0
         self.completed_bits = 0
-        self.completion_log: list[tuple[int, str, int]] = []  # (tick, vm, size)
 
     def open_ring(self, vm_id: str, capacity: int | None = None) -> int:
         ring_id = self._next_ring
@@ -185,7 +184,6 @@ class IoDriver:
         self.in_flight_by_vm[desc.vm] -= 1
         self.completions += 1
         self.completed_bits += desc.size * 8
-        self.completion_log.append((self.engine.now(), desc.vm, desc.size))
         if on_complete is not None:
             on_complete(desc)
 

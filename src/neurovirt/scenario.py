@@ -281,8 +281,20 @@ def scenario_from_dict(data: dict, source: str = "<memory>") -> Scenario:
             default=DEFAULT_MIGRATION_PENALTY_NS,
         ),
     )
-    if scenario.duration_ns <= 0:
-        raise ValidationError("$.duration_ns", "must be positive")
+    # a zero period or rate would divide by zero or reschedule at the same
+    # instant forever
+    positive = {
+        "$.duration_ns": scenario.duration_ns,
+        "$.sample_period_ns": scenario.sample_period_ns,
+        "$.reconfig.config_port_bw": reconfig.config_port_bw,
+        "$.scheduler.core_rate": scenario.core_rate,
+        "$.scheduler.tick_period_ns": scenario.tick_period_ns,
+    }
+    for fieldpath, value in positive.items():
+        if value <= 0:
+            raise ValidationError(fieldpath, "must be positive")
+    if scenario.migration_penalty_ns < 0:
+        raise ValidationError("$.scheduler.migration_penalty_ns", "must be non-negative")
 
     modules_list = _expect(data, "modules", list, "$", default=None)
     if modules_list is None:

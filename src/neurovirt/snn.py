@@ -70,8 +70,8 @@ def make_core_state(
         if rng is None:
             weights = np.zeros((n_inputs, n_neurons))
         else:
-            flat = [rng.next(stream) - 0.5 for _ in range(n_inputs * n_neurons)]
-            weights = np.array(flat, dtype=np.float64).reshape(n_inputs, n_neurons)
+            flat = rng.values(stream, n_inputs * n_neurons) - 0.5
+            weights = flat.reshape(n_inputs, n_neurons)
     else:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (n_inputs, n_neurons):
@@ -90,13 +90,14 @@ def step_core(state: CoreState, batch: SpikeBatch, params: LifParams) -> SpikeBa
         raise DimensionMismatch(
             f"weights shape {state.weights.shape} vs {state.n_neurons} neurons"
         )
-    ids = np.asarray(sorted(batch.spiking_neuron_ids), dtype=np.int64)
+    ids = np.array(batch.spiking_neuron_ids, dtype=np.int64)
+    ids.sort()
     if ids.size:
         if ids[0] < 0 or ids[-1] >= state.n_inputs:
             raise DimensionMismatch(
                 f"input spike id out of range [0, {state.n_inputs})"
             )
-        if np.unique(ids).size != ids.size:
+        if (ids[1:] == ids[:-1]).any():
             raise DimensionMismatch("duplicate input spike ids")
     fired = _kernels.lif_step(
         state.potentials,
@@ -106,7 +107,7 @@ def step_core(state: CoreState, batch: SpikeBatch, params: LifParams) -> SpikeBa
         params.v_thresh,
         params.v_reset,
     )
-    return SpikeBatch(batch.step_index + 1, tuple(int(j) for j in fired))
+    return SpikeBatch(batch.step_index + 1, tuple(fired.tolist()))
 
 
 def workload_cost(steps: int, input_rate: int, fan_in: int) -> int:

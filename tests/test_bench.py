@@ -1,12 +1,18 @@
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from neurovirt import bench
 from neurovirt.bench import (
     ConfigError,
+    SpikingExecutor,
     bench_energy,
     bench_reconfig,
     bench_throughput,
     run_scenario,
 )
+from neurovirt.engine import Engine, RandomStreams
 from neurovirt.scenario import scenario_from_dict
 from neurovirt.snn import workload_cost
 
@@ -149,3 +155,50 @@ def test_scheduled_partial_reconfig_leaves_transfer_stream_alone():
 
     assert b_completions(noisy) == b_completions(quiet)
     assert noisy.hypervisor.reconfig_accum
+
+
+def _oracle_inputs(seed, stream, n_inputs, rate, steps):
+    """Input ids per step from one scalar draw per partial Fisher-Yates swap."""
+    rng = RandomStreams(seed)
+    for _ in range(steps):
+        pool = list(range(n_inputs))
+        for k in range(rate):
+            j = k + int(rng.next(stream) * (n_inputs - k))
+            pool[k], pool[j] = pool[j], pool[k]
+        yield tuple(sorted(pool[:rate]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    fan_in=st.integers(1, 40),
+    rate=st.integers(1, 40),
+    steps=st.integers(1, 60),
+    block=st.integers(1, 64),
+    move_after=st.integers(0, 59),
+)
+def test_input_picks_match_scalar_oracle_across_refills_and_moves(
+    seed, fan_in, rate, steps, block, move_after
+):
+    engine = Engine(seed)
+    executor = SpikingExecutor(engine, metrics=None)
+    seen: dict[str, list] = {}
+    pick = executor._pick_inputs
+
+    def spy(job):
+        ids = pick(job)
+        seen.setdefault(job.task_id, []).append(ids)
+        return ids
+
+    executor._pick_inputs = spy
+    with mock.patch.object(bench, "INPUT_BLOCK", block):
+        for task in ("a", "b"):
+            executor.launch(task_id=task, steps=steps, input_rate=rate,
+                            fan_in=fan_in, interval=1_000, at=0, vm="vm0")
+        engine.run_until((move_after % steps) * 1_000)
+        executor.move("a", "vm1", resume_at=engine.now() + 5_000, interval=700)
+        engine.run()
+    n_inputs = max(fan_in, rate)
+    for task in ("a", "b"):
+        want = _oracle_inputs(seed, f"task/{task}/inputs", n_inputs, rate, steps)
+        assert seen[task] == list(want)

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import neurovirt
 from neurovirt.cli import _parse_int_list, main
 from neurovirt.metrics import SAMPLE_CSV_HEADER
 
@@ -41,7 +48,7 @@ def test_bench_reconfig_cli(tmp_path):
         assert int(partial_ns) < int(full_ns)
 
 
-def _scenario_file(tmp_path, seed=11):
+def _scenario_file(tmp_path, seed=11, **overrides):
     scenario = {
         "schema_version": 1,
         "seed": seed,
@@ -62,6 +69,7 @@ def _scenario_file(tmp_path, seed=11):
             {"vm": "vmA", "module": "router", "mode": "partial", "at_ns": 2_000_000}
         ],
     }
+    scenario.update(overrides)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
     return path
@@ -114,3 +122,23 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
     rc = main(["run", "--scenario", str(bad)])
     assert rc == 2
     assert "$.seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"scheduler": {"tick_period_ns": 0}}, "$.scheduler.tick_period_ns: must be positive"),
+    ({"scheduler": {"core_rate": 0}}, "$.scheduler.core_rate: must be positive"),
+    ({"reconfig": {"config_port_bw": 0}}, "$.reconfig.config_port_bw: must be positive"),
+    ({"scheduler": {"migration_penalty_ns": -5}},
+     "$.scheduler.migration_penalty_ns: must be non-negative"),
+    ({"sample_period_ns": 0}, "$.sample_period_ns: must be positive"),
+])
+def test_degenerate_field_exits_2_naming_it(tmp_path, override, message):
+    path = _scenario_file(tmp_path, **override)
+    env = dict(os.environ, PYTHONPATH=str(Path(neurovirt.__file__).resolve().parents[1]))
+    # a subprocess with a timeout, because a zero tick period used to hang
+    proc = subprocess.run(
+        [sys.executable, "-m", "neurovirt.cli", "run", "--scenario", str(path)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == message

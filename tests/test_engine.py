@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from neurovirt.engine import Engine, SchedulingInPast, round_half_up
+from neurovirt.engine import Engine, RandomStreams, SchedulingInPast, round_half_up
+
+SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
 
 
 def test_first_event_id_is_zero_and_processes():
@@ -85,6 +88,40 @@ def test_rng_value_depends_only_on_seed_stream_index():
     assert Engine(seed=10).rng.next("s1") != a.rng.value_at("s1", 0)
     for v in seq_a:
         assert 0.0 <= v < 1.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(SEEDS, st.text(max_size=12), st.integers(0, 300), st.integers(0, 2000))
+def test_bulk_values_equal_successive_next(seed, stream, prefix, n):
+    bulk, scalar = RandomStreams(seed), RandomStreams(seed)
+    for _ in range(prefix):
+        bulk.next(stream)
+        scalar.next(stream)
+    got = bulk.values(stream, n)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert got.tolist() == [scalar.next(stream) for _ in range(n)]
+
+
+def test_bulk_values_of_zero_is_empty_and_keeps_the_index():
+    rs = RandomStreams(5)
+    assert rs.values("fresh", 0).shape == (0,)
+    assert rs.next("fresh") == rs.value_at("fresh", 0)
+    rs.values("fresh", 0)
+    assert rs.next("fresh") == rs.value_at("fresh", 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(SEEDS, st.lists(st.one_of(st.none(), st.integers(0, 300)), max_size=20))
+def test_mixed_next_and_values_share_one_index(seed, ops):
+    mixed, scalar = RandomStreams(seed), RandomStreams(seed)
+    got = []
+    for n in ops:  # None is one next() call
+        if n is None:
+            got.append(mixed.next("s"))
+        else:
+            got.extend(mixed.values("s", n).tolist())
+    assert got == [scalar.next("s") for _ in got]
+    assert mixed.next("s") == scalar.next("s")
 
 
 def test_postpone_pending_shifts_matching_events():

@@ -72,6 +72,8 @@ def test_input_id_validation():
         step_core(state, SpikeBatch(0, (2,)), LifParams())
     with pytest.raises(DimensionMismatch):
         step_core(state, SpikeBatch(0, (-1,)), LifParams())
+    with pytest.raises(DimensionMismatch):
+        step_core(state, SpikeBatch(0, (1, 0, 1)), LifParams())
 
 
 def test_step_is_pure_function_of_state_and_input():
