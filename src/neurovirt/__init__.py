@@ -6,7 +6,6 @@ model, a contention-aware service scheduler, paravirtualized I/O rings,
 metrics/energy accounting, and a benchmark CLI emitting CSV.
 """
 
-from neurovirt._kernels import BACKEND as KERNEL_BACKEND
 from neurovirt.engine import Engine, RandomStreams, SchedulingInPast, SimEvent
 from neurovirt.fabric import (
     Fabric,
@@ -21,6 +20,9 @@ from neurovirt.snn import CoreState, LifParams, SpikeBatch, step_core, workload_
 from neurovirt.virt import DfxModule, Hypervisor, Priority, ReconfigMode
 
 __version__ = "0.1.0"
+
+# the one LIF kernel; perfbench/run.py records it with each run's environment
+KERNEL_BACKEND = "python"
 
 __all__ = [
     "Engine",

@@ -336,7 +336,6 @@ def bench_reconfig(vm_counts=tuple(range(1, 17)), seed: int = 0) -> str:
 @dataclass
 class RunResult:
     metrics_csv: str
-    trace: list[str]
     engine: Engine
     scheduler: Scheduler | None
     metrics: MetricsCollector
@@ -438,7 +437,6 @@ def run_scenario(scenario: Scenario) -> RunResult:
     export_samples(metrics.samples, buf)
     return RunResult(
         metrics_csv=buf.getvalue(),
-        trace=list(engine.trace),
         engine=engine,
         scheduler=scheduler,
         metrics=metrics,

@@ -122,8 +122,7 @@ def main(argv: list[str] | None = None) -> int:
             _emit(result.metrics_csv, args.out)
             if args.trace_out is not None:
                 with open(args.trace_out, "w", encoding="utf-8", newline="") as fh:
-                    for line in result.trace:
-                        fh.write(line + "\n")
+                    result.engine.write_trace(fh)
     except ParseError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -157,37 +157,34 @@ class Engine:
 
     def run_until(self, t_end: int) -> int:
         """Process every event with fire_at <= t_end; clock ends at t_end."""
-        processed = 0
-        while self._heap and self._heap[0][0] <= t_end:
-            fire_at, seq, event = heapq.heappop(self._heap)
-            if seq in self._cancelled:
-                self._cancelled.discard(seq)
-                continue
-            self._now = fire_at
-            self.trace.append(f"{fire_at},{seq},{event.kind},{event.detail}")
-            processed += 1
-            self._processed += 1
-            if event.fn is not None:
-                event.fn()
+        processed = self._drain(t_end)
         if t_end > self._now:
             self._now = t_end
         return processed
 
     def run(self) -> int:
         """Drain the queue completely; clock ends at the last fire time."""
-        processed = 0
-        while self._heap:
-            fire_at, seq, event = heapq.heappop(self._heap)
-            if seq in self._cancelled:
-                self._cancelled.discard(seq)
+        return self._drain(math.inf)
+
+    def _drain(self, t_end: float) -> int:
+        """Process events in (fire_at, seq) order while the next one fires at
+        or before ``t_end``; returns how many were processed."""
+        # locals stay valid for the whole loop: handlers only ever mutate the
+        # heap, the cancelled set and the trace in place
+        heap, cancelled, log = self._heap, self._cancelled, self.trace.append
+        pop = heapq.heappop
+        start = self._processed
+        while heap and heap[0][0] <= t_end:
+            fire_at, seq, event = pop(heap)
+            if seq in cancelled:
+                cancelled.discard(seq)
                 continue
             self._now = fire_at
-            self.trace.append(f"{fire_at},{seq},{event.kind},{event.detail}")
-            processed += 1
+            log(f"{fire_at},{seq},{event.kind},{event.detail}")
             self._processed += 1
             if event.fn is not None:
                 event.fn()
-        return processed
+        return self._processed - start
 
     def pending(self) -> list[SimEvent]:
         """Live queued events in processing order (diagnostic snapshot)."""
@@ -216,7 +213,7 @@ class Engine:
             rebuilt.append((event.fire_at, seq, event))
         self._cancelled.clear()
         heapq.heapify(rebuilt)
-        self._heap = rebuilt
+        self._heap[:] = rebuilt  # in place: a running loop holds this list
         return shifted
 
     def write_trace(self, fh) -> None:

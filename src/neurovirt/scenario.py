@@ -44,7 +44,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from neurovirt.fabric import FabricConfig, ResourceVector, RESOURCE_CLASSES
+from neurovirt.fabric import (
+    Fabric,
+    FabricConfig,
+    InsufficientResources,
+    ResourceVector,
+    RESOURCE_CLASSES,
+)
 from neurovirt.iodriver import LinkModel
 from neurovirt.metrics import EnergyModel
 from neurovirt.sched import (
@@ -58,6 +64,7 @@ from neurovirt.virt import (
     Priority,
     ReconfigMode,
     ReconfigParams,
+    bitstream_bytes_for,
     module_from_share,
 )
 
@@ -286,6 +293,7 @@ def scenario_from_dict(data: dict, source: str = "<memory>") -> Scenario:
     positive = {
         "$.duration_ns": scenario.duration_ns,
         "$.sample_period_ns": scenario.sample_period_ns,
+        "$.link.ring_capacity": link.ring_capacity,
         "$.reconfig.config_port_bw": reconfig.config_port_bw,
         "$.scheduler.core_rate": scenario.core_rate,
         "$.scheduler.tick_period_ns": scenario.tick_period_ns,
@@ -318,8 +326,8 @@ def scenario_from_dict(data: dict, source: str = "<memory>") -> Scenario:
                 footprint = _resource_vector(mod_obj["footprint"], f"{path}.footprint")
                 bitstream = _expect(
                     mod_obj, "bitstream_bytes", int, path,
-                    default=round(
-                        fabric.bitstream_total_bytes * footprint.lut / total.lut
+                    default=bitstream_bytes_for(
+                        footprint, total, fabric.bitstream_total_bytes
                     ),
                 )
                 module = DfxModule(mod_id, kind, footprint, bitstream)
@@ -334,15 +342,17 @@ def scenario_from_dict(data: dict, source: str = "<memory>") -> Scenario:
                 raise ValidationError(f"{path}.id", f"duplicate module id {mod_id!r}")
             scenario.modules[mod_id] = module
 
-    vm_ids = set()
+    # replay the VM requests in creation order against a scratch fabric, so
+    # an overcommit is reported here instead of when the run sets up
+    scratch = Fabric(fabric)
+    vm_requests: dict[str, ResourceVector] = {}
     for i, vm_obj in enumerate(_expect(data, "vms", list, "$", default=[])):
         path = f"$.vms[{i}]"
         if not isinstance(vm_obj, dict):
             raise ValidationError(path, "expected an object")
         vm_id = _expect(vm_obj, "id", str, path, required=True)
-        if vm_id in vm_ids:
+        if vm_id in vm_requests:
             raise ValidationError(f"{path}.id", f"duplicate vm id {vm_id!r}")
-        vm_ids.add(vm_id)
         if "resources" in vm_obj:
             request = _resource_vector(vm_obj["resources"], f"{path}.resources")
         else:
@@ -360,6 +370,13 @@ def scenario_from_dict(data: dict, source: str = "<memory>") -> Scenario:
                 f"{[p.value for p in Priority]}",
             ) from None
         cores = _expect(vm_obj, "cores", int, path, default=None)
+        if cores is not None and cores <= 0:
+            raise ValidationError(f"{path}.cores", "must be positive")
+        try:
+            scratch.allocate(request)
+        except (InsufficientResources, ValueError) as exc:
+            raise ValidationError(path, str(exc)) from None
+        vm_requests[vm_id] = request
         scenario.vms.append(VmDef(vm_id, request, cores, priority))
 
     task_ids = set()
@@ -401,7 +418,7 @@ def scenario_from_dict(data: dict, source: str = "<memory>") -> Scenario:
             start_ns=_expect(tr_obj, "start_ns", int, path, default=0),
             count=_expect(tr_obj, "count", int, path, default=1),
         )
-        if transfer.vm not in vm_ids:
+        if transfer.vm not in vm_requests:
             raise ValidationError(f"{path}.vm", f"unknown vm {transfer.vm!r}")
         if transfer.size_bytes <= 0:
             raise ValidationError(f"{path}.size_bytes", "must be positive")
@@ -426,10 +443,15 @@ def scenario_from_dict(data: dict, source: str = "<memory>") -> Scenario:
             mode=mode,
             at_ns=_expect(rc_obj, "at_ns", int, path, default=0),
         )
-        if op.vm not in vm_ids:
+        if op.vm not in vm_requests:
             raise ValidationError(f"{path}.vm", f"unknown vm {op.vm!r}")
         if op.module not in scenario.modules:
             raise ValidationError(f"{path}.module", f"unknown module {op.module!r}")
+        # the rule Hypervisor.exchange_module applies: a VM's slot is its request
+        if not scenario.modules[op.module].footprint.fits_within(vm_requests[op.vm]):
+            raise ValidationError(
+                f"{path}.module", f"{op.module} does not fit {op.vm}'s slot"
+            )
         scenario.reconfigs.append(op)
 
     return scenario

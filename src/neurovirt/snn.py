@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from neurovirt import _kernels
-
 
 class DimensionMismatch(Exception):
     pass
@@ -99,14 +97,15 @@ def step_core(state: CoreState, batch: SpikeBatch, params: LifParams) -> SpikeBa
             )
         if (ids[1:] == ids[:-1]).any():
             raise DimensionMismatch("duplicate input spike ids")
-    fired = _kernels.lif_step(
-        state.potentials,
-        state.weights,
-        ids,
-        params.leak,
-        params.v_thresh,
-        params.v_reset,
-    )
+    # leak first, then the incoming rows in ascending spike-id order: the
+    # accumulation order is fixed, so every run gives the same bits
+    potentials = state.potentials
+    potentials *= params.leak
+    for idx in ids:
+        potentials += state.weights[idx]
+    fired = np.nonzero(potentials >= params.v_thresh)[0]
+    if fired.size:
+        potentials[fired] = params.v_reset
     return SpikeBatch(batch.step_index + 1, tuple(fired.tolist()))
 
 

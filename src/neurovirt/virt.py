@@ -91,6 +91,14 @@ class VirtualMachine:
         return total
 
 
+def bitstream_bytes_for(
+    footprint: ResourceVector, total: ResourceVector, bitstream_total_bytes: int
+) -> int:
+    """The single proportionality rule for a module's bitstream size:
+    bitstream_total * (footprint.lut / total.lut), rounded half up."""
+    return round_half_up(bitstream_total_bytes * footprint.lut / total.lut)
+
+
 def module_from_share(
     module_id: str,
     kind: ModuleKind,
@@ -98,10 +106,10 @@ def module_from_share(
     total: ResourceVector,
     bitstream_total_bytes: int,
 ) -> DfxModule:
-    """Module whose footprint is a fabric share; bitstream size follows the
-    single proportionality rule bitstream_total * (footprint.lut / total.lut)."""
+    """Module whose footprint is a fabric share and whose bitstream size
+    follows :func:`bitstream_bytes_for`."""
     footprint = total.share(share)
-    bitstream = round_half_up(bitstream_total_bytes * footprint.lut / total.lut)
+    bitstream = bitstream_bytes_for(footprint, total, bitstream_total_bytes)
     return DfxModule(module_id, kind, footprint, bitstream)
 
 

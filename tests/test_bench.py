@@ -130,7 +130,7 @@ def test_backpressured_transfer_retries_next_tick():
     result = run_scenario(scenario_from_dict(data))
     assert result.driver.backpressured >= 1
     assert result.driver.completions == 4  # every transfer eventually lands
-    assert any("TransferRetry" in line for line in result.trace)
+    assert any("TransferRetry" in line for line in result.engine.trace)
 
 
 def test_scheduled_partial_reconfig_leaves_transfer_stream_alone():
@@ -149,7 +149,7 @@ def test_scheduled_partial_reconfig_leaves_transfer_stream_alone():
     def b_completions(result):
         return [
             line.split(",")[0]
-            for line in result.trace
+            for line in result.engine.trace
             if "TransferComplete" in line and "vm=b" in line
         ]
 

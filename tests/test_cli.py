@@ -131,6 +131,18 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
     ({"scheduler": {"migration_penalty_ns": -5}},
      "$.scheduler.migration_penalty_ns: must be non-negative"),
     ({"sample_period_ns": 0}, "$.sample_period_ns: must be positive"),
+    ({"link": {"ring_capacity": 0}}, "$.link.ring_capacity: must be positive"),
+    ({"vms": [{"id": "vmA", "share": 0.25, "cores": 0}, {"id": "vmB", "share": 0.25}]},
+     "$.vms[0].cores: must be positive"),
+    ({"vms": [{"id": "vmA", "resources": {}}, {"id": "vmB", "share": 0.25}]},
+     "$.vms[0]: allocation request must be positive in some class"),
+    # the fabric's lut runs out at the third VM
+    ({"vms": [{"id": "vmA", "share": 0.25}, {"id": "vmB", "share": 0.5},
+              {"id": "vmC", "share": 0.5}]},
+     "$.vms[2]: insufficient lut: requested 252000, available 126000"),
+    ({"modules": [{"id": "big", "kind": "router", "share": 0.5}],
+      "reconfigs": [{"vm": "vmA", "module": "big", "at_ns": 2_000_000}]},
+     "$.reconfigs[0].module: big does not fit vmA's slot"),
 ])
 def test_degenerate_field_exits_2_naming_it(tmp_path, override, message):
     path = _scenario_file(tmp_path, **override)

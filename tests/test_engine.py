@@ -55,6 +55,25 @@ def test_run_until_advances_clock_to_t_end():
     assert eng.now() == 100
 
 
+def test_run_drains_skips_cancelled_and_stops_clock_at_last_fire():
+    eng = Engine(seed=1)
+    fired = []
+
+    def note(name):
+        return lambda: fired.append((name, eng.now()))
+
+    # a handler that postpones events mid-loop, and one that schedules more
+    eng.schedule(10, "A", fn=lambda: eng.postpone_pending(100, lambda ev: ev.vm == "v"))
+    eng.schedule(20, "B", fn=note("b"), vm="v")
+    eng.schedule(25, "C", fn=lambda: eng.schedule_in(5, "D", fn=note("d")))
+    eng.cancel(eng.schedule(500, "X", fn=note("x")))
+    assert eng.run() == 4
+    assert fired == [("d", 30), ("b", 120)]
+    assert eng.now() == 120  # the cancelled event at 500 leaves the clock alone
+    assert eng.pending() == []
+    assert eng.processed_count == 4
+
+
 def test_cancelled_events_do_not_fire():
     eng = Engine(seed=1)
     fired = []

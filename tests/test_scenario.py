@@ -122,3 +122,15 @@ def test_custom_module_by_footprint():
     sc = scenario_from_dict(data)
     # bitstream follows the lut-share proportionality rule: 10% of 30 MiB
     assert sc.modules["x"].bitstream_bytes == round(30 * 1024 * 1024 * 0.1)
+
+
+def test_footprint_and_share_modules_round_bitstream_alike():
+    # 5 bytes x 252000 / 504000 lut = 2.5 bytes, which rounds half up to 3
+    data = minimal()
+    data["fabric"] = {"bitstream_total_bytes": 5}
+    data["modules"] = [
+        {"id": "fp", "kind": "router", "footprint": {"lut": 252_000}},
+        {"id": "half", "kind": "router", "share": 0.5},
+    ]
+    sc = scenario_from_dict(data)
+    assert sc.modules["fp"].bitstream_bytes == sc.modules["half"].bitstream_bytes == 3

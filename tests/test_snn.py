@@ -46,6 +46,13 @@ def test_single_neuron_unit_weight_fires_and_resets():
     assert state.potentials[0] == params.v_reset
 
 
+def test_step_core_basic():
+    state = make_core_state(2, 2, weights=np.array([[1.0, 0.0], [0.0, 0.25]]))
+    out = step_core(state, SpikeBatch(0, (1, 0)), LifParams(leak=1.0))
+    assert out == SpikeBatch(1, (0,))
+    assert state.potentials.tolist() == [0.0, 0.25]
+
+
 def test_two_step_integration_trace():
     # identity weight 0.6: first input no spike (v=0.6), second crosses (1.2)
     state = make_core_state(1, 1, weights=np.array([[0.6]]))
@@ -115,5 +122,6 @@ def test_step_matches_brute_force_oracle_and_reset_discipline(n_in, n_out, seed)
     state = CoreState(potentials.copy(), np.ascontiguousarray(weights))
     out = step_core(state, SpikeBatch(0, ids), params)
     assert list(out.spiking_neuron_ids) == expected_ids
-    assert np.allclose(state.potentials, expected_pots, atol=1e-12)
+    # same operation order as the oracle, so the same bits
+    assert state.potentials.tolist() == expected_pots
     assert np.all(state.potentials < params.v_thresh)
