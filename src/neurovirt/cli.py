@@ -10,8 +10,6 @@ import argparse
 import sys
 
 from neurovirt import bench
-from neurovirt.iodriver import LinkModel
-from neurovirt.metrics import EnergyModel
 from neurovirt.scenario import ParseError, ValidationError, load_scenario
 
 
@@ -32,18 +30,6 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
-def _link_from_scenario(path: str | None) -> LinkModel | None:
-    if path is None:
-        return None
-    return load_scenario(path).link
-
-
-def _energy_from_scenario(path: str | None) -> EnergyModel | None:
-    if path is None:
-        return None
-    return load_scenario(path).energy
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="neurovirt",
@@ -55,10 +41,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="simulation seed")
         p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-        p.add_argument("--scenario", default=None, help="scenario file overriding defaults")
 
     p_tp = sub.add_parser("bench-throughput", help="aggregate Gib/s vs transfer size")
     common(p_tp)
+    p_tp.add_argument("--scenario", default=None, help="scenario file giving the link model")
     p_tp.add_argument("--vm-counts", default="1,2,4", help="comma list, e.g. 1,2,4")
     p_tp.add_argument(
         "--sizes",
@@ -68,6 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_en = sub.add_parser("bench-energy", help="energy vs accelerator count")
     common(p_en)
+    p_en.add_argument("--scenario", default=None, help="scenario file giving the energy model")
     p_en.add_argument("--accelerators", type=int, default=20, help="run counts 1..N")
 
     p_rc = sub.add_parser("bench-reconfig", help="full vs partial reconfiguration time")
@@ -76,6 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario file")
     common(p_run)
+    p_run.set_defaults(seed=None)  # the scenario's own seed unless --seed is given
+    p_run.add_argument("--scenario", required=True, help="scenario file to run")
     p_run.add_argument("--trace-out", default=None, help="event trace output path")
     return parser
 
@@ -96,14 +85,14 @@ def main(argv: list[str] | None = None) -> int:
             csv = bench.bench_throughput(
                 vm_counts=_parse_int_list(args.vm_counts),
                 sizes=[int(s) for s in args.sizes.split(",") if s.strip()],
-                link=_link_from_scenario(args.scenario),
+                link=load_scenario(args.scenario).link if args.scenario else None,
                 seed=args.seed,
             )
             _emit(csv, args.out)
         elif args.command == "bench-energy":
             csv = bench.bench_energy(
                 max_accelerators=args.accelerators,
-                model=_energy_from_scenario(args.scenario),
+                model=load_scenario(args.scenario).energy if args.scenario else None,
                 seed=args.seed,
             )
             _emit(csv, args.out)
@@ -113,10 +102,8 @@ def main(argv: list[str] | None = None) -> int:
             )
             _emit(csv, args.out)
         elif args.command == "run":
-            if args.scenario is None:
-                parser.error("run requires --scenario")
             scenario = load_scenario(args.scenario)
-            if args.seed != 0:
+            if args.seed is not None:
                 scenario.seed = args.seed
             result = bench.run_scenario(scenario)
             _emit(result.metrics_csv, args.out)

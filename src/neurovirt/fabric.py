@@ -9,7 +9,7 @@ placement or fragmentation model. Conservation holds at all times:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 RESOURCE_CLASSES = ("lut", "memory_bytes", "io_pins", "dsp")
 
@@ -108,8 +108,12 @@ class FabricConfig:
     total: ResourceVector = DEFAULT_TOTAL
     neurocore_count: int = 16
     neurons_per_core: int = 256
-    core_footprint: ResourceVector = field(default_factory=lambda: DEFAULT_TOTAL.scaled(1, 32))
+    core_footprint: ResourceVector | None = None  # None: 1/32 of total
     bitstream_total_bytes: int = DEFAULT_BITSTREAM_BYTES
+
+    def __post_init__(self):
+        if self.core_footprint is None:
+            object.__setattr__(self, "core_footprint", self.total.scaled(1, 32))
 
     def validate(self) -> None:
         if self.neurocore_count <= 0:
@@ -118,10 +122,10 @@ class FabricConfig:
             raise InvalidConfig("neurons_per_core must be positive")
         if self.bitstream_total_bytes <= 0:
             raise InvalidConfig("bitstream_total_bytes must be positive")
-        grid = ResourceVector()
-        for _ in range(self.neurocore_count):
-            grid = grid + self.core_footprint
-        if not grid.fits_within(self.total):
+        # utilization and bitstream shares divide by each class's total
+        if not all(getattr(self.total, name) > 0 for name in RESOURCE_CLASSES):
+            raise InvalidConfig("total must be positive in every class")
+        if not self.core_footprint.scaled(self.neurocore_count, 1).fits_within(self.total):
             raise InvalidConfig(
                 f"{self.neurocore_count} neurocores at {self.core_footprint} "
                 f"exceed fabric total {self.total}"

@@ -34,20 +34,34 @@ Top-level keys (all optional except ``schema_version`` and ``seed``):
                      "mode": "partial", "at_ns": 1000000}]
     }
 
+The rule tables below (``TOP`` to ``RECONFIG_OP``) are the field
+reference. Each section is read against the dataclass it builds: that
+dataclass's fields are the section's keys, with their types and defaults,
+and the table gives each field's range (positive, non-negative, a share in
+(0, 1], or none). A null value means the default. Any other key is
+rejected as ``$.path.key: unknown field``.
+
 VM ``share``/module ``share`` are fabric fractions; explicit ``resources``
-/ ``footprint`` objects are accepted instead. All ids referenced by tasks,
-transfers, and reconfigs must resolve.
+/ ``footprint`` objects are accepted instead, but not both. A module's
+``bitstream_bytes`` defaults to its lut share of the full bitstream. All ids
+referenced by tasks, transfers, and reconfigs must resolve, tasks need a
+VM, and the VMs and reconfigured modules must fit the fabric.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 
 from neurovirt.fabric import (
     Fabric,
     FabricConfig,
     InsufficientResources,
+    InvalidConfig,
     ResourceVector,
     RESOURCE_CLASSES,
 )
@@ -96,8 +110,8 @@ class ValidationError(Exception):
 class VmDef:
     id: str
     request: ResourceVector
-    cores: int | None
-    priority: Priority
+    cores: int | None = None
+    priority: Priority = Priority.BATCH
 
 
 @dataclass(frozen=True)
@@ -106,26 +120,26 @@ class TaskDef:
     steps: int
     input_rate: int
     fan_in: int
-    data_size: int
-    deadline_ns: int | None
-    arrival_ns: int
-    mode: str  # "spiking" | "analytic"
+    data_size: int = 0
+    deadline_ns: int | None = None
+    arrival_ns: int = 0
+    mode: typing.Literal["analytic", "spiking"] = "analytic"
 
 
 @dataclass(frozen=True)
 class TransferDef:
     vm: str
     size_bytes: int
-    start_ns: int
-    count: int
+    start_ns: int = 0
+    count: int = 1
 
 
 @dataclass(frozen=True)
 class ReconfigOp:
     vm: str
     module: str
-    mode: ReconfigMode
-    at_ns: int
+    mode: ReconfigMode = ReconfigMode.PARTIAL
+    at_ns: int = 0
 
 
 @dataclass
@@ -156,299 +170,267 @@ def default_module_catalog(config: FabricConfig) -> dict[str, DfxModule]:
     return catalog
 
 
-def _expect(obj, key, kind, path, default=None, required=False):
-    if key not in obj or (obj[key] is None and not required):
-        if required:
-            raise ValidationError(f"{path}.{key}", "missing required field")
-        return default
-    value = obj[key]
-    if kind is int and isinstance(value, bool):
-        raise ValidationError(f"{path}.{key}", "expected an integer")
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise ValidationError(
-            f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}"
+def _section(model, rules: dict, by_hand: tuple = ()):
+    """Compile one section of the schema: the keys it allows, and for each
+    ruled field of ``model`` its (key, kind, required, rule)."""
+    hints = typing.get_type_hints(model)
+    fields = {f.name: f for f in dataclasses.fields(model)}
+    entries = tuple(
+        (
+            key,
+            _kind(hints[key]),
+            fields[key].default is dataclasses.MISSING
+            and fields[key].default_factory is dataclasses.MISSING,
+            rule,
         )
+        for key, rule in rules.items()
+    )
+    return frozenset(rules).union(by_hand), entries
+
+
+def _kind(hint):
+    """What :func:`_check` tests a value against: a type, or a dict from
+    the allowed values of an enum or ``Literal`` to what each loads as."""
+    if typing.get_origin(hint) is typing.Literal:
+        return {value: value for value in typing.get_args(hint)}
+    if isinstance(hint, types.UnionType):  # X | None: null means the default
+        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
+    if isinstance(hint, enum.EnumMeta):
+        return {member.value: member for member in hint}
+    return hint
+
+
+# Range rules: (test, message).
+POSITIVE = (lambda v: v > 0, "must be positive")
+NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+SHARE = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
+
+# The field reference. Each section is read against the dataclass it builds:
+# its fields are the section's keys, with their types and defaults, and the
+# table gives each loaded field's range rule. The keys after a table are
+# documented alternatives, read by hand in scenario_from_dict.
+TOP = _section(
+    Scenario,
+    {"seed": None, "duration_ns": POSITIVE, "sample_period_ns": POSITIVE},
+    ("schema_version", "fabric", "link", "energy", "reconfig", "scheduler",
+     "modules", "vms", "tasks", "transfers", "reconfigs"),
+)
+SCHEDULER = _section(
+    Scenario,
+    {"core_rate": POSITIVE, "tick_period_ns": POSITIVE, "migration_penalty_ns": NON_NEGATIVE},
+)
+FABRIC = _section(
+    FabricConfig,
+    {"total": None, "neurocore_count": POSITIVE, "neurons_per_core": POSITIVE,
+     "core_footprint": None, "bitstream_total_bytes": POSITIVE},
+)
+RESOURCES = _section(ResourceVector, {name: NON_NEGATIVE for name in RESOURCE_CLASSES})
+LINK = _section(
+    LinkModel, {"latency_ns": NON_NEGATIVE, "ring_capacity": POSITIVE}, ("peak_gibps",)
+)
+ENERGY = _section(
+    EnergyModel,
+    {"base_mj": POSITIVE, "slope_mj": NON_NEGATIVE, "dyn_nj_per_synop": NON_NEGATIVE},
+)
+RECONFIG = _section(
+    ReconfigParams, {"config_port_bw": POSITIVE, "partial_setup_overhead_ns": NON_NEGATIVE}
+)
+MODULE = _section(
+    DfxModule, {"id": None, "kind": None}, ("share", "footprint", "bitstream_bytes")
+)
+VM = _section(
+    VmDef, {"id": None, "cores": POSITIVE, "priority": None}, ("share", "resources")
+)
+TASK = _section(
+    TaskDef,
+    {"id": None, "steps": POSITIVE, "input_rate": POSITIVE, "fan_in": POSITIVE,
+     "data_size": NON_NEGATIVE, "deadline_ns": None, "arrival_ns": NON_NEGATIVE,
+     "mode": None},
+)
+TRANSFER = _section(
+    TransferDef,
+    {"vm": None, "size_bytes": POSITIVE, "start_ns": NON_NEGATIVE, "count": POSITIVE},
+)
+RECONFIG_OP = _section(
+    ReconfigOp, {"vm": None, "module": None, "mode": None, "at_ns": NON_NEGATIVE}
+)
+
+_JSON_TYPES = {
+    bool: "boolean", int: "integer", float: "number", str: "string",
+    list: "array", dict: "object", ResourceVector: "object",
+}
+
+
+def _load(obj, path: str, section) -> dict:
+    """The ruled fields that ``obj`` gives, each checked by :func:`_check`.
+    Absent and null fields are left out, so the model's defaults apply."""
+    allowed, entries = section
+    if obj is None:
+        obj = {}
+    elif not isinstance(obj, dict):
+        raise ValidationError(path, "expected an object")
+    if not allowed.issuperset(obj):
+        key = next(key for key in obj if key not in allowed)
+        raise ValidationError(f"{path}.{key}", "unknown field")
+    values = {}
+    for key, kind, required, rule in entries:
+        value = obj.get(key)
+        if value is not None or required:
+            values[key] = _check(value, kind, rule, path, key)
+    return values
+
+
+def _check(value, kind, rule, path: str, key):
+    """``value``, found at ``path.key``, loaded as ``kind`` and held to
+    ``rule``: an int is not a bool, a float accepts an int, a choice
+    resolves from its value."""
+    if type(value) is not kind:
+        if kind is float and type(value) is int:
+            value = float(value)
+        elif type(kind) is dict and type(value) is str and value in kind:
+            return kind[value]
+        elif kind is ResourceVector and isinstance(value, dict):
+            return ResourceVector(**_load(value, f"{path}.{key}", RESOURCES))
+        else:
+            raise ValidationError(f"{path}.{key}", _mismatch(value, kind))
+    if rule is not None and not rule[0](value):
+        raise ValidationError(f"{path}.{key}", rule[1])
     return value
 
 
-def _resource_vector(obj, path) -> ResourceVector:
-    if not isinstance(obj, dict):
-        raise ValidationError(path, "expected an object of resource counts")
-    unknown = set(obj) - set(RESOURCE_CLASSES)
-    if unknown:
-        raise ValidationError(path, f"unknown resource classes {sorted(unknown)}")
-    values = {name: _expect(obj, name, int, path, default=0) for name in RESOURCE_CLASSES}
-    try:
-        return ResourceVector(**values)
-    except ValueError as exc:
-        raise ValidationError(path, str(exc)) from exc
+def _mismatch(value, kind) -> str:
+    if value is None:
+        return "missing required field"
+    if type(kind) is dict:
+        return f"unknown value {value!r}; expected one of {list(kind)}"
+    got = _JSON_TYPES.get(type(value), type(value).__name__)
+    return f"expected {_JSON_TYPES[kind]}, got {got}"
+
+
+def _rows(data: dict, key: str) -> list:
+    rows = data.get(key)
+    return [] if rows is None else _check(rows, list, None, "$", key)
+
+
+def _share_or(row: dict, path: str, key: str, total: ResourceVector) -> ResourceVector:
+    """A row's resources: a fabric ``share``, or a resource object at ``key``."""
+    if row.get(key) is None:
+        return total.share(_check(row.get("share"), float, SHARE, path, "share"))
+    if row.get("share") is not None:
+        raise ValidationError(f"{path}.share", f"give share or {key}, not both")
+    return _check(row[key], ResourceVector, None, path, key)
+
+
+def _peak_table(peaks) -> tuple[tuple[int, float], ...]:
+    path = "$.link.peak_gibps"
+    entries = []
+    for key, value in _check(peaks, dict, None, "$.link", "peak_gibps").items():
+        try:
+            count = int(key)
+        except ValueError:
+            raise ValidationError(f"{path}.{key}", "keys must be VM counts") from None
+        entries.append((count, _check(value, float, None, path, key)))
+    return tuple(sorted(entries))
 
 
 def scenario_from_dict(data: dict, source: str = "<memory>") -> Scenario:
     if not isinstance(data, dict):
         raise ValidationError("$", "scenario must be a JSON object")
-    version = _expect(data, "schema_version", int, "$", required=True)
+    version = _check(data.get("schema_version"), int, None, "$", "schema_version")
     if version != SCHEMA_VERSION:
         raise ValidationError("$.schema_version", f"unsupported version {version}")
-    seed = _expect(data, "seed", int, "$", required=True)
+    top = _load(data, "$", TOP)
 
-    fabric_obj = _expect(data, "fabric", dict, "$", default={})
-    total = (
-        _resource_vector(fabric_obj["total"], "$.fabric.total")
-        if "total" in fabric_obj
-        else FabricConfig().total
-    )
-    core_fp = (
-        _resource_vector(fabric_obj["core_footprint"], "$.fabric.core_footprint")
-        if "core_footprint" in fabric_obj
-        else total.scaled(1, 32)
-    )
-    fabric = FabricConfig(
-        total=total,
-        neurocore_count=_expect(fabric_obj, "neurocore_count", int, "$.fabric", default=16),
-        neurons_per_core=_expect(fabric_obj, "neurons_per_core", int, "$.fabric", default=256),
-        core_footprint=core_fp,
-        bitstream_total_bytes=_expect(
-            fabric_obj, "bitstream_total_bytes", int, "$.fabric",
-            default=FabricConfig().bitstream_total_bytes,
-        ),
-    )
+    fabric = FabricConfig(**_load(data.get("fabric"), "$.fabric", FABRIC))
     try:
         fabric.validate()
-    except Exception as exc:
-        raise ValidationError("$.fabric", str(exc)) from exc
+    except InvalidConfig as exc:
+        raise ValidationError("$.fabric", str(exc)) from None
+    total = fabric.total
 
-    link_obj = _expect(data, "link", dict, "$", default={})
-    peaks = _expect(link_obj, "peak_gibps", dict, "$.link", default=None)
-    if peaks is None:
-        peak_table = LinkModel().peak_gibps
-    else:
-        entries = []
-        for key, value in peaks.items():
-            try:
-                count = int(key)
-            except ValueError:
-                raise ValidationError(
-                    f"$.link.peak_gibps.{key}", "keys must be VM counts"
-                ) from None
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValidationError(f"$.link.peak_gibps.{key}", "expected a number")
-            entries.append((count, float(value)))
-        peak_table = tuple(sorted(entries))
+    link_values = _load(data.get("link"), "$.link", LINK)
+    peaks = (data.get("link") or {}).get("peak_gibps")
+    if peaks is not None:
+        link_values["peak_gibps"] = _peak_table(peaks)
     try:
-        link = LinkModel(
-            latency_ns=_expect(link_obj, "latency_ns", int, "$.link", default=10_000),
-            peak_gibps=peak_table,
-            ring_capacity=_expect(link_obj, "ring_capacity", int, "$.link", default=256),
-        )
+        link = LinkModel(**link_values)
     except ValueError as exc:
-        raise ValidationError("$.link", str(exc)) from exc
+        raise ValidationError("$.link", str(exc)) from None
 
-    energy_obj = _expect(data, "energy", dict, "$", default={})
-    try:
-        energy = EnergyModel(
-            base_mj=_expect(energy_obj, "base_mj", float, "$.energy", default=25.0),
-            slope_mj=_expect(energy_obj, "slope_mj", float, "$.energy", default=20.0 / 19.0),
-            dyn_nj_per_synop=_expect(
-                energy_obj, "dyn_nj_per_synop", float, "$.energy", default=1.0
-            ),
-        )
-    except ValueError as exc:
-        raise ValidationError("$.energy", str(exc)) from exc
-
-    reconfig_obj = _expect(data, "reconfig", dict, "$", default={})
-    reconfig = ReconfigParams(
-        config_port_bw=_expect(
-            reconfig_obj, "config_port_bw", int, "$.reconfig",
-            default=ReconfigParams().config_port_bw,
-        ),
-        partial_setup_overhead_ns=_expect(
-            reconfig_obj, "partial_setup_overhead_ns", int, "$.reconfig",
-            default=ReconfigParams().partial_setup_overhead_ns,
-        ),
-    )
-
-    sched_obj = _expect(data, "scheduler", dict, "$", default={})
     scenario = Scenario(
-        seed=seed,
-        duration_ns=_expect(data, "duration_ns", int, "$", default=10_000_000),
-        sample_period_ns=_expect(data, "sample_period_ns", int, "$", default=1_000_000),
+        **top,
+        **_load(data.get("scheduler"), "$.scheduler", SCHEDULER),
         fabric=fabric,
         link=link,
-        energy=energy,
-        reconfig=reconfig,
-        core_rate=_expect(sched_obj, "core_rate", int, "$.scheduler", default=DEFAULT_CORE_RATE),
-        tick_period_ns=_expect(
-            sched_obj, "tick_period_ns", int, "$.scheduler", default=DEFAULT_TICK_PERIOD_NS
-        ),
-        migration_penalty_ns=_expect(
-            sched_obj, "migration_penalty_ns", int, "$.scheduler",
-            default=DEFAULT_MIGRATION_PENALTY_NS,
-        ),
+        energy=EnergyModel(**_load(data.get("energy"), "$.energy", ENERGY)),
+        reconfig=ReconfigParams(**_load(data.get("reconfig"), "$.reconfig", RECONFIG)),
     )
-    # a zero period or rate would divide by zero or reschedule at the same
-    # instant forever
-    positive = {
-        "$.duration_ns": scenario.duration_ns,
-        "$.sample_period_ns": scenario.sample_period_ns,
-        "$.link.ring_capacity": link.ring_capacity,
-        "$.reconfig.config_port_bw": reconfig.config_port_bw,
-        "$.scheduler.core_rate": scenario.core_rate,
-        "$.scheduler.tick_period_ns": scenario.tick_period_ns,
-    }
-    for fieldpath, value in positive.items():
-        if value <= 0:
-            raise ValidationError(fieldpath, "must be positive")
-    if scenario.migration_penalty_ns < 0:
-        raise ValidationError("$.scheduler.migration_penalty_ns", "must be non-negative")
 
-    modules_list = _expect(data, "modules", list, "$", default=None)
-    if modules_list is None:
+    if data.get("modules") is None:
         scenario.modules = default_module_catalog(fabric)
-    else:
-        for i, mod_obj in enumerate(modules_list):
-            path = f"$.modules[{i}]"
-            if not isinstance(mod_obj, dict):
-                raise ValidationError(path, "expected an object")
-            mod_id = _expect(mod_obj, "id", str, path, required=True)
-            kind_name = _expect(mod_obj, "kind", str, path, required=True)
-            try:
-                kind = ModuleKind(kind_name)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}.kind",
-                    f"unknown kind {kind_name!r}; expected one of "
-                    f"{[k.value for k in ModuleKind]}",
-                ) from None
-            if "footprint" in mod_obj:
-                footprint = _resource_vector(mod_obj["footprint"], f"{path}.footprint")
-                bitstream = _expect(
-                    mod_obj, "bitstream_bytes", int, path,
-                    default=bitstream_bytes_for(
-                        footprint, total, fabric.bitstream_total_bytes
-                    ),
-                )
-                module = DfxModule(mod_id, kind, footprint, bitstream)
-            else:
-                share = _expect(mod_obj, "share", float, path, required=True)
-                if not (0.0 < share <= 1.0):
-                    raise ValidationError(f"{path}.share", "must be in (0, 1]")
-                module = module_from_share(
-                    mod_id, kind, share, total, fabric.bitstream_total_bytes
-                )
-            if mod_id in scenario.modules:
-                raise ValidationError(f"{path}.id", f"duplicate module id {mod_id!r}")
-            scenario.modules[mod_id] = module
+    for i, row in enumerate(_rows(data, "modules")):
+        path = f"$.modules[{i}]"
+        values = _load(row, path, MODULE)
+        footprint = _share_or(row, path, "footprint", total)
+        bitstream = row.get("bitstream_bytes")
+        if bitstream is None:
+            bitstream = bitstream_bytes_for(footprint, total, fabric.bitstream_total_bytes)
+        module = DfxModule(
+            footprint=footprint,
+            bitstream_bytes=_check(bitstream, int, NON_NEGATIVE, path, "bitstream_bytes"),
+            **values,
+        )
+        if module.id in scenario.modules:
+            raise ValidationError(f"{path}.id", f"duplicate module id {module.id!r}")
+        scenario.modules[module.id] = module
 
     # replay the VM requests in creation order against a scratch fabric, so
     # an overcommit is reported here instead of when the run sets up
     scratch = Fabric(fabric)
     vm_requests: dict[str, ResourceVector] = {}
-    for i, vm_obj in enumerate(_expect(data, "vms", list, "$", default=[])):
+    for i, row in enumerate(_rows(data, "vms")):
         path = f"$.vms[{i}]"
-        if not isinstance(vm_obj, dict):
-            raise ValidationError(path, "expected an object")
-        vm_id = _expect(vm_obj, "id", str, path, required=True)
-        if vm_id in vm_requests:
-            raise ValidationError(f"{path}.id", f"duplicate vm id {vm_id!r}")
-        if "resources" in vm_obj:
-            request = _resource_vector(vm_obj["resources"], f"{path}.resources")
-        else:
-            share = _expect(vm_obj, "share", float, path, required=True)
-            if not (0.0 < share <= 1.0):
-                raise ValidationError(f"{path}.share", "must be in (0, 1]")
-            request = total.share(share)
-        priority_name = _expect(vm_obj, "priority", str, path, default="batch")
+        values = _load(row, path, VM)
+        vm = VmDef(request=_share_or(row, path, "resources", total), **values)
+        if vm.id in vm_requests:
+            raise ValidationError(f"{path}.id", f"duplicate vm id {vm.id!r}")
         try:
-            priority = Priority(priority_name)
-        except ValueError:
-            raise ValidationError(
-                f"{path}.priority",
-                f"unknown priority {priority_name!r}; expected "
-                f"{[p.value for p in Priority]}",
-            ) from None
-        cores = _expect(vm_obj, "cores", int, path, default=None)
-        if cores is not None and cores <= 0:
-            raise ValidationError(f"{path}.cores", "must be positive")
-        try:
-            scratch.allocate(request)
+            scratch.allocate(vm.request)
         except (InsufficientResources, ValueError) as exc:
             raise ValidationError(path, str(exc)) from None
-        vm_requests[vm_id] = request
-        scenario.vms.append(VmDef(vm_id, request, cores, priority))
+        vm_requests[vm.id] = vm.request
+        scenario.vms.append(vm)
 
     task_ids = set()
-    for i, task_obj in enumerate(_expect(data, "tasks", list, "$", default=[])):
+    for i, row in enumerate(_rows(data, "tasks")):
         path = f"$.tasks[{i}]"
-        if not isinstance(task_obj, dict):
-            raise ValidationError(path, "expected an object")
-        task_id = _expect(task_obj, "id", str, path, required=True)
-        if task_id in task_ids:
-            raise ValidationError(f"{path}.id", f"duplicate task id {task_id!r}")
-        task_ids.add(task_id)
-        mode = _expect(task_obj, "mode", str, path, default="analytic")
-        if mode not in ("analytic", "spiking"):
-            raise ValidationError(f"{path}.mode", "expected 'analytic' or 'spiking'")
-        task = TaskDef(
-            id=task_id,
-            steps=_expect(task_obj, "steps", int, path, required=True),
-            input_rate=_expect(task_obj, "input_rate", int, path, required=True),
-            fan_in=_expect(task_obj, "fan_in", int, path, required=True),
-            data_size=_expect(task_obj, "data_size", int, path, default=0),
-            deadline_ns=_expect(task_obj, "deadline_ns", int, path, default=None),
-            arrival_ns=_expect(task_obj, "arrival_ns", int, path, default=0),
-            mode=mode,
-        )
-        for fname in ("steps", "input_rate", "fan_in"):
-            if getattr(task, fname) <= 0:
-                raise ValidationError(f"{path}.{fname}", "must be positive")
+        task = TaskDef(**_load(row, path, TASK))
+        if task.id in task_ids:
+            raise ValidationError(f"{path}.id", f"duplicate task id {task.id!r}")
+        task_ids.add(task.id)
         if task.deadline_ns is not None and task.deadline_ns <= task.arrival_ns:
             raise ValidationError(f"{path}.deadline_ns", "must exceed arrival_ns")
         scenario.tasks.append(task)
+    if scenario.tasks and not scenario.vms:
+        raise ValidationError("$.tasks", "no vm to run them on")
 
-    for i, tr_obj in enumerate(_expect(data, "transfers", list, "$", default=[])):
+    for i, row in enumerate(_rows(data, "transfers")):
         path = f"$.transfers[{i}]"
-        if not isinstance(tr_obj, dict):
-            raise ValidationError(path, "expected an object")
-        transfer = TransferDef(
-            vm=_expect(tr_obj, "vm", str, path, required=True),
-            size_bytes=_expect(tr_obj, "size_bytes", int, path, required=True),
-            start_ns=_expect(tr_obj, "start_ns", int, path, default=0),
-            count=_expect(tr_obj, "count", int, path, default=1),
-        )
+        transfer = TransferDef(**_load(row, path, TRANSFER))
         if transfer.vm not in vm_requests:
             raise ValidationError(f"{path}.vm", f"unknown vm {transfer.vm!r}")
-        if transfer.size_bytes <= 0:
-            raise ValidationError(f"{path}.size_bytes", "must be positive")
-        if transfer.count < 1:
-            raise ValidationError(f"{path}.count", "must be >= 1")
         scenario.transfers.append(transfer)
 
-    for i, rc_obj in enumerate(_expect(data, "reconfigs", list, "$", default=[])):
+    for i, row in enumerate(_rows(data, "reconfigs")):
         path = f"$.reconfigs[{i}]"
-        if not isinstance(rc_obj, dict):
-            raise ValidationError(path, "expected an object")
-        mode_name = _expect(rc_obj, "mode", str, path, default="partial")
-        try:
-            mode = ReconfigMode(mode_name)
-        except ValueError:
-            raise ValidationError(
-                f"{path}.mode", "expected 'full' or 'partial'"
-            ) from None
-        op = ReconfigOp(
-            vm=_expect(rc_obj, "vm", str, path, required=True),
-            module=_expect(rc_obj, "module", str, path, required=True),
-            mode=mode,
-            at_ns=_expect(rc_obj, "at_ns", int, path, default=0),
-        )
+        op = ReconfigOp(**_load(row, path, RECONFIG_OP))
         if op.vm not in vm_requests:
             raise ValidationError(f"{path}.vm", f"unknown vm {op.vm!r}")
-        if op.module not in scenario.modules:
+        module = scenario.modules.get(op.module)
+        if module is None:
             raise ValidationError(f"{path}.module", f"unknown module {op.module!r}")
         # the rule Hypervisor.exchange_module applies: a VM's slot is its request
-        if not scenario.modules[op.module].footprint.fits_within(vm_requests[op.vm]):
+        if not module.footprint.fits_within(vm_requests[op.vm]):
             raise ValidationError(
                 f"{path}.module", f"{op.module} does not fit {op.vm}'s slot"
             )

@@ -104,8 +104,7 @@ class Scheduler:
 
     ``duration_fn(task, cores) -> ticks`` defaults to the Amdahl model;
     scenario executors substitute a spiking-aware duration. ``on_start`` /
-    ``on_done`` / ``on_migrate`` hooks let an executor attach real work to
-    assignments.
+    ``on_migrate`` hooks let an executor attach real work to assignments.
     """
 
     def __init__(
@@ -116,7 +115,6 @@ class Scheduler:
         migration_penalty: int = DEFAULT_MIGRATION_PENALTY_NS,
         duration_fn: Callable[[TaskSpec, int], int] | None = None,
         on_start: Callable[["_Running"], None] | None = None,
-        on_done: Callable[["_Running"], None] | None = None,
         on_migrate: Callable[["_Running", str, str], None] | None = None,
     ):
         self.engine = engine
@@ -127,7 +125,6 @@ class Scheduler:
             lambda task, cores: exec_time(task, cores, self.core_rate)
         )
         self.on_start = on_start
-        self.on_done = on_done
         self.on_migrate = on_migrate
         self.vms: dict[str, SchedVm] = {}
         self.ready: list[TaskSpec] = []
@@ -220,8 +217,6 @@ class Scheduler:
         run = self.running.pop(task_id)
         self.vms[run.vm_id].cores_free += run.cores
         self.finished[task_id] = self.engine.now()
-        if self.on_done is not None:
-            self.on_done(run)
 
     def rebalance_on_contention(self) -> list[Migration]:
         """Migrate late real-time tasks to VMs whose idle cores restore

@@ -216,12 +216,6 @@ class Hypervisor:
             raise FootprintOverflow(f"{module.id} does not fit {vm_id}'s slot")
         return self._enqueue(vm, module, mode, exchange=True)
 
-    def unload_module(self, vm_id: str, module_id: str) -> None:
-        vm = self._vm(vm_id)
-        if module_id not in vm.loaded:
-            raise ValueError(f"{module_id} not loaded on {vm_id}")
-        del vm.loaded[module_id]
-
     def _enqueue(
         self, vm: VirtualMachine, module: DfxModule, mode: ReconfigMode, exchange: bool
     ) -> ReconfigRecord | None:

@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import neurovirt
+from neurovirt import bench
 from neurovirt.cli import _parse_int_list, main
 from neurovirt.metrics import SAMPLE_CSV_HEADER
 
@@ -46,6 +48,9 @@ def test_bench_reconfig_cli(tmp_path):
     for line in lines[1:]:
         _, full_ns, partial_ns = line.split(",")
         assert int(partial_ns) < int(full_ns)
+    # the reconfiguration benchmark reads no scenario, so it takes none
+    with pytest.raises(SystemExit):
+        main(["bench-reconfig", "--scenario", "demo.json"])
 
 
 def _scenario_file(tmp_path, seed=11, **overrides):
@@ -107,6 +112,21 @@ def test_run_is_byte_deterministic(tmp_path):
     assert traces[0] == traces[1]
 
 
+def test_run_seed_flag_overrides_the_scenario_seed(tmp_path, monkeypatch):
+    seeds = []
+
+    def fake_run(scenario):
+        seeds.append(scenario.seed)
+        return SimpleNamespace(metrics_csv="")
+
+    monkeypatch.setattr(bench, "run_scenario", fake_run)
+    path = str(_scenario_file(tmp_path, seed=11))
+    out = str(tmp_path / "metrics.csv")
+    for flags in ([], ["--seed", "0"], ["--seed", "5"]):
+        assert main(["run", "--scenario", path, "--out", out, *flags]) == 0
+    assert seeds == [11, 0, 5]
+
+
 def test_parse_error_exit_code_and_message(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\n  broken\n}")
@@ -143,6 +163,19 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
     ({"modules": [{"id": "big", "kind": "router", "share": 0.5}],
       "reconfigs": [{"vm": "vmA", "module": "big", "at_ns": 2_000_000}]},
      "$.reconfigs[0].module: big does not fit vmA's slot"),
+    # misspelt keys at the top level, in a section and in a list item
+    ({"duraton_ns": 30_000_000}, "$.duraton_ns: unknown field"),
+    ({"scheduler": {"tick_perod_ns": 100_000}}, "$.scheduler.tick_perod_ns: unknown field"),
+    ({"tasks": [{"id": "t", "stpes": 20, "input_rate": 4, "fan_in": 32}]},
+     "$.tasks[0].stpes: unknown field"),
+    ({"transfers": [{"vm": "vmB", "size_bytes": 4096, "start_ns": -5}]},
+     "$.transfers[0].start_ns: must be non-negative"),
+    ({"reconfigs": [{"vm": "vmA", "module": "router", "at_ns": -5}]},
+     "$.reconfigs[0].at_ns: must be non-negative"),
+    ({"reconfig": {"partial_setup_overhead_ns": -1_000_000_000}},
+     "$.reconfig.partial_setup_overhead_ns: must be non-negative"),
+    ({"energy": {"dyn_nj_per_synop": -1.0}}, "$.energy.dyn_nj_per_synop: must be non-negative"),
+    ({"vms": [], "transfers": [], "reconfigs": []}, "$.tasks: no vm to run them on"),
 ])
 def test_degenerate_field_exits_2_naming_it(tmp_path, override, message):
     path = _scenario_file(tmp_path, **override)

@@ -1,6 +1,9 @@
+import copy
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from neurovirt.scenario import (
     DEFAULT_MODULE_SHARES,
@@ -96,10 +99,14 @@ def test_bad_peak_table_rejected():
 
 def test_task_field_validation():
     data = minimal()
-    data["tasks"] = [{"id": "t", "steps": 0, "input_rate": 1, "fan_in": 1}]
-    with pytest.raises(ValidationError) as err:
-        scenario_from_dict(data)
-    assert err.value.field == "$.tasks[0].steps"
+    data["vms"] = [{"id": "a", "share": 0.25}]
+    for field, value in [
+        ("steps", 0), ("data_size", -1), ("arrival_ns", -1), ("mode", "batch"), ("fan_in", True),
+    ]:
+        data["tasks"] = [{"id": "t", "steps": 1, "input_rate": 1, "fan_in": 1, field: value}]
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(data)
+        assert err.value.field == f"$.tasks[0].{field}"
 
 
 def test_deadline_must_exceed_arrival():
@@ -119,9 +126,23 @@ def test_custom_module_by_footprint():
         {"id": "x", "kind": "router",
          "footprint": {"lut": 50_400, "memory_bytes": 1_000, "io_pins": 4, "dsp": 8}}
     ]
+    data["modules"].append({"id": "y", "kind": "router", "share": 0.1, "bitstream_bytes": 7})
     sc = scenario_from_dict(data)
     # bitstream follows the lut-share proportionality rule: 10% of 30 MiB
     assert sc.modules["x"].bitstream_bytes == round(30 * 1024 * 1024 * 0.1)
+    assert sc.modules["y"].bitstream_bytes == 7  # an explicit size wins
+
+
+@pytest.mark.parametrize("section, row", [
+    ("vms", {"id": "a", "share": 0.1, "resources": {"lut": 5}}),
+    ("modules", {"id": "a", "kind": "router", "share": 0.1, "footprint": {"lut": 5}}),
+])
+def test_share_and_explicit_resources_are_exclusive(section, row):
+    data = minimal()
+    data[section] = [row]
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(data)
+    assert err.value.field == f"$.{section}[0].share"
 
 
 def test_footprint_and_share_modules_round_bitstream_alike():
@@ -134,3 +155,65 @@ def test_footprint_and_share_modules_round_bitstream_alike():
     ]
     sc = scenario_from_dict(data)
     assert sc.modules["fp"].bitstream_bytes == sc.modules["half"].bitstream_bytes == 3
+
+
+DEMO = json.loads(
+    (Path(__file__).resolve().parents[1] / "scenarios" / "demo.json").read_text()
+)
+
+
+def _paths(node, prefix=()):
+    """The path of every value below ``node``, parents first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+VALUE_PATHS = list(_paths(DEMO))
+OBJECT_PATHS = [()] + [p for p in VALUE_PATHS if isinstance(_at(DEMO, p), dict)]
+# known names, so an added key is sometimes a field the demo leaves out
+KEYS = st.sampled_from([
+    "fabric", "link", "energy", "reconfig", "scheduler", "modules", "total",
+    "core_footprint", "neurocore_count", "peak_gibps", "1", "lut", "share",
+    "resources", "footprint", "bitstream_bytes", "cores", "deadline_ns", "kind",
+]) | st.text(max_size=6)
+SCALARS = (
+    st.none() | st.booleans() | st.integers(-(2**63), 2**63) | st.floats()
+    | st.text(max_size=6) | st.sampled_from(["router", "realtime", "full", "spiking"])
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_demo_loads_or_names_a_field(data):
+    scenario = copy.deepcopy(DEMO)
+    action = data.draw(st.sampled_from(["drop", "add", "swap"]))
+    if action == "add":
+        target = _at(scenario, data.draw(st.sampled_from(OBJECT_PATHS)))
+        target[data.draw(KEYS)] = data.draw(VALUES)
+    else:
+        *parent, key = data.draw(st.sampled_from(VALUE_PATHS))
+        target = _at(scenario, parent)
+        if action == "drop":
+            del target[key]
+        else:
+            old = target[key]
+            negated = st.just(-old) if type(old) in (int, float) else st.nothing()
+            target[key] = data.draw(VALUES | negated)
+    try:
+        scenario_from_dict(scenario)
+    except ValidationError:
+        pass
