@@ -38,8 +38,9 @@ The rule tables below (``TOP`` to ``RECONFIG_OP``) are the field
 reference. Each section is read against the dataclass it builds: that
 dataclass's fields are the section's keys, with their types and defaults,
 and the table gives each field's range (positive, non-negative, a share in
-(0, 1], or none). A null value means the default. Any other key is
-rejected as ``$.path.key: unknown field``.
+(0, 1], or none). Every number must also be finite and below 2**63 in
+magnitude. A null value means the default. Any other key is rejected as
+``$.path.key: unknown field``.
 
 VM ``share``/module ``share`` are fabric fractions; explicit ``resources``
 / ``footprint`` objects are accepted instead, but not both. A module's
@@ -53,6 +54,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -172,20 +174,19 @@ def default_module_catalog(config: FabricConfig) -> dict[str, DfxModule]:
 
 def _section(model, rules: dict, by_hand: tuple = ()):
     """Compile one section of the schema: the keys it allows, and for each
-    ruled field of ``model`` its (key, kind, required, rule)."""
+    ruled field of ``model`` its (key, kind, required, rule). A number
+    field without a range rule gets :data:`ANY`."""
     hints = typing.get_type_hints(model)
     fields = {f.name: f for f in dataclasses.fields(model)}
-    entries = tuple(
-        (
-            key,
-            _kind(hints[key]),
-            fields[key].default is dataclasses.MISSING
-            and fields[key].default_factory is dataclasses.MISSING,
-            rule,
-        )
-        for key, rule in rules.items()
-    )
-    return frozenset(rules).union(by_hand), entries
+    entries = []
+    for key, rule in rules.items():
+        kind = _kind(hints[key])
+        if rule is None and kind in (int, float):
+            rule = ANY
+        required = (fields[key].default is dataclasses.MISSING
+                    and fields[key].default_factory is dataclasses.MISSING)
+        entries.append((key, kind, required, rule))
+    return frozenset(rules).union(by_hand), tuple(entries)
 
 
 def _kind(hint):
@@ -200,10 +201,15 @@ def _kind(hint):
     return hint
 
 
-# Range rules: (test, message).
-POSITIVE = (lambda v: v > 0, "must be positive")
-NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
-SHARE = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
+# Range rules: (lowest, highest, message), both ends allowed. Every number
+# stays below 2**63 in magnitude (a JSON integer is unbounded, and a larger
+# one can overflow a float conversion), and NaN is never in range.
+_MAX = 2**63 - 1
+_LEAST_POSITIVE = math.ulp(0.0)  # for an int, the same as >= 1
+ANY = (-_MAX, _MAX, None)
+POSITIVE = (_LEAST_POSITIVE, _MAX, "must be positive")
+NON_NEGATIVE = (0, _MAX, "must be non-negative")
+SHARE = (_LEAST_POSITIVE, 1.0, "must be in (0, 1]")
 
 # The field reference. Each section is read against the dataclass it builds:
 # its fields are the section's keys, with their types and defaults, and the
@@ -282,20 +288,26 @@ def _load(obj, path: str, section) -> dict:
 
 def _check(value, kind, rule, path: str, key):
     """``value``, found at ``path.key``, loaded as ``kind`` and held to
-    ``rule``: an int is not a bool, a float accepts an int, a choice
-    resolves from its value."""
-    if type(value) is not kind:
-        if kind is float and type(value) is int:
-            value = float(value)
-        elif type(kind) is dict and type(value) is str and value in kind:
+    ``rule``: an int is not a bool, a float accepts an int (converted only
+    once it is in range), a choice resolves from its value."""
+    got = type(value)
+    if got is not kind and not (kind is float and got is int):
+        if type(kind) is dict and got is str and value in kind:
             return kind[value]
-        elif kind is ResourceVector and isinstance(value, dict):
+        if kind is ResourceVector and isinstance(value, dict):
             return ResourceVector(**_load(value, f"{path}.{key}", RESOURCES))
-        else:
-            raise ValidationError(f"{path}.{key}", _mismatch(value, kind))
-    if rule is not None and not rule[0](value):
-        raise ValidationError(f"{path}.{key}", rule[1])
-    return value
+        raise ValidationError(f"{path}.{key}", _mismatch(value, kind))
+    if rule is not None and not rule[0] <= value <= rule[1]:
+        raise ValidationError(f"{path}.{key}", _out_of_range(value, rule[2]))
+    return value if got is kind else float(value)
+
+
+def _out_of_range(value, message: str | None) -> str:
+    if -_MAX <= value <= _MAX:
+        return message
+    if type(value) is float and not math.isfinite(value):
+        return "must be finite"
+    return "must be below 2**63 in magnitude"
 
 
 def _mismatch(value, kind) -> str:
@@ -329,14 +341,14 @@ def _peak_table(peaks) -> tuple[tuple[int, float], ...]:
             count = int(key)
         except ValueError:
             raise ValidationError(f"{path}.{key}", "keys must be VM counts") from None
-        entries.append((count, _check(value, float, None, path, key)))
+        entries.append((count, _check(value, float, ANY, path, key)))
     return tuple(sorted(entries))
 
 
 def scenario_from_dict(data: dict, source: str = "<memory>") -> Scenario:
     if not isinstance(data, dict):
         raise ValidationError("$", "scenario must be a JSON object")
-    version = _check(data.get("schema_version"), int, None, "$", "schema_version")
+    version = _check(data.get("schema_version"), int, ANY, "$", "schema_version")
     if version != SCHEMA_VERSION:
         raise ValidationError("$.schema_version", f"unsupported version {version}")
     top = _load(data, "$", TOP)
@@ -354,8 +366,8 @@ def scenario_from_dict(data: dict, source: str = "<memory>") -> Scenario:
         link_values["peak_gibps"] = _peak_table(peaks)
     try:
         link = LinkModel(**link_values)
-    except ValueError as exc:
-        raise ValidationError("$.link", str(exc)) from None
+    except ValueError as exc:  # _load has checked the rest of the section
+        raise ValidationError("$.link.peak_gibps", str(exc)) from None
 
     scenario = Scenario(
         **top,

@@ -2,7 +2,7 @@
 
 Ordering policy per scheduler tick: real-time tasks earliest-deadline
 first, then batch tasks in arrival order; each task is list-scheduled
-onto the VM with the earliest availability among those with a free core.
+onto the lowest-id VM that has a free core.
 When a running real-time task is projected to miss its deadline and some
 other VM has idle cores that would make the deadline feasible again, the
 task migrates there once (a fixed penalty models state transfer).
@@ -10,6 +10,7 @@ task migrates there once (a fixed penalty models state transfer).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -105,6 +106,11 @@ class Scheduler:
     ``duration_fn(task, cores) -> ticks`` defaults to the Amdahl model;
     scenario executors substitute a spiking-aware duration. ``on_start`` /
     ``on_migrate`` hooks let an executor attach real work to assignments.
+
+    A tick costs O(placed · log backlog): ready tasks wait in two heaps
+    (real-time by deadline, batch by arrival), the VMs are kept sorted by
+    id, and the tick stops once no VM has a free core. Rebalancing visits
+    only the running real-time tasks that are projected late.
     """
 
     def __init__(
@@ -127,8 +133,16 @@ class Scheduler:
         self.on_start = on_start
         self.on_migrate = on_migrate
         self.vms: dict[str, SchedVm] = {}
-        self.ready: list[TaskSpec] = []
+        self._vm_order: list[SchedVm] = []  # self.vms sorted by id
+        # ready heaps: (deadline, arrival, id, seq, task) and
+        # (arrival, id, seq, task); the submission counter seq keeps equal
+        # keys in submission order, as a stable sort would
+        self._ready_rt: list[tuple] = []
+        self._ready_batch: list[tuple] = []
+        self._seq = 0
         self.running: dict[str, _Running] = {}
+        # running real-time tasks, not yet migrated, projected past deadline
+        self._late: set[str] = set()
         self.finished: dict[str, int] = {}
         self.assignments: list[Assignment] = []
         self.migrations: list[Migration] = []
@@ -136,6 +150,7 @@ class Scheduler:
 
     def add_vm(self, vm_id: str, cores: int) -> None:
         self.vms[vm_id] = SchedVm(vm_id, cores, cores)
+        self._vm_order = [self.vms[key] for key in sorted(self.vms)]
 
     def submit(self, task: TaskSpec) -> None:
         """Enqueue a task; arrival in the future is honored via an event."""
@@ -151,7 +166,12 @@ class Scheduler:
             self._arrive(task)
 
     def _arrive(self, task: TaskSpec) -> None:
-        self.ready.append(task)
+        if task.is_realtime:
+            entry = (task.deadline, task.arrival, task.id, self._seq, task)
+            heapq.heappush(self._ready_rt, entry)
+        else:
+            heapq.heappush(self._ready_batch, (task.arrival, task.id, self._seq, task))
+        self._seq += 1
         self._ensure_tick(at_now=True)
 
     def _ensure_tick(self, at_now: bool = False) -> None:
@@ -165,19 +185,8 @@ class Scheduler:
         self._tick_pending = False
         self.schedule_tick()
         self.rebalance_on_contention()
-        if self.ready or self.running:
+        if self._ready_rt or self._ready_batch or self.running:
             self._ensure_tick()
-
-    def _ordered_ready(self) -> list[TaskSpec]:
-        rt = sorted(
-            (t for t in self.ready if t.is_realtime),
-            key=lambda t: (t.deadline, t.arrival, t.id),
-        )
-        batch = sorted(
-            (t for t in self.ready if not t.is_realtime),
-            key=lambda t: (t.arrival, t.id),
-        )
-        return rt + batch
 
     def _grant(self, task: TaskSpec, vm: SchedVm) -> int:
         wanted = max(1, math.ceil(task.parallelizability * vm.cores_total))
@@ -187,11 +196,18 @@ class Scheduler:
         """Assign ready tasks to VMs; unplaceable tasks stay buffered."""
         made: list[Assignment] = []
         now = self.engine.now()
-        for task in self._ordered_ready():
-            hosts = [vm for _, vm in sorted(self.vms.items()) if vm.cores_free >= 1]
-            if not hosts:
-                continue
-            vm = hosts[0]
+        # cores_free only falls within a tick (TaskDone is an event and
+        # on_start frees nothing), so the first VM with a free core only
+        # moves forward in id order and the tick ends when none is left
+        vms = self._vm_order
+        at = 0
+        while self._ready_rt or self._ready_batch:
+            while at < len(vms) and vms[at].cores_free < 1:
+                at += 1
+            if at == len(vms):
+                break
+            vm = vms[at]
+            task = heapq.heappop(self._ready_rt or self._ready_batch)[-1]
             cores = self._grant(task, vm)
             duration = self.duration_fn(task, cores)
             finish = now + duration
@@ -205,7 +221,12 @@ class Scheduler:
             )
             run = _Running(task, vm.id, cores, now, finish, duration, done_event)
             self.running[task.id] = run
-            self.ready.remove(task)
+            # a task's lateness is fixed here and only migration changes it;
+            # a reused id replaces the earlier run, and its lateness with it
+            if task.is_realtime and finish > task.deadline:
+                self._late.add(task.id)
+            else:
+                self._late.discard(task.id)
             assignment = Assignment(task.id, vm.id, cores, now, finish)
             self.assignments.append(assignment)
             made.append(assignment)
@@ -215,6 +236,7 @@ class Scheduler:
 
     def _task_done(self, task_id: str) -> None:
         run = self.running.pop(task_id)
+        self._late.discard(task_id)
         self.vms[run.vm_id].cores_free += run.cores
         self.finished[task_id] = self.engine.now()
 
@@ -223,15 +245,12 @@ class Scheduler:
         deadline feasibility; useless migrations are forbidden."""
         made: list[Migration] = []
         now = self.engine.now()
-        for task_id in sorted(self.running):
+        for task_id in sorted(self._late):
             run = self.running[task_id]
             task = run.task
-            if not task.is_realtime or run.migrated:
-                continue
-            if run.finish <= task.deadline:
-                continue
             best: tuple[int, str, int] | None = None  # (finish, vm_id, cores)
-            for vm_id, vm in sorted(self.vms.items()):
+            for vm in self._vm_order:
+                vm_id = vm.id
                 if vm_id == run.vm_id or vm.cores_free < 1:
                     continue
                 cores = self._grant(task, vm)
@@ -263,6 +282,7 @@ class Scheduler:
             run.duration = new_finish - now
             run.finish = new_finish
             run.migrated = True
+            self._late.discard(task_id)
             run.done_event = self.engine.schedule(
                 new_finish,
                 "TaskDone",

@@ -176,6 +176,12 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
      "$.reconfig.partial_setup_overhead_ns: must be non-negative"),
     ({"energy": {"dyn_nj_per_synop": -1.0}}, "$.energy.dyn_nj_per_synop: must be non-negative"),
     ({"vms": [], "transfers": [], "reconfigs": []}, "$.tasks: no vm to run them on"),
+    # numbers too large for a float, and one that is not finite
+    ({"energy": {"base_mj": 10**400}}, "$.energy.base_mj: must be below 2**63 in magnitude"),
+    ({"fabric": {"total": {"lut": 10**400, "memory_bytes": 38_000_000, "io_pins": 464,
+                           "dsp": 1728}}},
+     "$.fabric.total.lut: must be below 2**63 in magnitude"),
+    ({"energy": {"base_mj": float("inf")}}, "$.energy.base_mj: must be finite"),
 ])
 def test_degenerate_field_exits_2_naming_it(tmp_path, override, message):
     path = _scenario_file(tmp_path, **override)

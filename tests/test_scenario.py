@@ -91,10 +91,11 @@ def test_duplicate_vm_ids_rejected():
 
 def test_bad_peak_table_rejected():
     data = minimal()
-    data["link"] = {"peak_gibps": {"1": 3.0, "2": 1.0}}
-    with pytest.raises(ValidationError) as err:
-        scenario_from_dict(data)
-    assert err.value.field == "$.link"
+    for table in ({"1": 3.0, "2": 1.0}, {"1": 0.0}, {"0": 1.0}, {}):
+        data["link"] = {"peak_gibps": table}
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(data)
+        assert err.value.field == "$.link.peak_gibps"
 
 
 def test_task_field_validation():

@@ -2,12 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from neurovirt.engine import Engine
+from neurovirt.engine import Engine, round_half_up
 from neurovirt.sched import (
     DEFAULT_TICK_PERIOD_NS,
+    Assignment,
+    Migration,
     Scheduler,
     TaskSpec,
+    _Running,
     exec_time,
     profile,
 )
@@ -169,3 +173,160 @@ def test_makespan_within_twice_optimal_sample():
         makespan = sch.makespan()
         optimum = _optimal_makespan(tasks, n_vms)
         assert makespan <= 2 * optimum
+
+
+class _Rescanning(Scheduler):
+    """The same policy computed by rescanning, kept as the oracle: each
+    tick re-sorts the whole backlog and every VM for each ready task, and
+    rebalancing visits every running task."""
+
+    def __init__(self, engine, **kwargs):
+        super().__init__(engine, **kwargs)
+        self.ready = []
+
+    def _arrive(self, task):
+        self.ready.append(task)
+        self._ensure_tick(at_now=True)
+
+    def _on_tick(self):
+        self._tick_pending = False
+        self.schedule_tick()
+        self.rebalance_on_contention()
+        if self.ready or self.running:
+            self._ensure_tick()
+
+    def schedule_tick(self):
+        now = self.engine.now()
+        rt = sorted((t for t in self.ready if t.is_realtime),
+                    key=lambda t: (t.deadline, t.arrival, t.id))
+        batch = sorted((t for t in self.ready if not t.is_realtime),
+                       key=lambda t: (t.arrival, t.id))
+        for task in rt + batch:
+            hosts = [vm for _, vm in sorted(self.vms.items()) if vm.cores_free >= 1]
+            if not hosts:
+                continue
+            vm = hosts[0]
+            cores = self._grant(task, vm)
+            finish = now + self.duration_fn(task, cores)
+            vm.cores_free -= cores
+            done = self.engine.schedule(
+                finish, "TaskDone", fn=lambda tid=task.id: self._task_done(tid),
+                detail=f"task={task.id};vm={vm.id}", vm=vm.id)
+            self.running[task.id] = _Running(task, vm.id, cores, now, finish,
+                                             finish - now, done)
+            self.ready.remove(task)
+            self.assignments.append(Assignment(task.id, vm.id, cores, now, finish))
+
+    def rebalance_on_contention(self):
+        now = self.engine.now()
+        for task_id in sorted(self.running):
+            run = self.running[task_id]
+            task = run.task
+            if not task.is_realtime or run.migrated or run.finish <= task.deadline:
+                continue
+            best = None
+            for vm_id, vm in sorted(self.vms.items()):
+                if vm_id == run.vm_id or vm.cores_free < 1:
+                    continue
+                cores = self._grant(task, vm)
+                fraction = (run.finish - now) / run.duration
+                new_finish = now + self.migration_penalty + round_half_up(
+                    fraction * self.duration_fn(task, cores))
+                if new_finish > task.deadline or new_finish >= run.finish:
+                    continue
+                if best is None or (new_finish, vm_id) < best[:2]:
+                    best = (new_finish, vm_id, cores)
+            if best is None:
+                continue
+            new_finish, to_vm, cores = best
+            self.engine.cancel(run.done_event)
+            self.vms[run.vm_id].cores_free += run.cores
+            self.vms[to_vm].cores_free -= cores
+            self.migrations.append(
+                Migration(task_id, run.vm_id, to_vm, now, self.migration_penalty))
+            run.vm_id, run.cores, run.duration = to_vm, cores, new_finish - now
+            run.finish, run.migrated = new_finish, True
+            run.done_event = self.engine.schedule(
+                new_finish, "TaskDone", fn=lambda tid=task_id: self._task_done(tid),
+                detail=f"task={task_id};vm={to_vm};migrated=1", vm=to_vm)
+
+
+def _outcome(cls, tasks, vms, penalty):
+    """Everything a run decides, including how it fails, if it does."""
+    eng = Engine(seed=0)
+    sch = cls(eng, migration_penalty=penalty)
+    for vm_id, cores in vms:
+        sch.add_vm(vm_id, cores)
+    for task in tasks:
+        sch.submit(task)
+    try:
+        eng.run()
+        error = None
+    except KeyError as exc:  # two running tasks with one id: the second finish
+        error = repr(exc)
+    return sch.assignments, sch.migrations, sch.finished, eng.trace, error
+
+
+_TASK = st.builds(
+    lambda n, demand, p, arrival, slack: TaskSpec(
+        f"t{n}", demand * TICK, p, 0,
+        None if slack is None else arrival * TICK + slack * TICK, arrival * TICK),
+    n=st.integers(0, 40),  # repeats give the Python API duplicate keys
+    demand=st.sampled_from([1, 2, 5, 10, 20, 40]),
+    p=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    arrival=st.sampled_from([0, 1, 2, 5, 10, 20]),
+    slack=st.none() | st.integers(1, 30),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tasks=st.lists(_TASK, min_size=1, max_size=25),
+    vm_ids=st.lists(st.integers(0, 20), min_size=1, max_size=6, unique=True),
+    cores=st.lists(st.integers(1, 4), min_size=6, max_size=6),
+    penalty=st.sampled_from([0, TICK, 1_000_000]),
+)
+def test_scheduler_matches_rescanning_oracle(tasks, vm_ids, cores, penalty):
+    # ids such as vm2 and vm10, added out of order, so string order matters
+    vms = [(f"vm{n}", c) for n, c in zip(vm_ids, cores)]
+    assert _outcome(Scheduler, tasks, vms, penalty) == _outcome(
+        _Rescanning, tasks, vms, penalty)
+
+
+def test_late_tasks_migrate_as_in_the_rescanning_oracle():
+    # vm10 and vm11 sort first and own one core each, so both parallel RT
+    # tasks start late there, and each moves once to an idle 4-core VM
+    tasks = [
+        TaskSpec("rt1", 4_000_000, 1.0, 0, deadline=2_500_000),
+        TaskSpec("rt0", 4_000_000, 1.0, 0, deadline=2_600_000),
+        TaskSpec("b", 2 * TICK, 0.0, 0, None, arrival=TICK),
+    ]
+    for vms in ([("vm2", 4), ("vm3", 4), ("vm10", 1), ("vm11", 1)],
+                [("vm11", 1), ("vm3", 4), ("vm10", 1), ("vm2", 4)]):
+        got = _outcome(Scheduler, tasks, vms, 1_000_000)
+        assert got == _outcome(_Rescanning, tasks, vms, 1_000_000)
+        assert [(m.task_id, m.from_vm, m.to_vm) for m in got[1]] == [
+            ("rt0", "vm11", "vm2"), ("rt1", "vm10", "vm3")]
+        assert got[4] is None
+
+
+def test_a_task_migrates_once_even_when_a_faster_vm_frees_up():
+    # rt starts late on vm10 and moves to vm2's two cores; one tick later
+    # the batch task leaves vm11's four cores idle, which would be faster
+    tasks = [
+        TaskSpec("rt", 4_000_000, 1.0, 0, deadline=3_000_000),
+        TaskSpec("b", 4 * TICK, 1.0, 0, None),
+    ]
+    vms = [("vm2", 2), ("vm11", 4), ("vm10", 1)]
+    got = _outcome(Scheduler, tasks, vms, TICK)
+    assert got == _outcome(_Rescanning, tasks, vms, TICK)
+    assert [(m.task_id, m.from_vm, m.to_vm) for m in got[1]] == [("rt", "vm10", "vm2")]
+
+
+def test_equal_keys_run_in_submission_order():
+    # the Python API accepts two batch tasks with one id and arrival; on a
+    # single core they run one after the other, first submitted first
+    tasks = [TaskSpec("t", 3 * TICK, 0.0, 0, None), TaskSpec("t", 2 * TICK, 0.0, 0, None)]
+    got = _outcome(Scheduler, tasks, [("vm0", 1)], 0)
+    assert got == _outcome(_Rescanning, tasks, [("vm0", 1)], 0)
+    assert [a.projected_finish for a in got[0]] == [3 * TICK, 5 * TICK]
