@@ -4,6 +4,19 @@ One :class:`Engine` owns one simulation: an integer-nanosecond virtual
 clock, a totally ordered event queue, and a family of seeded random
 streams. Events with equal fire times are processed in insertion order,
 so a run is a pure function of (seed, schedule calls).
+
+The queue is a binary heap of ``(fire_at, seq, event)`` entries plus an
+index of every queued stallable, VM-tagged event by VM. Postponing one
+VM's events walks only its index: each live event's ``fire_at`` moves and
+a fresh entry is pushed, leaving the old one in the heap as a *stale*
+entry, recognisable because its time no longer equals ``event.fire_at``.
+The loop skips stale entries before it looks at cancellations, so a
+stale entry never uses up a cancellation. A zero-length postpone is a
+no-op, since its fresh entry would equal the old one and fire the event
+twice. Once stale entries make up more than half of the heap, the heap is
+compacted: stale and cancelled entries are dropped and re-heapified. A
+postpone selected by a predicate (a full reconfiguration) does the same
+rebuild over every live event.
 """
 
 from __future__ import annotations
@@ -100,7 +113,8 @@ class SimEvent:
 
     ``(fire_at, seq)`` is unique per run and defines the total processing
     order. ``vm`` tags events that belong to one virtual machine so
-    reconfiguration stalls can postpone exactly that machine's progress.
+    reconfiguration stalls can postpone exactly that machine's progress;
+    a stallable tagged event is indexed under its VM while it is queued.
     """
 
     fire_at: int
@@ -120,6 +134,9 @@ class Engine:
         self._next_seq = 0
         self._heap: list[tuple[int, int, SimEvent]] = []
         self._cancelled: set[int] = set()
+        # queued stallable events of each VM, seq -> event
+        self._by_vm: dict[str, dict[int, SimEvent]] = {}
+        self._stale = 0  # heap entries left behind by per-VM postpones
         self._processed = 0
         self.rng = RandomStreams(seed)
         self.trace: list[str] = []
@@ -147,6 +164,8 @@ class Engine:
         self._next_seq = seq + 1
         event = SimEvent(at, seq, kind, detail, fn, vm, stallable)
         heapq.heappush(self._heap, (at, seq, event))
+        if vm is not None and stallable:
+            self._by_vm.setdefault(vm, {})[seq] = event
         return seq
 
     def schedule_in(self, delay: int, kind: str, **kwargs) -> int:
@@ -170,12 +189,18 @@ class Engine:
         """Process events in (fire_at, seq) order while the next one fires at
         or before ``t_end``; returns how many were processed."""
         # locals stay valid for the whole loop: handlers only ever mutate the
-        # heap, the cancelled set and the trace in place
+        # heap, the cancelled set, the index and the trace in place
         heap, cancelled, log = self._heap, self._cancelled, self.trace.append
+        by_vm = self._by_vm
         pop = heapq.heappop
         start = self._processed
         while heap and heap[0][0] <= t_end:
             fire_at, seq, event = pop(heap)
+            if fire_at != event.fire_at:  # stale: a later entry holds the event
+                self._stale -= 1
+                continue
+            if event.vm is not None and event.stallable:
+                del by_vm[event.vm][seq]
             if seq in cancelled:
                 cancelled.discard(seq)
                 continue
@@ -188,13 +213,28 @@ class Engine:
 
     def pending(self) -> list[SimEvent]:
         """Live queued events in processing order (diagnostic snapshot)."""
-        live = [ev for t, s, ev in self._heap if s not in self._cancelled]
+        cancelled = self._cancelled
+        live = [ev for t, s, ev in self._heap if t == ev.fire_at and s not in cancelled]
         return sorted(live, key=lambda ev: (ev.fire_at, ev.seq))
 
     def postpone_pending(
-        self, delta: int, match: Callable[[SimEvent], bool] | None = None
+        self,
+        delta: int,
+        match: Callable[[SimEvent], bool] | None = None,
+        vm: str | None = None,
     ) -> int:
-        """Shift matching pending events ``delta`` ns into the future.
+        """Shift pending events ``delta`` ns into the future; returns how many.
+
+        With ``vm``, the events shifted are that VM's stallable ones, found
+        through the per-VM index: each gets a fresh heap entry and its old
+        one goes stale (the loop and :meth:`pending` skip it, the loop
+        before it checks cancellation), and the heap is compacted once stale
+        entries are more than half of it. Otherwise every live event that
+        ``match`` accepts (all of them when ``match`` is None) shifts in one
+        rebuild of the heap, which also drops every stale and cancelled
+        entry. A ``delta`` of 0 changes nothing, since a fresh entry would
+        equal the old one and fire the event twice, but still counts the
+        events it selects.
 
         Relative order among shifted events is preserved because they all
         move by the same amount and keep their sequence numbers. Used to
@@ -202,18 +242,47 @@ class Engine:
         """
         if delta < 0:
             raise ValueError("delta must be non-negative")
+        if vm is None:
+            return self._rebuild(delta, match)
+        if match is not None:
+            raise ValueError("pass match or vm, not both")
+        cancelled = self._cancelled
+        live = [ev for seq, ev in self._by_vm.get(vm, {}).items() if seq not in cancelled]
+        if delta:
+            heap, push = self._heap, heapq.heappush
+            for event in live:
+                event.fire_at += delta
+                push(heap, (event.fire_at, event.seq, event))
+            self._stale += len(live)
+            if 2 * self._stale > len(heap):
+                self._rebuild(0)
+        return len(live)
+
+    def _rebuild(self, delta: int, match: Callable[[SimEvent], bool] | None = None) -> int:
+        """Re-heapify the live entries, shifting those ``match`` accepts (all
+        when it is None) by ``delta``; stale and cancelled entries are
+        dropped, cancelled events leave the index, and the cancelled set
+        empties. Returns the number of events shifted."""
+        cancelled, by_vm = self._cancelled, self._by_vm
         shifted = 0
         rebuilt: list[tuple[int, int, SimEvent]] = []
-        for fire_at, seq, event in self._heap:
-            if seq in self._cancelled:
+        for entry in self._heap:
+            fire_at, seq, event = entry
+            if fire_at != event.fire_at:
+                continue
+            if seq in cancelled:
+                if event.vm is not None and event.stallable:
+                    del by_vm[event.vm][seq]
                 continue
             if match is None or match(event):
                 event.fire_at = fire_at + delta
+                entry = (event.fire_at, seq, event)
                 shifted += 1
-            rebuilt.append((event.fire_at, seq, event))
-        self._cancelled.clear()
+            rebuilt.append(entry)
+        cancelled.clear()
         heapq.heapify(rebuilt)
         self._heap[:] = rebuilt  # in place: a running loop holds this list
+        self._stale = 0
         return shifted
 
     def write_trace(self, fh) -> None:

@@ -108,6 +108,7 @@ class IoDriver:
         self.rings: dict[int, IoRing] = {}
         self._next_ring = 0
         self.in_flight_by_vm: dict[str, int] = {}
+        self._active_vms = 0  # VMs whose in_flight_by_vm count is above 0
         self.in_flight = 0
         self.submissions = 0
         self.completions = 0
@@ -128,15 +129,14 @@ class IoDriver:
         ring = self._ring(ring_id)
         for event_id in ring.inflight_events:
             self.engine.cancel(event_id)
-            self.in_flight -= 1
-            self.in_flight_by_vm[ring.vm] -= 1
             self.drained += 1
+            self._leave(ring.vm)
         ring.inflight_events.clear()
         ring.occupancy = 0
         ring.closed = True
 
     def active_vm_count(self) -> int:
-        return sum(1 for count in self.in_flight_by_vm.values() if count > 0)
+        return self._active_vms
 
     def submit(self, ring_id: int, size: int, direction: Direction = Direction.OUT,
                on_complete=None) -> int:
@@ -156,6 +156,8 @@ class IoDriver:
         ring.occupancy += 1
         self.submissions += 1
         self.in_flight += 1
+        if self.in_flight_by_vm[ring.vm] == 0:
+            self._active_vms += 1
         self.in_flight_by_vm[ring.vm] += 1
         desc = TransferDescriptor(ring.vm, size, direction, self.engine.now())
 
@@ -180,12 +182,18 @@ class IoDriver:
                   on_complete) -> None:
         ring.occupancy -= 1
         ring.inflight_events.discard(event_id)
-        self.in_flight -= 1
-        self.in_flight_by_vm[desc.vm] -= 1
+        self._leave(desc.vm)
         self.completions += 1
         self.completed_bits += desc.size * 8
         if on_complete is not None:
             on_complete(desc)
+
+    def _leave(self, vm_id: str) -> None:
+        """One of ``vm_id``'s transfers is no longer in flight."""
+        self.in_flight -= 1
+        self.in_flight_by_vm[vm_id] -= 1
+        if self.in_flight_by_vm[vm_id] == 0:
+            self._active_vms -= 1
 
     def _ring(self, ring_id: int) -> IoRing:
         ring = self.rings.get(ring_id)

@@ -256,9 +256,7 @@ class Hypervisor:
             self.engine.postpone_pending(duration, lambda ev: ev.stallable)
         else:
             self.fabric.begin_reconfig(vm.slot_id)
-            self.engine.postpone_pending(
-                duration, lambda ev: ev.stallable and ev.vm == vm.id
-            )
+            self.engine.postpone_pending(duration, vm=vm.id)
         self.engine.schedule_in(
             duration,
             "ReconfigDone",

@@ -11,7 +11,7 @@ import pytest
 
 from neurovirt.cli import main
 
-DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def _digest(path: Path) -> str:
@@ -29,9 +29,19 @@ def test_bench_default_output_is_pinned(tmp_path, command, digest):
     assert _digest(out) == digest
 
 
-def test_demo_run_output_is_pinned(tmp_path):
+def _run_digests(tmp_path, name: str) -> tuple[str, str]:
     metrics, trace = tmp_path / "metrics.csv", tmp_path / "trace.csv"
-    argv = ["run", "--scenario", str(DEMO), "--out", str(metrics), "--trace-out", str(trace)]
+    argv = ["run", "--scenario", str(SCENARIOS / name), "--out", str(metrics),
+            "--trace-out", str(trace)]
     assert main(argv) == 0
-    assert _digest(metrics) == "b0129dec3e98bfcb"
-    assert _digest(trace) == "69614e605ac85bde"
+    return _digest(metrics), _digest(trace)
+
+
+def test_demo_run_output_is_pinned(tmp_path):
+    assert _run_digests(tmp_path, "demo.json") == ("b0129dec3e98bfcb", "69614e605ac85bde")
+
+
+def test_churn_run_output_is_pinned(tmp_path):
+    # 8 VMs, each with four transfer streams into a 2-slot ring, under 60
+    # reconfigurations: two full ones and one zero-length partial
+    assert _run_digests(tmp_path, "churn.json") == ("df8204a4aafa6558", "98585428bbd5a2bd")

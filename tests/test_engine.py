@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neurovirt.engine import Engine, RandomStreams, SchedulingInPast, round_half_up
+from neurovirt.engine import Engine, RandomStreams, SchedulingInPast, SimEvent, round_half_up
 
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -179,3 +179,180 @@ def test_trace_line_format():
     eng.schedule(7, "TransferComplete", detail="vm=a;size=4096")
     eng.run_until(10)
     assert eng.trace == ["7,0,TransferComplete,vm=a;size=4096"]
+
+
+@pytest.mark.parametrize("postpones", [
+    [dict(vm="v")],
+    [dict(match=lambda ev: True)],
+    # the rebuild forgets the cancellation, so it must unindex the event too
+    [dict(match=lambda ev: True), dict(vm="v")],
+])
+def test_cancelled_then_postponed_event_never_fires(postpones):
+    eng = Engine(seed=1)
+    fired = []
+    eng.cancel(eng.schedule(10, "A", fn=lambda: fired.append("a"), vm="v"))
+    for postpone in postpones:
+        assert eng.postpone_pending(5, **postpone) == 0
+    assert eng.pending() == []
+    assert eng.run() == 0
+    assert fired == []
+
+
+def test_stale_entry_does_not_use_up_a_later_cancellation():
+    eng = Engine(seed=1)
+    fired = []
+    seq = eng.schedule(10, "A", fn=lambda: fired.append("a"), vm="v")
+    assert eng.postpone_pending(5, vm="v") == 1  # leaves a stale entry at 10
+    eng.cancel(seq)
+    assert eng.run() == 0
+    assert fired == []
+
+
+def test_vm_postpone_skips_other_vms_and_unstallable_events():
+    eng = Engine(seed=1)
+    eng.schedule(10, "A", vm="v")
+    eng.schedule(10, "B", vm="w")
+    eng.schedule(10, "C", vm="v", stallable=False)
+    eng.schedule(10, "D")
+    assert eng.postpone_pending(7, vm="v") == 1
+    assert [(ev.fire_at, ev.kind) for ev in eng.pending()] == [
+        (10, "B"), (10, "C"), (10, "D"), (17, "A")]
+    with pytest.raises(ValueError):
+        eng.postpone_pending(1, match=lambda ev: True, vm="v")
+
+
+def test_repeated_vm_postpones_compact_the_heap():
+    eng = Engine(seed=1)
+    for i in range(50):
+        eng.schedule(100 + i, "A", vm="v")
+        eng.schedule(100 + i, "B", vm="w")
+    for _ in range(1_000):
+        assert eng.postpone_pending(1, vm="v") == 50
+        live = len(eng.pending())
+        assert live == 100
+        assert len(eng._heap) <= 2 * live + 1
+    assert eng.run() == 100
+    fired = [line.split(",") for line in eng.trace]
+    assert [int(t) for t, _, kind, _ in fired if kind == "A"] == list(range(1_100, 1_150))
+    assert len(eng._heap) == 0
+
+
+class _Oracle:
+    """The engine's contract as a plain list kept in (fire_at, seq) order on
+    demand: cancelling removes the event, postponing edits its time."""
+
+    def __init__(self):
+        self._now = 0
+        self._next_seq = 0
+        self._live: list[SimEvent] = []
+        self.trace: list[str] = []
+
+    def now(self):
+        return self._now
+
+    def schedule(self, at, kind, fn=None, vm=None, stallable=True):
+        assert at >= self._now
+        seq = self._next_seq
+        self._next_seq += 1
+        self._live.append(SimEvent(at, seq, kind, "", fn, vm, stallable))
+        return seq
+
+    def cancel(self, seq):
+        self._live = [ev for ev in self._live if ev.seq != seq]
+
+    def postpone_pending(self, delta, match=None, vm=None):
+        if vm is not None:
+            match = lambda ev: ev.vm == vm and ev.stallable  # noqa: E731
+        chosen = [ev for ev in self._live if match is None or match(ev)]
+        for ev in chosen:
+            ev.fire_at += delta
+        return len(chosen)
+
+    def run_until(self, t_end):
+        processed = 0
+        while True:
+            due = [ev for ev in self._live if ev.fire_at <= t_end]
+            if not due:
+                break
+            ev = min(due, key=lambda e: (e.fire_at, e.seq))
+            self._live.remove(ev)
+            self._now = ev.fire_at
+            self.trace.append(f"{ev.fire_at},{ev.seq},{ev.kind},")
+            processed += 1
+            if ev.fn is not None:
+                ev.fn()
+        self._now = max(self._now, t_end)
+        return processed
+
+    def pending(self):
+        return sorted(self._live, key=lambda ev: (ev.fire_at, ev.seq))
+
+
+VMS = ("a", "b", "c")
+PREDICATES = {
+    "stallable": lambda ev: ev.stallable,
+    "vm a": lambda ev: ev.vm == "a",
+    "stallable b": lambda ev: ev.stallable and ev.vm == "b",
+    "even seq": lambda ev: ev.seq % 2 == 0,
+    "all": None,
+}
+DELTAS = st.one_of(st.just(0), st.integers(1, 60))
+POSTPONES = st.one_of(
+    st.tuples(st.just("postpone_vm"), DELTAS, st.sampled_from(VMS)),
+    st.tuples(st.just("postpone_match"), DELTAS, st.sampled_from(sorted(PREDICATES))),
+)
+NESTED = st.one_of(
+    POSTPONES,
+    st.tuples(st.just("cancel"), st.integers(0, 1_000)),
+    st.tuples(st.just("schedule"), st.integers(0, 80), st.one_of(st.none(), st.sampled_from(VMS)),
+              st.booleans(), st.none()),
+)
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), st.integers(0, 80), st.one_of(st.none(), st.sampled_from(VMS)),
+                  st.booleans(), st.one_of(st.none(), NESTED)),
+        POSTPONES,
+        st.tuples(st.just("cancel"), st.integers(0, 1_000)),
+        st.tuples(st.just("run"), st.integers(0, 60)),
+    ),
+    max_size=60,
+)
+
+
+def _replay(eng, ops) -> list:
+    """Apply ``ops`` to ``eng``; returns every result, from handlers too."""
+    results, ids = [], []
+
+    def apply(op):
+        name = op[0]
+        if name == "schedule":
+            _, delay, vm, stallable, action = op
+            fn = None if action is None else lambda: apply(action)
+            seq = eng.schedule(eng.now() + delay, f"k{len(ids)}", fn=fn, vm=vm,
+                               stallable=stallable)
+            ids.append(seq)
+            results.append(("schedule", seq))
+        elif name == "cancel":
+            if ids:
+                eng.cancel(ids[op[1] % len(ids)])
+        elif name == "postpone_vm":
+            results.append((name, eng.postpone_pending(op[1], vm=op[2])))
+        elif name == "postpone_match":
+            results.append((name, eng.postpone_pending(op[1], PREDICATES[op[2]])))
+        else:
+            results.append(("run", eng.run_until(eng.now() + op[1])))
+        results.append([(ev.fire_at, ev.seq, ev.kind) for ev in eng.pending()])
+
+    for op in ops:
+        apply(op)
+    results.append(("drain", eng.run_until(10**9)))
+    return results
+
+
+@settings(max_examples=300, deadline=None)
+@given(OPS)
+def test_engine_matches_sorted_list_oracle(ops):
+    eng, oracle = Engine(seed=0), _Oracle()
+    assert _replay(eng, ops) == _replay(oracle, ops)
+    assert eng.trace == oracle.trace
+    assert eng.pending() == []

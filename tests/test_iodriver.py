@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from neurovirt.engine import Engine
 from neurovirt.iodriver import (
@@ -159,3 +160,39 @@ def test_direction_recorded():
     assert seen[0].direction is Direction.IN
     assert seen[0].size == 4096
     assert seen[0].submitted_at == 0
+
+
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), st.integers(0, 5), st.integers(1, 64 * KIB)),
+        st.tuples(st.just("run"), st.integers(0, 200_000)),
+        st.tuples(st.just("close"), st.integers(0, 5)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(OPS)
+def test_active_vm_count_equals_recount(ops):
+    eng = Engine(0)
+    drv = IoDriver(eng)
+    # six rings on three VMs, two each, so one VM's rings share its count
+    rings = [drv.open_ring(f"vm{i % 3}", capacity=2) for i in range(6)]
+
+    def recount():
+        return sum(1 for count in drv.in_flight_by_vm.values() if count > 0)
+
+    for op in ops:
+        if op[0] == "submit":
+            try:
+                drv.submit(rings[op[1]], op[2])
+            except (Backpressure, RingClosed):
+                pass
+        elif op[0] == "run":
+            eng.run_until(eng.now() + op[1])
+        else:
+            drv.close_ring(rings[op[1]])
+        assert drv.active_vm_count() == recount()
+    eng.run()
+    assert drv.active_vm_count() == recount() == 0

@@ -5,10 +5,12 @@ from neurovirt.engine import Engine, NS_PER_MS
 from neurovirt.fabric import Fabric, InsufficientResources, ResourceVector
 from neurovirt.iodriver import IoDriver
 from neurovirt.virt import (
+    DfxModule,
     FootprintOverflow,
     Hypervisor,
     ModuleKind,
     ReconfigMode,
+    ReconfigParams,
     VmBusy,
     VmUnknown,
     module_from_share,
@@ -220,3 +222,18 @@ def test_full_reconfig_shifts_inflight_completions_exactly():
     assert duration == 75 * NS_PER_MS
     expected = [c if c < at else c + duration for c in base]
     assert shifted == expected
+
+
+def test_zero_length_partial_fires_each_of_its_vms_events_once():
+    eng, fab = Engine(seed=0), Fabric()
+    hv = Hypervisor(eng, fab, params=ReconfigParams(partial_setup_overhead_ns=0))
+    vm = hv.create_vm(fab.total.scaled(1, 4))
+    blank = DfxModule("blank", ModuleKind.ROUTER, fab.total.scaled(1, 100), 0)
+    for t in (0, 5, 5, 10):
+        eng.schedule(t, "Work", vm=vm)
+    eng.schedule(1, "ReconfigRequest", stallable=False,
+                 fn=lambda: hv.exchange_module(vm, blank, ReconfigMode.PARTIAL))
+    eng.run()
+    assert hv.records[0].duration == 0
+    work = [line.split(",")[:2] for line in eng.trace if ",Work," in line]
+    assert work == [["0", "0"], ["5", "1"], ["5", "2"], ["10", "3"]]
