@@ -8,7 +8,7 @@ repeated runs emit byte-identical CSV.
 from __future__ import annotations
 
 import io
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +30,9 @@ from neurovirt.metrics import (
 )
 from neurovirt.sched import Scheduler, TaskSpec, exec_time, profile
 from neurovirt.scenario import Scenario, TaskDef, default_module_catalog
-from neurovirt.snn import LifParams, SpikeBatch, make_core_state, step_core
+# make_core_state and step_core stay bound here, since perfbench/tracer.py
+# patches bench.make_core_state and bench.step_core by name
+from neurovirt.snn import LifParams, make_core_state, step_core, step_sorted  # noqa: F401
 from neurovirt.virt import Hypervisor, ReconfigMode
 
 # sizes from latency-dominated to saturated, powers of four
@@ -119,15 +121,16 @@ class _SpikingTask:
     interval: int
     vm: str | None
     params: LifParams
-    batch: SpikeBatch
+    detail: str
+    fire: Callable[[], None]
     next_event: int | None = None
-    # swap targets of the pre-drawn steps, one list of `rate` per step
-    swaps: Iterator[list[int]] = iter(())
+    # input ids of the pre-drawn steps, one sorted tuple per step
+    picks: Iterator[tuple[int, ...]] = iter(())
 
 
-# uniforms pre-drawn per refill of a task's input stream: bounds the
-# look-ahead memory per active task whatever its step count
-INPUT_BLOCK = 1024
+# pool cells per refill of a task's input picks: bounds the look-ahead
+# memory per active task whatever its step count or fan-in
+INPUT_BLOCK = 4096
 
 
 class SpikingExecutor:
@@ -169,58 +172,60 @@ class SpikingExecutor:
             interval=interval,
             vm=vm,
             params=self.params,
-            batch=SpikeBatch(0, ()),
+            detail=f"task={task_id}",
+            fire=lambda: self._step(task_id),
         )
         self.active[task_id] = job
         job.next_event = self.engine.schedule(
-            at,
-            "SpikeStep",
-            fn=lambda: self._step(task_id),
-            detail=f"task={task_id}",
-            vm=vm,
+            at, "SpikeStep", fn=job.fire, detail=job.detail, vm=vm
         )
 
     def _pick_inputs(self, job: _SpikingTask) -> tuple[int, ...]:
-        # partial Fisher-Yates prefix: `rate` distinct ids, seeded stream
-        swaps = next(job.swaps, None)
-        if swaps is None:
-            job.swaps = self._draw_swaps(job)
-            swaps = next(job.swaps)
-        pool = list(range(job.n_inputs))
-        for k, j in enumerate(swaps):
-            pool[k], pool[j] = pool[j], pool[k]
-        return tuple(sorted(pool[: job.rate]))
+        ids = next(job.picks, None)
+        if ids is None:
+            job.picks = self._draw_picks(job)
+            ids = next(job.picks)
+        return ids
 
-    def _draw_swaps(self, job: _SpikingTask) -> Iterator[list[int]]:
-        """Swap targets ``k + floor(u * (n_inputs - k))`` for the next block
-        of steps. The stream is the task's own, so drawing ahead leaves each
-        value and its order unchanged."""
-        steps = min(job.remaining, max(1, INPUT_BLOCK // job.rate))
-        u = self.engine.rng.values(job.stream, steps * job.rate)
-        k = np.arange(job.rate)
-        swaps = k + (u.reshape(steps, job.rate) * (job.n_inputs - k)).astype(np.int64)
-        return iter(swaps.tolist())
+    def _draw_picks(self, job: _SpikingTask) -> Iterator[tuple[int, ...]]:
+        """Input ids of the next block of steps: per step, the sorted prefix
+        of a partial Fisher-Yates shuffle of ``range(n_inputs)`` whose swap
+        ``k`` targets ``k + floor(u * (n_inputs - k))``.
+
+        The stream is the task's own, so drawing ahead leaves each value
+        and its order unchanged. All steps of a block shuffle together: the
+        pool holds position ``p`` of step ``s`` at ``p * steps + s``, and
+        swap ``k`` is one gather and one scatter across the block, with at
+        most ``max(INPUT_BLOCK, n_inputs)`` cells whatever the fan-in.
+        """
+        n, rate = job.n_inputs, job.rate
+        steps = min(job.remaining, max(1, INPUT_BLOCK // n))
+        u = self.engine.rng.values(job.stream, steps * rate).reshape(steps, rate)
+        k = np.arange(rate)
+        there = (k + (u * (n - k)).astype(np.int64)).T * steps + np.arange(steps)
+        here = np.arange(rate * steps).reshape(rate, steps)
+        forth = np.concatenate((here, there), axis=1)
+        back = np.concatenate((there, here), axis=1)
+        pool = np.repeat(np.arange(n), steps)
+        for to, frm in zip(forth, back):
+            pool[to] = pool[frm]
+        picks = np.sort(pool[: rate * steps].reshape(rate, steps).T, axis=1)
+        return map(tuple, picks.tolist())
 
     def _step(self, task_id: str) -> None:
         job = self.active.get(task_id)
         if job is None:
             return
         ids = self._pick_inputs(job)
-        out = step_core(job.state, SpikeBatch(job.batch.step_index, ids), job.params)
-        job.batch = out
-        self.output_spikes += len(out.spiking_neuron_ids)
-        ops = len(ids) * job.n_neurons
+        self.output_spikes += len(step_sorted(job.state, ids, job.params))
+        ops = job.rate * job.n_neurons
         self.total_synops += ops
         if self.metrics is not None:
             self.metrics.add_synops(ops)
         job.remaining -= 1
         if job.remaining > 0:
             job.next_event = self.engine.schedule_in(
-                job.interval,
-                "SpikeStep",
-                fn=lambda: self._step(task_id),
-                detail=f"task={task_id}",
-                vm=job.vm,
+                job.interval, "SpikeStep", fn=job.fire, detail=job.detail, vm=job.vm
             )
         else:
             job.next_event = None
@@ -241,8 +246,8 @@ class SpikingExecutor:
         job.next_event = self.engine.schedule(
             max(resume_at, self.engine.now()),
             "SpikeStep",
-            fn=lambda: self._step(task_id),
-            detail=f"task={task_id}",
+            fn=job.fire,
+            detail=job.detail,
             vm=new_vm,
         )
 

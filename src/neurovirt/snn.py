@@ -4,10 +4,19 @@ Leaky integrate-and-fire with synchronous steps: per step every neuron j
 updates ``v_j <- leak * v_j + sum_i w[i][j]`` over the incoming spikes i,
 fires when ``v_j >= v_thresh``, and resets to ``v_reset``. Dense weight
 matrices keep desk-scale verification by brute force trivial.
+
+Accumulation order: each potential is leaked first, then the incoming
+weight rows are added one at a time in ascending spike-id order. The step
+gathers those rows, adds the leaked potentials to the first, and runs
+``np.add.accumulate`` down them. IEEE addition is commutative and
+``add.accumulate`` adds strictly row after row (it never sums pairwise, as
+``add.reduce`` may), so the last row holds exactly the bits of the
+one-row-at-a-time loop, and every run gives the same bits.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,30 +92,45 @@ def make_core_state(
 
 
 def step_core(state: CoreState, batch: SpikeBatch, params: LifParams) -> SpikeBatch:
-    """Advance one step; mutates ``state.potentials`` and returns the output batch."""
+    """Advance one step; mutates ``state.potentials`` and returns the output batch.
+
+    Checks the weight shape and that the input ids are in range and
+    distinct, then runs :func:`step_sorted` on them in ascending order.
+    """
     if state.weights.shape[1] != state.n_neurons:
         raise DimensionMismatch(
             f"weights shape {state.weights.shape} vs {state.n_neurons} neurons"
         )
-    ids = np.array(batch.spiking_neuron_ids, dtype=np.int64)
-    ids.sort()
-    if ids.size:
+    ids = sorted(batch.spiking_neuron_ids)
+    if ids:
         if ids[0] < 0 or ids[-1] >= state.n_inputs:
             raise DimensionMismatch(
                 f"input spike id out of range [0, {state.n_inputs})"
             )
-        if (ids[1:] == ids[:-1]).any():
+        if any(a == b for a, b in zip(ids, ids[1:])):
             raise DimensionMismatch("duplicate input spike ids")
-    # leak first, then the incoming rows in ascending spike-id order: the
-    # accumulation order is fixed, so every run gives the same bits
+    fired = step_sorted(state, ids, params)
+    return SpikeBatch(batch.step_index + 1, tuple(fired.tolist()))
+
+
+def step_sorted(state: CoreState, ids: Sequence[int], params: LifParams) -> np.ndarray:
+    """One step over trusted input ids: distinct, in range and ascending.
+
+    Mutates ``state.potentials`` and returns the ids of the neurons that
+    fired. An empty ``ids`` still applies the leak.
+    """
     potentials = state.potentials
-    potentials *= params.leak
-    for idx in ids:
-        potentials += state.weights[idx]
-    fired = np.nonzero(potentials >= params.v_thresh)[0]
+    if ids:
+        rows = state.weights.take(ids, axis=0)
+        rows[0] += potentials * params.leak
+        np.add.accumulate(rows, axis=0, out=rows)
+        potentials[:] = rows[-1]
+    else:
+        potentials *= params.leak
+    fired = (potentials >= params.v_thresh).nonzero()[0]
     if fired.size:
         potentials[fired] = params.v_reset
-    return SpikeBatch(batch.step_index + 1, tuple(fired.tolist()))
+    return fired
 
 
 def workload_cost(steps: int, input_rate: int, fan_in: int) -> int:

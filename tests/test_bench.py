@@ -202,3 +202,40 @@ def test_input_picks_match_scalar_oracle_across_refills_and_moves(
     for task in ("a", "b"):
         want = _oracle_inputs(seed, f"task/{task}/inputs", n_inputs, rate, steps)
         assert seen[task] == list(want)
+
+
+def _block_picks(seed, n_inputs, rate, steps):
+    """A task's input ids for ``steps`` steps, and the uniforms each refill drew."""
+    executor = SpikingExecutor(Engine(seed), metrics=None)
+    job = bench._SpikingTask(
+        task_id="t", stream="task/t/inputs", state=None, n_inputs=n_inputs,
+        n_neurons=n_inputs, rate=rate, remaining=steps, interval=1_000, vm=None,
+        params=executor.params, detail="task=t", fire=lambda: None,
+    )
+    drawn = []
+    values = executor.engine.rng.values
+
+    def spy(stream, n):
+        drawn.append(n)
+        return values(stream, n)
+
+    picks = []
+    with mock.patch.object(executor.engine.rng, "values", spy):
+        for _ in range(steps):
+            picks.append(executor._pick_inputs(job))
+            job.remaining -= 1
+    return picks, drawn
+
+
+@pytest.mark.parametrize("n_inputs, rate, steps", [
+    (5000, 1, 40),  # wide fan-in, one input per step: one step per refill
+    (40, 40, 250),  # rate == n_inputs, a full permutation, across refills
+    (1, 1, 3),
+])
+def test_block_picks_match_oracle_with_a_bounded_pool(n_inputs, rate, steps):
+    picks, drawn = _block_picks(11, n_inputs, rate, steps)
+    assert picks == list(_oracle_inputs(11, "task/t/inputs", n_inputs, rate, steps))
+    assert sum(drawn) == steps * rate
+    for n in drawn:
+        # a refill of n // rate steps shuffles a pool of that many rows
+        assert n // rate * n_inputs <= max(bench.INPUT_BLOCK, n_inputs)

@@ -9,7 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from neurovirt.bench import REFERENCE_WORKLOAD, SpikingExecutor, run_scenario
 from neurovirt.cli import main
+from neurovirt.engine import Engine
+from neurovirt.scenario import load_scenario
+from neurovirt.snn import LifParams
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -45,3 +49,45 @@ def test_churn_run_output_is_pinned(tmp_path):
     # 8 VMs, each with four transfer streams into a 2-slot ring, under 60
     # reconfigurations: two full ones and one zero-length partial
     assert _run_digests(tmp_path, "churn.json") == ("df8204a4aafa6558", "98585428bbd5a2bd")
+
+
+def _spiking_digest(executor, engine, launches) -> str:
+    """sha256[:16] of the output spike count and every task's final potentials."""
+    states = []
+    for kwargs in launches:
+        executor.launch(**kwargs)
+        states.append(executor.active[kwargs["task_id"]].state)
+    engine.run()
+    h = hashlib.sha256(str(executor.output_spikes).encode())
+    for state in states:
+        h.update(state.potentials.tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_demo_spiking_counters_are_pinned():
+    result = run_scenario(load_scenario(SCENARIOS / "demo.json"))
+    assert (result.executor.output_spikes, result.executor.total_synops) == (378, 28160)
+
+
+def test_wide_spiking_run_is_pinned():
+    # 32 of 64 inputs per step, so every step adds at least 16 weight rows
+    engine = Engine(7)
+    executor = SpikingExecutor(engine, metrics=None, params=LifParams(leak=0.95))
+    launches = [
+        dict(task_id=f"w{i}", steps=120, input_rate=32, fan_in=64, interval=1_000,
+             at=i * 10, vm="vm0")
+        for i in range(3)
+    ]
+    assert _spiking_digest(executor, engine, launches) == "7151b120c6d9a592"
+
+
+def test_energy_reference_workload_spikes_are_pinned():
+    # the 20-accelerator row of bench-energy, seed 0
+    engine = Engine(0)
+    executor = SpikingExecutor(engine, metrics=None)
+    launches = [
+        dict(task_id=f"ref{i}", **REFERENCE_WORKLOAD, at=0, vm=f"vm{i}",
+             stream=f"accel/{i}")
+        for i in range(20)
+    ]
+    assert _spiking_digest(executor, engine, launches) == "c02eb86cba29aa54"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from neurovirt.engine import Engine
 from neurovirt.snn import (
@@ -10,6 +10,7 @@ from neurovirt.snn import (
     SpikeBatch,
     make_core_state,
     step_core,
+    step_sorted,
     workload_cost,
 )
 
@@ -125,3 +126,33 @@ def test_step_matches_brute_force_oracle_and_reset_discipline(n_in, n_out, seed)
     # same operation order as the oracle, so the same bits
     assert state.potentials.tolist() == expected_pots
     assert np.all(state.potentials < params.v_thresh)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=st.lists(st.integers(0, 63), unique=True, max_size=32).map(sorted),
+    extra=st.integers(0, 8),
+    n_out=st.integers(1, 12),
+    leak=st.sampled_from((1.0, 0.95, 0.5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(ids=[], extra=0, n_out=3, leak=0.5, seed=0)
+def test_inner_step_is_bit_exact_and_public_step_agrees(ids, extra, n_out, leak, seed):
+    n_in = min(64, (ids[-1] + 1 if ids else 1) + extra)
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(-0.5, 0.5, size=(n_in, n_out))
+    potentials = rng.uniform(-0.5, 0.9, size=n_out)
+    params = LifParams(v_thresh=0.8, v_reset=-0.1, leak=leak)
+
+    expected_pots, expected_ids = _reference_step(
+        potentials.tolist(), weights.tolist(), ids, leak, 0.8, -0.1
+    )
+    inner = CoreState(potentials.copy(), weights.copy())
+    fired = step_sorted(inner, ids, params)
+    assert fired.tolist() == expected_ids
+    assert inner.potentials.tolist() == expected_pots
+
+    public = CoreState(potentials.copy(), weights.copy())
+    out = step_core(public, SpikeBatch(0, tuple(reversed(ids))), params)
+    assert out == SpikeBatch(1, tuple(expected_ids))
+    assert public.potentials.tobytes() == inner.potentials.tobytes()
