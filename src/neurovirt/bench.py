@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from neurovirt.engine import Engine, round_half_up
+from neurovirt.engine import Engine, SimEvent, round_half_up
 from neurovirt.fabric import Fabric, FabricConfig
 from neurovirt.iodriver import (
     GIB,
@@ -123,7 +123,7 @@ class _SpikingTask:
     params: LifParams
     detail: str
     fire: Callable[[], None]
-    next_event: int | None = None
+    next_event: SimEvent | None = None
     # input ids of the pre-drawn steps, one sorted tuple per step
     picks: Iterator[tuple[int, ...]] = iter(())
 

@@ -110,10 +110,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.trace_out is not None:
                 with open(args.trace_out, "w", encoding="utf-8", newline="") as fh:
                     result.engine.write_trace(fh)
-    except ParseError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except ValidationError as exc:
+    except (ParseError, ValidationError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except (bench.ConfigError, ValueError) as exc:

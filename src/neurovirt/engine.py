@@ -5,18 +5,17 @@ clock, a totally ordered event queue, and a family of seeded random
 streams. Events with equal fire times are processed in insertion order,
 so a run is a pure function of (seed, schedule calls).
 
-The queue is a binary heap of ``(fire_at, seq, event)`` entries plus an
-index of every queued stallable, VM-tagged event by VM. Postponing one
-VM's events walks only its index: each live event's ``fire_at`` moves and
-a fresh entry is pushed, leaving the old one in the heap as a *stale*
-entry, recognisable because its time no longer equals ``event.fire_at``.
-The loop skips stale entries before it looks at cancellations, so a
-stale entry never uses up a cancellation. A zero-length postpone is a
-no-op, since its fresh entry would equal the old one and fire the event
-twice. Once stale entries make up more than half of the heap, the heap is
-compacted: stale and cancelled entries are dropped and re-heapified. A
-postpone selected by a predicate (a full reconfiguration) does the same
-rebuild over every live event.
+The queue is a binary heap of ``(fire_at, seq, event)`` entries with one
+liveness rule: an entry is live iff its time equals ``event.fire_at``.
+:meth:`Engine.schedule` returns the event itself as its handle. Postponing
+an event moves its ``fire_at`` and pushes a fresh entry; cancelling it, or
+firing it, sets ``fire_at`` to None. Either way the old entry goes stale in
+place and the loop skips it when it surfaces, so cancelling an event that
+already fired, or was already cancelled, is a no-op. Every queued
+stallable event is indexed by its VM (untagged ones under None), so a
+reconfiguration stall walks only the events it shifts. Once stale entries
+make up more than half of the heap, the heap is compacted: they are dropped
+and the rest re-heapified.
 """
 
 from __future__ import annotations
@@ -107,17 +106,18 @@ class RandomStreams:
         return z.astype(np.float64) / float(1 << 53)
 
 
-@dataclass
+@dataclass(eq=False)
 class SimEvent:
-    """A queued simulation event.
+    """A queued simulation event, and the handle :meth:`Engine.schedule`
+    returns for it.
 
     ``(fire_at, seq)`` is unique per run and defines the total processing
-    order. ``vm`` tags events that belong to one virtual machine so
-    reconfiguration stalls can postpone exactly that machine's progress;
-    a stallable tagged event is indexed under its VM while it is queued.
+    order; ``fire_at`` is None once the event has fired or been cancelled.
+    ``vm`` tags events that belong to one virtual machine so
+    reconfiguration stalls can postpone exactly that machine's progress.
     """
 
-    fire_at: int
+    fire_at: int | None
     seq: int
     kind: str
     detail: str = ""
@@ -133,10 +133,9 @@ class Engine:
         self._now = 0
         self._next_seq = 0
         self._heap: list[tuple[int, int, SimEvent]] = []
-        self._cancelled: set[int] = set()
-        # queued stallable events of each VM, seq -> event
-        self._by_vm: dict[str, dict[int, SimEvent]] = {}
-        self._stale = 0  # heap entries left behind by per-VM postpones
+        # queued stallable events of each VM (None: untagged), seq -> event
+        self._by_vm: dict[str | None, dict[int, SimEvent]] = {}
+        self._stale = 0  # heap entries whose time is not their event's fire_at
         self._processed = 0
         self.rng = RandomStreams(seed)
         self.trace: list[str] = []
@@ -156,23 +155,29 @@ class Engine:
         detail: str = "",
         vm: str | None = None,
         stallable: bool = True,
-    ) -> int:
-        """Queue an event at absolute time ``at``; returns a stable event id."""
+    ) -> SimEvent:
+        """Queue an event at absolute time ``at``; returns it as a handle."""
         if at < self._now:
             raise SchedulingInPast(f"schedule at {at} < now {self._now}")
         seq = self._next_seq
         self._next_seq = seq + 1
         event = SimEvent(at, seq, kind, detail, fn, vm, stallable)
         heapq.heappush(self._heap, (at, seq, event))
-        if vm is not None and stallable:
+        if stallable:
             self._by_vm.setdefault(vm, {})[seq] = event
-        return seq
+        return event
 
-    def schedule_in(self, delay: int, kind: str, **kwargs) -> int:
+    def schedule_in(self, delay: int, kind: str, **kwargs) -> SimEvent:
         return self.schedule(self._now + delay, kind, **kwargs)
 
-    def cancel(self, event_id: int) -> None:
-        self._cancelled.add(event_id)
+    def cancel(self, event: SimEvent) -> None:
+        """Retire a queued event; a no-op once it has fired or been cancelled."""
+        if event.fire_at is None:
+            return
+        event.fire_at = None
+        if event.stallable:
+            del self._by_vm[event.vm][event.seq]
+        self._add_stale(1)
 
     def run_until(self, t_end: int) -> int:
         """Process every event with fire_at <= t_end; clock ends at t_end."""
@@ -189,21 +194,18 @@ class Engine:
         """Process events in (fire_at, seq) order while the next one fires at
         or before ``t_end``; returns how many were processed."""
         # locals stay valid for the whole loop: handlers only ever mutate the
-        # heap, the cancelled set, the index and the trace in place
-        heap, cancelled, log = self._heap, self._cancelled, self.trace.append
-        by_vm = self._by_vm
+        # heap, the index and the trace in place
+        heap, by_vm, log = self._heap, self._by_vm, self.trace.append
         pop = heapq.heappop
         start = self._processed
         while heap and heap[0][0] <= t_end:
             fire_at, seq, event = pop(heap)
-            if fire_at != event.fire_at:  # stale: a later entry holds the event
+            if fire_at != event.fire_at:  # moved, fired or cancelled
                 self._stale -= 1
                 continue
-            if event.vm is not None and event.stallable:
+            event.fire_at = None
+            if event.stallable:
                 del by_vm[event.vm][seq]
-            if seq in cancelled:
-                cancelled.discard(seq)
-                continue
             self._now = fire_at
             log(f"{fire_at},{seq},{event.kind},{event.detail}")
             self._processed += 1
@@ -213,77 +215,44 @@ class Engine:
 
     def pending(self) -> list[SimEvent]:
         """Live queued events in processing order (diagnostic snapshot)."""
-        cancelled = self._cancelled
-        live = [ev for t, s, ev in self._heap if t == ev.fire_at and s not in cancelled]
+        live = [ev for t, _, ev in self._heap if t == ev.fire_at]
         return sorted(live, key=lambda ev: (ev.fire_at, ev.seq))
 
-    def postpone_pending(
-        self,
-        delta: int,
-        match: Callable[[SimEvent], bool] | None = None,
-        vm: str | None = None,
-    ) -> int:
-        """Shift pending events ``delta`` ns into the future; returns how many.
+    def postpone_pending(self, delta: int, vm: str | None = None) -> int:
+        """Shift queued stallable events ``delta`` ns into the future: those
+        of ``vm``, or every one when ``vm`` is None. Returns how many.
 
-        With ``vm``, the events shifted are that VM's stallable ones, found
-        through the per-VM index: each gets a fresh heap entry and its old
-        one goes stale (the loop and :meth:`pending` skip it, the loop
-        before it checks cancellation), and the heap is compacted once stale
-        entries are more than half of it. Otherwise every live event that
-        ``match`` accepts (all of them when ``match`` is None) shifts in one
-        rebuild of the heap, which also drops every stale and cancelled
-        entry. A ``delta`` of 0 changes nothing, since a fresh entry would
+        Each shifted event gets a fresh heap entry and its old one goes
+        stale. A ``delta`` of 0 changes nothing, since a fresh entry would
         equal the old one and fire the event twice, but still counts the
-        events it selects.
-
-        Relative order among shifted events is preserved because they all
-        move by the same amount and keep their sequence numbers. Used to
-        model reconfiguration stalls.
+        events it selects. Relative order among shifted events is preserved
+        because they all move by the same amount and keep their sequence
+        numbers. Used to model reconfiguration stalls.
         """
         if delta < 0:
             raise ValueError("delta must be non-negative")
-        if vm is None:
-            return self._rebuild(delta, match)
-        if match is not None:
-            raise ValueError("pass match or vm, not both")
-        cancelled = self._cancelled
-        live = [ev for seq, ev in self._by_vm.get(vm, {}).items() if seq not in cancelled]
-        if delta:
-            heap, push = self._heap, heapq.heappush
-            for event in live:
-                event.fire_at += delta
-                push(heap, (event.fire_at, event.seq, event))
-            self._stale += len(live)
-            if 2 * self._stale > len(heap):
-                self._rebuild(0)
-        return len(live)
-
-    def _rebuild(self, delta: int, match: Callable[[SimEvent], bool] | None = None) -> int:
-        """Re-heapify the live entries, shifting those ``match`` accepts (all
-        when it is None) by ``delta``; stale and cancelled entries are
-        dropped, cancelled events leave the index, and the cancelled set
-        empties. Returns the number of events shifted."""
-        cancelled, by_vm = self._cancelled, self._by_vm
+        indexes = self._by_vm.values() if vm is None else [self._by_vm.get(vm, {})]
         shifted = 0
-        rebuilt: list[tuple[int, int, SimEvent]] = []
-        for entry in self._heap:
-            fire_at, seq, event = entry
-            if fire_at != event.fire_at:
-                continue
-            if seq in cancelled:
-                if event.vm is not None and event.stallable:
-                    del by_vm[event.vm][seq]
-                continue
-            if match is None or match(event):
-                event.fire_at = fire_at + delta
-                entry = (event.fire_at, seq, event)
-                shifted += 1
-            rebuilt.append(entry)
-        cancelled.clear()
-        heapq.heapify(rebuilt)
-        self._heap[:] = rebuilt  # in place: a running loop holds this list
-        self._stale = 0
+        heap, push = self._heap, heapq.heappush
+        for index in indexes:
+            shifted += len(index)
+            if delta:
+                for event in index.values():
+                    event.fire_at += delta
+                    push(heap, (event.fire_at, event.seq, event))
+        if delta:
+            self._add_stale(shifted)
         return shifted
+
+    def _add_stale(self, entries: int) -> None:
+        """Count ``entries`` newly stale heap entries; compact the heap once
+        stale entries are more than half of it."""
+        self._stale += entries
+        if 2 * self._stale > len(self._heap):
+            live = [entry for entry in self._heap if entry[0] == entry[2].fire_at]
+            heapq.heapify(live)
+            self._heap[:] = live  # in place: a running loop holds this list
+            self._stale = 0
 
     def write_trace(self, fh) -> None:
         """Dump the processed-event log, one ``tick,seq,kind,detail`` line each."""

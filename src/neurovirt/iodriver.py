@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from neurovirt.engine import Engine, round_half_up, NS_PER_S
+from neurovirt.engine import Engine, SimEvent, round_half_up, NS_PER_S
 
 GIB = 2**30  # Gib/s means 2^30 bits per second throughout
 
@@ -34,7 +34,7 @@ class Direction(enum.Enum):
     OUT = "out"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # keys IoRing.inflight by identity
 class TransferDescriptor:
     vm: str
     size: int
@@ -49,7 +49,7 @@ class IoRing:
     capacity: int
     occupancy: int = 0
     closed: bool = False
-    inflight_events: set = field(default_factory=set)
+    inflight: dict[TransferDescriptor, SimEvent] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,11 @@ class IoDriver:
     def close_ring(self, ring_id: int) -> None:
         """Drop in-flight descriptors and refuse further submissions."""
         ring = self._ring(ring_id)
-        for event_id in ring.inflight_events:
-            self.engine.cancel(event_id)
+        for event in ring.inflight.values():
+            self.engine.cancel(event)
             self.drained += 1
             self._leave(ring.vm)
-        ring.inflight_events.clear()
+        ring.inflight.clear()
         ring.occupancy = 0
         ring.closed = True
 
@@ -139,8 +139,8 @@ class IoDriver:
         return self._active_vms
 
     def submit(self, ring_id: int, size: int, direction: Direction = Direction.OUT,
-               on_complete=None) -> int:
-        """Queue one transfer; returns the completion event id.
+               on_complete=None) -> SimEvent:
+        """Queue one transfer; returns its completion event.
 
         Raises Backpressure when the ring is at capacity. The completion
         time is fixed at submission from the current contention level.
@@ -166,22 +166,19 @@ class IoDriver:
         duration = self.link.latency_ns + round_half_up(
             size * 8 * NS_PER_S / (bw_share * GIB)
         )
-        holder: list[int] = []
-        event_id = self.engine.schedule_in(
+        event = self.engine.schedule_in(
             duration,
             "TransferComplete",
-            fn=lambda: self._complete(ring, desc, holder[0], on_complete),
+            fn=lambda: self._complete(ring, desc, on_complete),
             detail=f"vm={ring.vm};size={size};dir={desc.direction.value}",
             vm=ring.vm,
         )
-        holder.append(event_id)
-        ring.inflight_events.add(event_id)
-        return event_id
+        ring.inflight[desc] = event
+        return event
 
-    def _complete(self, ring: IoRing, desc: TransferDescriptor, event_id: int,
-                  on_complete) -> None:
+    def _complete(self, ring: IoRing, desc: TransferDescriptor, on_complete) -> None:
         ring.occupancy -= 1
-        ring.inflight_events.discard(event_id)
+        del ring.inflight[desc]
         self._leave(desc.vm)
         self.completions += 1
         self.completed_bits += desc.size * 8

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from neurovirt.engine import Engine, round_half_up
+from neurovirt.engine import Engine, SimEvent, round_half_up
 from neurovirt.snn import workload_cost
 
 DEFAULT_TICK_PERIOD_NS = 100_000  # 100 us simulated
@@ -96,7 +96,7 @@ class _Running:
     start: int
     finish: int
     duration: int
-    done_event: int
+    done_event: SimEvent
     migrated: bool = False
 
 
@@ -247,6 +247,10 @@ class Scheduler:
         now = self.engine.now()
         for task_id in sorted(self._late):
             run = self.running[task_id]
+            if run.finish <= now:
+                # a stall moved its TaskDone past run.finish, so any move
+                # would have to finish in the past
+                continue
             task = run.task
             best: tuple[int, str, int] | None = None  # (finish, vm_id, cores)
             for vm in self._vm_order:

@@ -253,7 +253,7 @@ class Hypervisor:
         if mode is ReconfigMode.FULL:
             # global shutdown/reprogram: every VM's in-flight progress slips
             self._full_active = True
-            self.engine.postpone_pending(duration, lambda ev: ev.stallable)
+            self.engine.postpone_pending(duration)
         else:
             self.fabric.begin_reconfig(vm.slot_id)
             self.engine.postpone_pending(duration, vm=vm.id)

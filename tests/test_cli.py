@@ -193,3 +193,35 @@ def test_degenerate_field_exits_2_naming_it(tmp_path, override, message):
     )
     assert proc.returncode == 2
     assert proc.stderr.strip() == message
+
+
+def test_stalled_late_task_does_not_crash_the_run(tmp_path):
+    # a full reconfiguration postpones a running task's TaskDone past the
+    # finish the scheduler recorded, so a later rebalance sees a late task
+    # whose recorded finish is already in the past
+    path = _scenario_file(
+        tmp_path, seed=3, duration_ns=60_000_000, sample_period_ns=3_000_000,
+        fabric={"bitstream_total_bytes": 2_097_152},
+        scheduler={"migration_penalty_ns": 50_000},
+        vms=[
+            {"id": "vm1", "share": 0.06, "cores": 1, "priority": "realtime"},
+            {"id": "vm2", "share": 0.06, "cores": 4},
+            {"id": "vm3", "share": 0.06, "cores": 2, "priority": "realtime"},
+        ],
+        tasks=[
+            {"id": "t03", "mode": "spiking", "steps": 41, "input_rate": 6, "fan_in": 512,
+             "data_size": 4096, "arrival_ns": 2_540_068, "deadline_ns": 3_012_020},
+            {"id": "t17", "steps": 67, "input_rate": 6, "fan_in": 512, "data_size": 4096,
+             "arrival_ns": 2_075_691, "deadline_ns": 2_980_377},
+            {"id": "t20", "steps": 108, "input_rate": 6, "fan_in": 1024, "data_size": 4096,
+             "arrival_ns": 1_471_825},
+            {"id": "t25", "steps": 155, "input_rate": 6, "fan_in": 1024, "data_size": 4096,
+             "arrival_ns": 2_272_331, "deadline_ns": 3_069_083},
+        ],
+        transfers=[],
+        reconfigs=[
+            {"vm": "vm2", "module": "pooling", "mode": "full", "at_ns": 2_300_000},
+            {"vm": "vm2", "module": "pooling", "mode": "full", "at_ns": 7_700_000},
+        ],
+    )
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "m.csv")]) == 0

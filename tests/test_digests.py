@@ -51,6 +51,23 @@ def test_churn_run_output_is_pinned(tmp_path):
     assert _run_digests(tmp_path, "churn.json") == ("df8204a4aafa6558", "98585428bbd5a2bd")
 
 
+def test_stall_run_output_is_pinned(tmp_path):
+    # full and partial reconfigurations while ticks, task completions and
+    # spike steps are queued, migrations that cancel both a TaskDone and a
+    # SpikeStep, and transfer streams into 2-slot rings
+    assert _run_digests(tmp_path, "stall.json") == ("242fd920a5a84457", "33e8390e96f22665")
+
+
+def test_stall_scenario_reaches_what_it_pins():
+    scenario = load_scenario(SCENARIOS / "stall.json")
+    spiking = {task.id for task in scenario.tasks if task.mode == "spiking"}
+    result = run_scenario(scenario)
+    migrated = [m.task_id for m in result.scheduler.migrations]
+    full = [r for r in result.hypervisor.records if r.vm is None]
+    assert (len(migrated), len(full), result.driver.backpressured) == (2, 5, 671)
+    assert spiking.intersection(migrated)
+
+
 def _spiking_digest(executor, engine, launches) -> str:
     """sha256[:16] of the output spike count and every task's final potentials."""
     states = []

@@ -9,8 +9,8 @@ SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
 
 def test_first_event_id_is_zero_and_processes():
     eng = Engine(seed=1)
-    event_id = eng.schedule(0, "X")
-    assert event_id == 0
+    event = eng.schedule(0, "X")
+    assert event.seq == 0
     assert eng.run_until(10) == 1
 
 
@@ -63,7 +63,7 @@ def test_run_drains_skips_cancelled_and_stops_clock_at_last_fire():
         return lambda: fired.append((name, eng.now()))
 
     # a handler that postpones events mid-loop, and one that schedules more
-    eng.schedule(10, "A", fn=lambda: eng.postpone_pending(100, lambda ev: ev.vm == "v"))
+    eng.schedule(10, "A", fn=lambda: eng.postpone_pending(100, vm="v"))
     eng.schedule(20, "B", fn=note("b"), vm="v")
     eng.schedule(25, "C", fn=lambda: eng.schedule_in(5, "D", fn=note("d")))
     eng.cancel(eng.schedule(500, "X", fn=note("x")))
@@ -82,7 +82,7 @@ def test_cancelled_events_do_not_fire():
     eng.cancel(drop)
     assert eng.run_until(20) == 1
     assert fired == ["a"]
-    assert keep == 0
+    assert keep.seq == 0
 
 
 def test_identical_seed_and_schedule_give_identical_traces():
@@ -149,7 +149,7 @@ def test_postpone_pending_shifts_matching_events():
     eng.schedule(10, "A", fn=lambda: order.append(("a", eng.now())), vm="v1")
     eng.schedule(20, "B", fn=lambda: order.append(("b", eng.now())), vm="v2")
     eng.schedule(30, "C", fn=lambda: order.append(("c", eng.now())), vm="v1")
-    eng.postpone_pending(100, lambda ev: ev.vm == "v1")
+    eng.postpone_pending(100, vm="v1")
     eng.run_until(1_000)
     assert order == [("b", 20), ("a", 110), ("c", 130)]
 
@@ -183,9 +183,8 @@ def test_trace_line_format():
 
 @pytest.mark.parametrize("postpones", [
     [dict(vm="v")],
-    [dict(match=lambda ev: True)],
-    # the rebuild forgets the cancellation, so it must unindex the event too
-    [dict(match=lambda ev: True), dict(vm="v")],
+    [dict()],
+    [dict(), dict(vm="v")],
 ])
 def test_cancelled_then_postponed_event_never_fires(postpones):
     eng = Engine(seed=1)
@@ -201,9 +200,9 @@ def test_cancelled_then_postponed_event_never_fires(postpones):
 def test_stale_entry_does_not_use_up_a_later_cancellation():
     eng = Engine(seed=1)
     fired = []
-    seq = eng.schedule(10, "A", fn=lambda: fired.append("a"), vm="v")
+    event = eng.schedule(10, "A", fn=lambda: fired.append("a"), vm="v")
     assert eng.postpone_pending(5, vm="v") == 1  # leaves a stale entry at 10
-    eng.cancel(seq)
+    eng.cancel(event)
     assert eng.run() == 0
     assert fired == []
 
@@ -217,8 +216,36 @@ def test_vm_postpone_skips_other_vms_and_unstallable_events():
     assert eng.postpone_pending(7, vm="v") == 1
     assert [(ev.fire_at, ev.kind) for ev in eng.pending()] == [
         (10, "B"), (10, "C"), (10, "D"), (17, "A")]
-    with pytest.raises(ValueError):
-        eng.postpone_pending(1, match=lambda ev: True, vm="v")
+
+
+def test_full_postpone_shifts_every_stallable_event():
+    eng = Engine(seed=1)
+    eng.schedule(10, "A", vm="v")
+    eng.schedule(10, "B")
+    eng.schedule(10, "C", vm="v", stallable=False)
+    eng.schedule(10, "D", stallable=False)
+    assert eng.postpone_pending(0) == 2
+    assert eng.postpone_pending(7) == 2
+    assert [(ev.fire_at, ev.kind) for ev in eng.pending()] == [
+        (10, "C"), (10, "D"), (17, "A"), (17, "B")]
+
+
+def test_cancelling_a_fired_or_cancelled_event_is_a_no_op():
+    eng = Engine(seed=1)
+    fired = []
+    done = eng.schedule(5, "A", vm="v")
+    gone = eng.schedule(6, "B", vm="v")
+    eng.cancel(gone)
+    assert eng.run_until(6) == 1
+    # a handler that cancels its own, already firing, event
+    later = eng.schedule(10, "C", fn=lambda: (fired.append("c"), eng.cancel(later)), vm="v")
+    for event in (done, gone, gone):
+        eng.cancel(event)
+    assert eng.pending() == [later]
+    assert eng.postpone_pending(1, vm="v") == 1
+    assert eng.run() == 1
+    assert fired == ["c"]
+    assert eng.now() == 11
 
 
 def test_repeated_vm_postpones_compact_the_heap():
@@ -254,16 +281,15 @@ class _Oracle:
         assert at >= self._now
         seq = self._next_seq
         self._next_seq += 1
-        self._live.append(SimEvent(at, seq, kind, "", fn, vm, stallable))
-        return seq
+        event = SimEvent(at, seq, kind, "", fn, vm, stallable)
+        self._live.append(event)
+        return event
 
-    def cancel(self, seq):
-        self._live = [ev for ev in self._live if ev.seq != seq]
+    def cancel(self, event):
+        self._live = [ev for ev in self._live if ev is not event]
 
-    def postpone_pending(self, delta, match=None, vm=None):
-        if vm is not None:
-            match = lambda ev: ev.vm == vm and ev.stallable  # noqa: E731
-        chosen = [ev for ev in self._live if match is None or match(ev)]
+    def postpone_pending(self, delta, vm=None):
+        chosen = [ev for ev in self._live if ev.stallable and vm in (None, ev.vm)]
         for ev in chosen:
             ev.fire_at += delta
         return len(chosen)
@@ -289,18 +315,9 @@ class _Oracle:
 
 
 VMS = ("a", "b", "c")
-PREDICATES = {
-    "stallable": lambda ev: ev.stallable,
-    "vm a": lambda ev: ev.vm == "a",
-    "stallable b": lambda ev: ev.stallable and ev.vm == "b",
-    "even seq": lambda ev: ev.seq % 2 == 0,
-    "all": None,
-}
 DELTAS = st.one_of(st.just(0), st.integers(1, 60))
-POSTPONES = st.one_of(
-    st.tuples(st.just("postpone_vm"), DELTAS, st.sampled_from(VMS)),
-    st.tuples(st.just("postpone_match"), DELTAS, st.sampled_from(sorted(PREDICATES))),
-)
+# (delta, vm or None): one VM's stallable events, or every one
+POSTPONES = st.tuples(st.just("postpone"), DELTAS, st.one_of(st.none(), st.sampled_from(VMS)))
 NESTED = st.one_of(
     POSTPONES,
     st.tuples(st.just("cancel"), st.integers(0, 1_000)),
@@ -321,24 +338,22 @@ OPS = st.lists(
 
 def _replay(eng, ops) -> list:
     """Apply ``ops`` to ``eng``; returns every result, from handlers too."""
-    results, ids = [], []
+    results, events = [], []
 
     def apply(op):
         name = op[0]
         if name == "schedule":
             _, delay, vm, stallable, action = op
             fn = None if action is None else lambda: apply(action)
-            seq = eng.schedule(eng.now() + delay, f"k{len(ids)}", fn=fn, vm=vm,
-                               stallable=stallable)
-            ids.append(seq)
-            results.append(("schedule", seq))
+            event = eng.schedule(eng.now() + delay, f"k{len(events)}", fn=fn, vm=vm,
+                                 stallable=stallable)
+            events.append(event)
+            results.append(("schedule", event.seq))
         elif name == "cancel":
-            if ids:
-                eng.cancel(ids[op[1] % len(ids)])
-        elif name == "postpone_vm":
+            if events:
+                eng.cancel(events[op[1] % len(events)])
+        elif name == "postpone":
             results.append((name, eng.postpone_pending(op[1], vm=op[2])))
-        elif name == "postpone_match":
-            results.append((name, eng.postpone_pending(op[1], PREDICATES[op[2]])))
         else:
             results.append(("run", eng.run_until(eng.now() + op[1])))
         results.append([(ev.fire_at, ev.seq, ev.kind) for ev in eng.pending()])
