@@ -20,6 +20,7 @@ from neurovirt.iodriver import (
     Backpressure,
     IoDriver,
     LinkModel,
+    TransferDescriptor,
     effective_throughput,
 )
 from neurovirt.metrics import (
@@ -28,7 +29,7 @@ from neurovirt.metrics import (
     energy_for_accelerators,
     export_samples,
 )
-from neurovirt.sched import Scheduler, TaskSpec, exec_time, profile
+from neurovirt.sched import DEFAULT_TICK_PERIOD_NS, Scheduler, TaskSpec, exec_time, profile
 from neurovirt.scenario import Scenario, TaskDef, default_module_catalog
 # make_core_state and step_core stay bound here, since perfbench/tracer.py
 # patches bench.make_core_state and bench.step_core by name
@@ -84,19 +85,13 @@ def _measure_cell(vm_count: int, size: int, link: LinkModel, seed: int) -> float
     driver = IoDriver(engine, link)
     total_rounds = WARMUP_TRANSFERS + MEASURED_TRANSFERS
     completions: dict[str, list[int]] = {}
-
-    def start_stream(ring_id: int, vm: str) -> None:
-        def on_complete(_desc):
-            completions[vm].append(engine.now())
-            if len(completions[vm]) < total_rounds:
-                driver.submit(ring_id, size, on_complete=on_complete)
-
-        completions[vm] = []
-        driver.submit(ring_id, size, on_complete=on_complete)
-
     for i in range(vm_count):
-        vm = f"vm{i}"
-        start_stream(driver.open_ring(vm), vm)
+        times = completions[f"vm{i}"] = []
+        # one transfer at a time never fills a ring, so no retry is scheduled
+        stream_transfers(
+            engine, driver, driver.open_ring(f"vm{i}"), size, total_rounds,
+            DEFAULT_TICK_PERIOD_NS, on_complete=lambda _d, t=times: t.append(engine.now()),
+        )()
     engine.run()
 
     aggregate = 0.0
@@ -105,6 +100,43 @@ def _measure_cell(vm_count: int, size: int, link: LinkModel, seed: int) -> float
         bits = MEASURED_TRANSFERS * size * 8
         aggregate += bits / (span_ns / 1e9) / GIB
     return aggregate
+
+
+def stream_transfers(
+    engine: Engine,
+    driver: IoDriver,
+    ring_id: int,
+    size: int,
+    count: int,
+    retry_after: int,
+    on_complete: Callable[[TransferDescriptor], None] | None = None,
+) -> Callable[[], None]:
+    """Back-to-back transfers of ``size`` bytes on one ring, ``count`` in all.
+
+    Returns the callable that submits the stream's next transfer; each
+    completion submits the one after it. A full ring retries the submit
+    ``retry_after`` ns later as a TransferRetry event.
+    """
+    vm = driver.rings[ring_id].vm
+    remaining = count
+
+    def submit_next() -> None:
+        try:
+            driver.submit(ring_id, size, on_complete=done)
+        except Backpressure:
+            engine.schedule_in(
+                retry_after, "TransferRetry", fn=submit_next, detail=f"vm={vm}", vm=vm
+            )
+
+    def done(desc: TransferDescriptor) -> None:
+        nonlocal remaining
+        remaining -= 1
+        if on_complete is not None:
+            on_complete(desc)
+        if remaining > 0:
+            submit_next()
+
+    return submit_next
 
 
 @dataclass
@@ -136,10 +168,8 @@ INPUT_BLOCK = 4096
 class SpikingExecutor:
     """Steps LIF workloads on the engine and counts synaptic ops."""
 
-    def __init__(self, engine: Engine, metrics: MetricsCollector | None,
-                 params: LifParams | None = None):
+    def __init__(self, engine: Engine, params: LifParams | None = None):
         self.engine = engine
-        self.metrics = metrics
         self.params = params if params is not None else LifParams()
         self.active: dict[str, _SpikingTask] = {}
         self.total_synops = 0
@@ -176,8 +206,11 @@ class SpikingExecutor:
             fire=lambda: self._step(task_id),
         )
         self.active[task_id] = job
+        self._schedule_step(job, at)
+
+    def _schedule_step(self, job: _SpikingTask, at: int) -> None:
         job.next_event = self.engine.schedule(
-            at, "SpikeStep", fn=job.fire, detail=job.detail, vm=vm
+            at, "SpikeStep", fn=job.fire, detail=job.detail, vm=job.vm
         )
 
     def _pick_inputs(self, job: _SpikingTask) -> tuple[int, ...]:
@@ -218,15 +251,10 @@ class SpikingExecutor:
             return
         ids = self._pick_inputs(job)
         self.output_spikes += len(step_sorted(job.state, ids, job.params))
-        ops = job.rate * job.n_neurons
-        self.total_synops += ops
-        if self.metrics is not None:
-            self.metrics.add_synops(ops)
+        self.total_synops += job.rate * job.n_neurons
         job.remaining -= 1
         if job.remaining > 0:
-            job.next_event = self.engine.schedule_in(
-                job.interval, "SpikeStep", fn=job.fire, detail=job.detail, vm=job.vm
-            )
+            self._schedule_step(job, self.engine.now() + job.interval)
         else:
             job.next_event = None
             del self.active[task_id]
@@ -243,13 +271,7 @@ class SpikingExecutor:
         job.vm = new_vm
         if interval is not None:
             job.interval = max(1, interval)
-        job.next_event = self.engine.schedule(
-            max(resume_at, self.engine.now()),
-            "SpikeStep",
-            fn=job.fire,
-            detail=job.detail,
-            vm=new_vm,
-        )
+        self._schedule_step(job, max(resume_at, self.engine.now()))
 
 
 REFERENCE_WORKLOAD = dict(steps=50, input_rate=4, fan_in=32, interval=1_000)
@@ -281,7 +303,7 @@ def bench_energy(
         engine = Engine(seed)
         fabric = Fabric(config)
         hv = Hypervisor(engine, fabric)
-        executor = SpikingExecutor(engine, metrics=None)
+        executor = SpikingExecutor(engine)
         for i in range(n):
             vm_id = hv.create_vm(config.total.scaled(1, 32), cores=1)
             executor.launch(
@@ -355,8 +377,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
     fabric = Fabric(scenario.fabric)
     driver = IoDriver(engine, scenario.link)
     hv = Hypervisor(engine, fabric, driver, scenario.reconfig)
-    metrics = MetricsCollector(engine, fabric, driver, hv, scenario.energy)
-    executor = SpikingExecutor(engine, metrics)
+    executor = SpikingExecutor(engine)
+    metrics = MetricsCollector(engine, fabric, driver, hv, scenario.energy, executor)
 
     spiking_defs: dict[str, TaskDef] = {
         t.id: t for t in scenario.tasks if t.mode == "spiking"
@@ -423,7 +445,16 @@ def run_scenario(scenario: Scenario) -> RunResult:
         scheduler.submit(spec)
 
     for tr in scenario.transfers:
-        _start_transfer_stream(engine, driver, hv, tr, scenario.tick_period_ns)
+        engine.schedule(
+            tr.start_ns,
+            "TransferStart",
+            fn=stream_transfers(
+                engine, driver, hv.vms[tr.vm].ring_ids[0], tr.size_bytes, tr.count,
+                scenario.tick_period_ns,
+            ),
+            detail=f"vm={tr.vm};size={tr.size_bytes}",
+            vm=tr.vm,
+        )
 
     for op in scenario.reconfigs:
         module = scenario.modules[op.module]
@@ -450,31 +481,3 @@ def run_scenario(scenario: Scenario) -> RunResult:
         executor=executor,
     )
 
-
-def _start_transfer_stream(engine, driver, hv, tr, tick_period):
-    remaining = {"count": tr.count}
-    ring_id = hv.vms[tr.vm].ring_ids[0]
-
-    def submit_next() -> None:
-        if remaining["count"] <= 0:
-            return
-        try:
-            driver.submit(ring_id, tr.size_bytes, on_complete=on_complete)
-        except Backpressure:
-            engine.schedule_in(
-                tick_period, "TransferRetry", fn=submit_next,
-                detail=f"vm={tr.vm}", vm=tr.vm,
-            )
-
-    def on_complete(_desc) -> None:
-        remaining["count"] -= 1
-        if remaining["count"] > 0:
-            submit_next()
-
-    engine.schedule(
-        tr.start_ns,
-        "TransferStart",
-        fn=submit_next,
-        detail=f"vm={tr.vm};size={tr.size_bytes}",
-        vm=tr.vm,
-    )

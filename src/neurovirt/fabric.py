@@ -92,9 +92,6 @@ class ResourceVector:
             int(self.dsp * fraction),
         )
 
-    def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in RESOURCE_CLASSES}
-
 
 # Zynq UltraScale+ XCZU7EV device totals. Memory is stored in decimal
 # megabytes (38 MB -> 38,000,000 bytes) so utilization ratios are exact.
@@ -143,7 +140,6 @@ class RegionSlot:
     id: int
     capacity: ResourceVector
     state: SlotState = SlotState.ALLOCATED
-    owner: str | None = None
 
 
 class Fabric:
@@ -174,9 +170,7 @@ class Fabric:
         return slot_id
 
     def release(self, slot_id: int) -> None:
-        slot = self.slots.get(slot_id)
-        if slot is None:
-            raise UnknownSlot(f"slot {slot_id}")
+        slot = self.slot(slot_id)
         if slot.state is SlotState.RECONFIGURING:
             raise SlotBusy(f"slot {slot_id} is reconfiguring")
         del self.slots[slot_id]

@@ -47,7 +47,6 @@ class IoRing:
     id: int
     vm: str
     capacity: int
-    occupancy: int = 0
     closed: bool = False
     inflight: dict[TransferDescriptor, SimEvent] = field(default_factory=dict)
 
@@ -68,6 +67,8 @@ class LinkModel:
     def __post_init__(self):
         if self.latency_ns < 0:
             raise ValueError("latency_ns must be non-negative")
+        if self.ring_capacity < 1:
+            raise ValueError("ring_capacity must be positive")
         if not self.peak_gibps:
             raise ValueError("peak table must be non-empty")
         last = 0.0
@@ -100,16 +101,18 @@ def effective_throughput(size_bytes: int, vm_count: int, link: LinkModel) -> flo
 
 
 class IoDriver:
-    """Descriptor-ring device sharing over one engine."""
+    """Descriptor-ring device sharing over one engine.
+
+    Occupancy is derived, not counted: a ring holds ``len(ring.inflight)``
+    transfers, the driver ``submissions - completions - drained``, and
+    ``in_flight_by_vm`` keeps only VMs with a transfer in flight.
+    """
 
     def __init__(self, engine: Engine, link: LinkModel | None = None):
         self.engine = engine
         self.link = link if link is not None else LinkModel()
-        self.rings: dict[int, IoRing] = {}
-        self._next_ring = 0
+        self.rings: dict[int, IoRing] = {}  # closed, never removed
         self.in_flight_by_vm: dict[str, int] = {}
-        self._active_vms = 0  # VMs whose in_flight_by_vm count is above 0
-        self.in_flight = 0
         self.submissions = 0
         self.completions = 0
         self.backpressured = 0
@@ -117,11 +120,9 @@ class IoDriver:
         self.completed_bits = 0
 
     def open_ring(self, vm_id: str, capacity: int | None = None) -> int:
-        ring_id = self._next_ring
-        self._next_ring += 1
+        ring_id = len(self.rings)
         cap = capacity if capacity is not None else self.link.ring_capacity
         self.rings[ring_id] = IoRing(ring_id, vm_id, cap)
-        self.in_flight_by_vm.setdefault(vm_id, 0)
         return ring_id
 
     def close_ring(self, ring_id: int) -> None:
@@ -132,11 +133,14 @@ class IoDriver:
             self.drained += 1
             self._leave(ring.vm)
         ring.inflight.clear()
-        ring.occupancy = 0
         ring.closed = True
 
+    @property
+    def in_flight(self) -> int:
+        return self.submissions - self.completions - self.drained
+
     def active_vm_count(self) -> int:
-        return self._active_vms
+        return len(self.in_flight_by_vm)
 
     def submit(self, ring_id: int, size: int, direction: Direction = Direction.OUT,
                on_complete=None) -> SimEvent:
@@ -150,15 +154,11 @@ class IoDriver:
         ring = self._ring(ring_id)
         if ring.closed:
             raise RingClosed(f"ring {ring_id}")
-        if ring.occupancy >= ring.capacity:
+        if len(ring.inflight) >= ring.capacity:
             self.backpressured += 1
             raise Backpressure(f"ring {ring_id} full")
-        ring.occupancy += 1
         self.submissions += 1
-        self.in_flight += 1
-        if self.in_flight_by_vm[ring.vm] == 0:
-            self._active_vms += 1
-        self.in_flight_by_vm[ring.vm] += 1
+        self.in_flight_by_vm[ring.vm] = self.in_flight_by_vm.get(ring.vm, 0) + 1
         desc = TransferDescriptor(ring.vm, size, direction, self.engine.now())
 
         peak = self.link.peak_bw(self.active_vm_count())
@@ -177,7 +177,6 @@ class IoDriver:
         return event
 
     def _complete(self, ring: IoRing, desc: TransferDescriptor, on_complete) -> None:
-        ring.occupancy -= 1
         del ring.inflight[desc]
         self._leave(desc.vm)
         self.completions += 1
@@ -187,10 +186,10 @@ class IoDriver:
 
     def _leave(self, vm_id: str) -> None:
         """One of ``vm_id``'s transfers is no longer in flight."""
-        self.in_flight -= 1
-        self.in_flight_by_vm[vm_id] -= 1
-        if self.in_flight_by_vm[vm_id] == 0:
-            self._active_vms -= 1
+        if self.in_flight_by_vm[vm_id] == 1:
+            del self.in_flight_by_vm[vm_id]
+        else:
+            self.in_flight_by_vm[vm_id] -= 1
 
     def _ring(self, ring_id: int) -> IoRing:
         ring = self.rings.get(ring_id)

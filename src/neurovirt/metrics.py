@@ -69,7 +69,7 @@ SAMPLE_CSV_HEADER = (
 
 
 class MetricsCollector:
-    """Snapshots fabric/driver/virt state on the engine loop."""
+    """Snapshots fabric/driver/virt state and executor synops on the engine loop."""
 
     def __init__(
         self,
@@ -78,19 +78,17 @@ class MetricsCollector:
         driver: IoDriver | None = None,
         hypervisor: Hypervisor | None = None,
         model: EnergyModel | None = None,
+        executor=None,
     ):
         self.engine = engine
         self.fabric = fabric
         self.driver = driver
         self.hypervisor = hypervisor
         self.model = model if model is not None else EnergyModel()
+        self.executor = executor
         self.samples: list[MetricSample] = []
-        self.synops = 0
         self._last_at = 0
         self._last_bits = 0
-
-    def add_synops(self, ops: int) -> None:
-        self.synops += ops
 
     def sample(self) -> MetricSample:
         """Append one snapshot; throughput is windowed since the last sample."""
@@ -108,6 +106,7 @@ class MetricsCollector:
         if self.hypervisor is not None:
             full_ns = self.hypervisor.reconfig_accum[ReconfigMode.FULL]
             partial_ns = self.hypervisor.reconfig_accum[ReconfigMode.PARTIAL]
+        synops = self.executor.total_synops if self.executor is not None else 0
         sample = MetricSample(
             at=now,
             lut_pct=util["lut"],
@@ -115,7 +114,7 @@ class MetricsCollector:
             io_pct=util["io_pins"],
             dsp_pct=util["dsp"],
             throughput_gibs=throughput,
-            energy_mj=task_energy(self.synops, self.model),
+            energy_mj=task_energy(synops, self.model),
             reconfig_full_ns=full_ns,
             reconfig_partial_ns=partial_ns,
         )

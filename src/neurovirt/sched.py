@@ -96,7 +96,7 @@ class _Running:
     start: int
     finish: int
     duration: int
-    done_event: SimEvent
+    done_event: SimEvent | None = None
     migrated: bool = False
 
 
@@ -212,14 +212,8 @@ class Scheduler:
             duration = self.duration_fn(task, cores)
             finish = now + duration
             vm.cores_free -= cores
-            done_event = self.engine.schedule(
-                finish,
-                "TaskDone",
-                fn=lambda tid=task.id: self._task_done(tid),
-                detail=f"task={task.id};vm={vm.id}",
-                vm=vm.id,
-            )
-            run = _Running(task, vm.id, cores, now, finish, duration, done_event)
+            run = _Running(task, vm.id, cores, now, finish, duration)
+            self._schedule_done(run)
             self.running[task.id] = run
             # a task's lateness is fixed here and only migration changes it;
             # a reused id replaces the earlier run, and its lateness with it
@@ -233,6 +227,17 @@ class Scheduler:
             if self.on_start is not None:
                 self.on_start(run)
         return made
+
+    def _schedule_done(self, run: _Running) -> None:
+        task_id = run.task.id
+        migrated = ";migrated=1" if run.migrated else ""
+        run.done_event = self.engine.schedule(
+            run.finish,
+            "TaskDone",
+            fn=lambda: self._task_done(task_id),
+            detail=f"task={task_id};vm={run.vm_id}{migrated}",
+            vm=run.vm_id,
+        )
 
     def _task_done(self, task_id: str) -> None:
         run = self.running.pop(task_id)
@@ -287,13 +292,7 @@ class Scheduler:
             run.finish = new_finish
             run.migrated = True
             self._late.discard(task_id)
-            run.done_event = self.engine.schedule(
-                new_finish,
-                "TaskDone",
-                fn=lambda tid=task_id: self._task_done(tid),
-                detail=f"task={task_id};vm={to_vm};migrated=1",
-                vm=to_vm,
-            )
+            self._schedule_done(run)
             if self.on_migrate is not None:
                 self.on_migrate(run, from_vm, to_vm)
         return made

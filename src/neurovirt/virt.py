@@ -78,9 +78,12 @@ class VirtualMachine:
     cores: int
     loaded: dict[str, DfxModule] = field(default_factory=dict)
     ring_ids: list[int] = field(default_factory=list)
-    reconfiguring: bool = False
-    inflight_module: DfxModule | None = None
+    inflight_module: DfxModule | None = None  # the module being programmed, if any
     pending_reconfigs: deque = field(default_factory=deque)
+
+    @property
+    def reconfiguring(self) -> bool:
+        return self.inflight_module is not None
 
     def loaded_footprint(self) -> ResourceVector:
         total = ResourceVector()
@@ -147,7 +150,6 @@ class Hypervisor:
         if vm_id in self.vms:
             raise ValueError(f"vm id {vm_id} already exists")
         slot_id = self.fabric.allocate(request)
-        self.fabric.slots[slot_id].owner = vm_id
         if cores is None:
             config = self.fabric.config
             cores = max(
@@ -248,7 +250,6 @@ class Hypervisor:
             modules=(module.id,),
         )
         self.records.append(record)
-        vm.reconfiguring = True
         vm.inflight_module = module
         if mode is ReconfigMode.FULL:
             # global shutdown/reprogram: every VM's in-flight progress slips
@@ -272,7 +273,6 @@ class Hypervisor:
         self.reconfig_accum[mode] += duration
         vm.loaded[module.id] = module
         vm.inflight_module = None
-        vm.reconfiguring = False
         if mode is ReconfigMode.FULL:
             self._full_active = False
         else:

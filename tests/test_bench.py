@@ -13,6 +13,7 @@ from neurovirt.bench import (
     run_scenario,
 )
 from neurovirt.engine import Engine, RandomStreams
+from neurovirt.metrics import task_energy
 from neurovirt.scenario import scenario_from_dict
 from neurovirt.snn import workload_cost
 
@@ -72,7 +73,10 @@ def test_spiking_task_ops_match_workload_cost_exactly():
     result = run_scenario(scenario)
     assert result.scheduler.finished.keys() == {"t"}
     assert result.executor.total_synops == workload_cost(30, 5, 20)
-    assert result.metrics.synops == workload_cost(30, 5, 20)
+    # the energy column reads the executor's synop count
+    done = result.scheduler.finished["t"]
+    after = [s for s in result.metrics.samples if s.at >= done]
+    assert after[0].energy_mj == task_energy(workload_cost(30, 5, 20))
 
 
 def test_analytic_and_spiking_tasks_all_finish():
@@ -181,7 +185,7 @@ def test_input_picks_match_scalar_oracle_across_refills_and_moves(
     seed, fan_in, rate, steps, block, move_after
 ):
     engine = Engine(seed)
-    executor = SpikingExecutor(engine, metrics=None)
+    executor = SpikingExecutor(engine)
     seen: dict[str, list] = {}
     pick = executor._pick_inputs
 
@@ -206,7 +210,7 @@ def test_input_picks_match_scalar_oracle_across_refills_and_moves(
 
 def _block_picks(seed, n_inputs, rate, steps):
     """A task's input ids for ``steps`` steps, and the uniforms each refill drew."""
-    executor = SpikingExecutor(Engine(seed), metrics=None)
+    executor = SpikingExecutor(Engine(seed))
     job = bench._SpikingTask(
         task_id="t", stream="task/t/inputs", state=None, n_inputs=n_inputs,
         n_neurons=n_inputs, rate=rate, remaining=steps, interval=1_000, vm=None,

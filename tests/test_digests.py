@@ -41,6 +41,26 @@ def _run_digests(tmp_path, name: str) -> tuple[str, str]:
     return _digest(metrics), _digest(trace)
 
 
+@pytest.mark.parametrize("argv, events, engines", [
+    (["bench-throughput"], 700, 30),
+    (["bench-energy"], 10_500, 20),
+    (["bench-reconfig"], 816, 32),
+    (["run", "--scenario", str(SCENARIOS / "demo.json")], 144, 1),
+])
+def test_cli_default_event_counts_are_pinned(tmp_path, monkeypatch, argv, events, engines):
+    # the four together process the 12,160 events perfbench pins for calibration
+    created = []
+    init = Engine.__init__
+
+    def keep(engine, *args, **kwargs):
+        init(engine, *args, **kwargs)
+        created.append(engine)
+
+    monkeypatch.setattr(Engine, "__init__", keep)
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert (sum(e.processed_count for e in created), len(created)) == (events, engines)
+
+
 def test_demo_run_output_is_pinned(tmp_path):
     assert _run_digests(tmp_path, "demo.json") == ("b0129dec3e98bfcb", "69614e605ac85bde")
 
@@ -89,7 +109,7 @@ def test_demo_spiking_counters_are_pinned():
 def test_wide_spiking_run_is_pinned():
     # 32 of 64 inputs per step, so every step adds at least 16 weight rows
     engine = Engine(7)
-    executor = SpikingExecutor(engine, metrics=None, params=LifParams(leak=0.95))
+    executor = SpikingExecutor(engine, params=LifParams(leak=0.95))
     launches = [
         dict(task_id=f"w{i}", steps=120, input_rate=32, fan_in=64, interval=1_000,
              at=i * 10, vm="vm0")
@@ -101,7 +121,7 @@ def test_wide_spiking_run_is_pinned():
 def test_energy_reference_workload_spikes_are_pinned():
     # the 20-accelerator row of bench-energy, seed 0
     engine = Engine(0)
-    executor = SpikingExecutor(engine, metrics=None)
+    executor = SpikingExecutor(engine)
     launches = [
         dict(task_id=f"ref{i}", **REFERENCE_WORKLOAD, at=0, vm=f"vm{i}",
              stream=f"accel/{i}")

@@ -130,6 +130,8 @@ def test_peak_table_lookup_and_domain():
         link.peak_bw(0)
     with pytest.raises(ValueError):
         LinkModel(peak_gibps=((1, 2.0), (2, 1.0)))  # decreasing table
+    with pytest.raises(ValueError):
+        LinkModel(ring_capacity=0)  # a stream would retry forever
 
 
 def test_ring_conservation_counters():
@@ -143,10 +145,10 @@ def test_ring_conservation_counters():
             submitted += 1
         except Backpressure:
             pass
-        assert drv.submissions - drv.completions - drv.drained == drv.in_flight
+        assert drv.in_flight == len(drv.rings[ring].inflight) == submitted
     eng.run()
     assert drv.completions == submitted
-    assert drv.submissions - drv.completions - drv.drained == drv.in_flight == 0
+    assert drv.in_flight == len(drv.rings[ring].inflight) == 0
     assert drv.backpressured == 2  # capacity 4, six submits
 
 
@@ -181,7 +183,9 @@ def test_active_vm_count_equals_recount(ops):
     rings = [drv.open_ring(f"vm{i % 3}", capacity=2) for i in range(6)]
 
     def recount():
-        return sum(1 for count in drv.in_flight_by_vm.values() if count > 0)
+        """(active VMs, transfers in flight), counted from the rings."""
+        live = [r for r in drv.rings.values() if r.inflight]
+        return len({r.vm for r in live}), sum(len(r.inflight) for r in live)
 
     for op in ops:
         if op[0] == "submit":
@@ -193,6 +197,6 @@ def test_active_vm_count_equals_recount(ops):
             eng.run_until(eng.now() + op[1])
         else:
             drv.close_ring(rings[op[1]])
-        assert drv.active_vm_count() == recount()
+        assert (drv.active_vm_count(), drv.in_flight) == recount()
     eng.run()
-    assert drv.active_vm_count() == recount() == 0
+    assert (drv.active_vm_count(), drv.in_flight) == recount() == (0, 0)

@@ -61,10 +61,12 @@ def test_sample_tracks_live_utilization():
 
 
 def test_sample_csv_format():
+    class Executor:
+        total_synops = 1_000_000
+
     eng = Engine(0)
     fab = Fabric()
-    collector = MetricsCollector(eng, fab)
-    collector.add_synops(1_000_000)
+    collector = MetricsCollector(eng, fab, executor=Executor())
     collector.sample()
     buf = io.StringIO()
     export_samples(collector.samples, buf)
