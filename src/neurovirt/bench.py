@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from neurovirt.engine import Engine, SimEvent, round_half_up
-from neurovirt.fabric import Fabric, FabricConfig
+from neurovirt.fabric import Fabric, FabricConfig, InsufficientResources, ResourceVector
 from neurovirt.iodriver import (
     GIB,
     Backpressure,
@@ -152,9 +152,7 @@ class _SpikingTask:
     remaining: int
     interval: int
     vm: str | None
-    params: LifParams
     detail: str
-    fire: Callable[[], None]
     next_event: SimEvent | None = None
     # input ids of the pre-drawn steps, one sorted tuple per step
     picks: Iterator[tuple[int, ...]] = iter(())
@@ -201,16 +199,17 @@ class SpikingExecutor:
             remaining=steps,
             interval=interval,
             vm=vm,
-            params=self.params,
             detail=f"task={task_id}",
-            fire=lambda: self._step(task_id),
         )
         self.active[task_id] = job
         self._schedule_step(job, at)
 
     def _schedule_step(self, job: _SpikingTask, at: int) -> None:
+        # a closure per step, not one kept on the job: job -> next_event ->
+        # closure -> job is then the only cycle, and _step breaks it when the
+        # job finishes, so a finished job is freed at once
         job.next_event = self.engine.schedule(
-            at, "SpikeStep", fn=job.fire, detail=job.detail, vm=job.vm
+            at, "SpikeStep", fn=lambda: self._step(job), detail=job.detail, vm=job.vm
         )
 
     def _pick_inputs(self, job: _SpikingTask) -> tuple[int, ...]:
@@ -245,33 +244,36 @@ class SpikingExecutor:
         picks = np.sort(pool[: rate * steps].reshape(rate, steps).T, axis=1)
         return map(tuple, picks.tolist())
 
-    def _step(self, task_id: str) -> None:
-        job = self.active.get(task_id)
-        if job is None:
-            return
+    def _step(self, job: _SpikingTask) -> None:
         ids = self._pick_inputs(job)
-        self.output_spikes += len(step_sorted(job.state, ids, job.params))
+        self.output_spikes += len(step_sorted(job.state, ids, self.params))
         self.total_synops += job.rate * job.n_neurons
         job.remaining -= 1
         if job.remaining > 0:
             self._schedule_step(job, self.engine.now() + job.interval)
         else:
             job.next_event = None
-            del self.active[task_id]
+            del self.active[job.task_id]
 
-    def move(
-        self, task_id: str, new_vm: str, resume_at: int, interval: int | None = None
-    ) -> None:
-        """Re-home a stepping workload after a migration."""
-        job = self.active.get(task_id)
-        if job is None:
-            return
-        if job.next_event is not None:
-            self.engine.cancel(job.next_event)
+    def move(self, job: _SpikingTask, new_vm: str, resume_at: int, interval: int) -> None:
+        """Re-home an active workload after a migration, stepping every
+        ``interval`` ns from ``resume_at``."""
+        self.engine.cancel(job.next_event)
         job.vm = new_vm
-        if interval is not None:
-            job.interval = max(1, interval)
+        job.interval = max(1, interval)
         self._schedule_step(job, max(resume_at, self.engine.now()))
+
+
+def _create_vms(hv: Hypervisor, request: ResourceVector, count: int, what: str) -> list[str]:
+    """``count`` one-core VMs of ``request``; a ConfigError names the
+    count when the experiment's fabric holds fewer."""
+    vm_ids = []
+    for held in range(count):
+        try:
+            vm_ids.append(hv.create_vm(request, cores=1))
+        except InsufficientResources as exc:
+            raise ConfigError(f"{what} {count} does not fit: the fabric holds {held}") from exc
+    return vm_ids
 
 
 REFERENCE_WORKLOAD = dict(steps=50, input_rate=4, fan_in=32, interval=1_000)
@@ -304,8 +306,8 @@ def bench_energy(
         fabric = Fabric(config)
         hv = Hypervisor(engine, fabric)
         executor = SpikingExecutor(engine)
-        for i in range(n):
-            vm_id = hv.create_vm(config.total.scaled(1, 32), cores=1)
+        vm_ids = _create_vms(hv, config.total.scaled(1, 32), n, "accelerator count")
+        for i, vm_id in enumerate(vm_ids):
             executor.launch(
                 task_id=f"ref{i}",
                 steps=REFERENCE_WORKLOAD["steps"],
@@ -345,10 +347,9 @@ def bench_reconfig(vm_counts=tuple(range(1, 17)), seed: int = 0) -> str:
             fabric = Fabric()
             hv = Hypervisor(engine, fabric)
             catalog = default_module_catalog(fabric.config)
-            vm_ids = [
-                hv.create_vm(fabric.config.total.share(RECONFIG_SLOT_SHARE), cores=1)
-                for _ in range(count)
-            ]
+            vm_ids = _create_vms(
+                hv, fabric.config.total.share(RECONFIG_SLOT_SHARE), count, "vm count"
+            )
             for vm_id in vm_ids:
                 for kind in RECONFIG_SWAP_KINDS:
                     hv.exchange_module(vm_id, catalog[kind], mode)
@@ -364,7 +365,7 @@ def bench_reconfig(vm_counts=tuple(range(1, 17)), seed: int = 0) -> str:
 class RunResult:
     metrics_csv: str
     engine: Engine
-    scheduler: Scheduler | None
+    scheduler: Scheduler
     metrics: MetricsCollector
     driver: IoDriver
     hypervisor: Hypervisor
@@ -407,14 +408,14 @@ def run_scenario(scenario: Scenario) -> RunResult:
             vm=run.vm_id,
         )
 
-    def on_migrate(run, _from_vm, to_vm) -> None:
+    def on_migrate(run) -> None:
         job = executor.active.get(run.task.id)
         if job is None:
             return
         # re-pace the remaining steps into the post-penalty window
         resume = engine.now() + scenario.migration_penalty_ns
         span = max(run.finish - resume, job.remaining)
-        executor.move(run.task.id, to_vm, resume, interval=span // job.remaining)
+        executor.move(job, run.vm_id, resume, span // job.remaining)
 
     scheduler = Scheduler(
         engine,
@@ -449,7 +450,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
             tr.start_ns,
             "TransferStart",
             fn=stream_transfers(
-                engine, driver, hv.vms[tr.vm].ring_ids[0], tr.size_bytes, tr.count,
+                engine, driver, hv.vms[tr.vm].ring_id, tr.size_bytes, tr.count,
                 scenario.tick_period_ns,
             ),
             detail=f"vm={tr.vm};size={tr.size_bytes}",

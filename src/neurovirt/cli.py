@@ -113,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValidationError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (bench.ConfigError, ValueError) as exc:
+    except (bench.ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

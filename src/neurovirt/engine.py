@@ -131,7 +131,7 @@ class Engine:
 
     def __init__(self, seed: int = 0):
         self._now = 0
-        self._next_seq = 0
+        self._scheduled = 0  # events scheduled so far: the next event's seq
         self._heap: list[tuple[int, int, SimEvent]] = []
         # queued stallable events of each VM (None: untagged), seq -> event
         self._by_vm: dict[str | None, dict[int, SimEvent]] = {}
@@ -159,8 +159,8 @@ class Engine:
         """Queue an event at absolute time ``at``; returns it as a handle."""
         if at < self._now:
             raise SchedulingInPast(f"schedule at {at} < now {self._now}")
-        seq = self._next_seq
-        self._next_seq = seq + 1
+        seq = self._scheduled
+        self._scheduled = seq + 1
         event = SimEvent(at, seq, kind, detail, fn, vm, stallable)
         heapq.heappush(self._heap, (at, seq, event))
         if stallable:

@@ -46,7 +46,6 @@ class TransferDescriptor:
 class IoRing:
     id: int
     vm: str
-    capacity: int
     closed: bool = False
     inflight: dict[TransferDescriptor, SimEvent] = field(default_factory=dict)
 
@@ -119,10 +118,10 @@ class IoDriver:
         self.drained = 0
         self.completed_bits = 0
 
-    def open_ring(self, vm_id: str, capacity: int | None = None) -> int:
+    def open_ring(self, vm_id: str) -> int:
+        """Open a ring of ``link.ring_capacity`` slots; returns its id."""
         ring_id = len(self.rings)
-        cap = capacity if capacity is not None else self.link.ring_capacity
-        self.rings[ring_id] = IoRing(ring_id, vm_id, cap)
+        self.rings[ring_id] = IoRing(ring_id, vm_id)
         return ring_id
 
     def close_ring(self, ring_id: int) -> None:
@@ -154,7 +153,7 @@ class IoDriver:
         ring = self._ring(ring_id)
         if ring.closed:
             raise RingClosed(f"ring {ring_id}")
-        if len(ring.inflight) >= ring.capacity:
+        if len(ring.inflight) >= self.link.ring_capacity:
             self.backpressured += 1
             raise Backpressure(f"ring {ring_id} full")
         self.submissions += 1

@@ -75,17 +75,17 @@ class MetricsCollector:
         self,
         engine,
         fabric: Fabric,
-        driver: IoDriver | None = None,
-        hypervisor: Hypervisor | None = None,
-        model: EnergyModel | None = None,
-        executor=None,
+        driver: IoDriver,
+        hypervisor: Hypervisor,
+        model: EnergyModel,
+        executor,
     ):
         self.engine = engine
         self.fabric = fabric
         self.driver = driver
         self.hypervisor = hypervisor
-        self.model = model if model is not None else EnergyModel()
-        self.executor = executor
+        self.model = model
+        self.executor = executor  # reads its total_synops
         self.samples: list[MetricSample] = []
         self._last_at = 0
         self._last_bits = 0
@@ -94,7 +94,7 @@ class MetricsCollector:
         """Append one snapshot; throughput is windowed since the last sample."""
         now = self.engine.now()
         util = self.fabric.utilization()
-        bits = self.driver.completed_bits if self.driver is not None else 0
+        bits = self.driver.completed_bits
         window = now - self._last_at
         if window > 0:
             throughput = (bits - self._last_bits) / (window / 1e9) / GIB
@@ -102,11 +102,7 @@ class MetricsCollector:
             throughput = 0.0
         self._last_at = now
         self._last_bits = bits
-        full_ns = partial_ns = 0
-        if self.hypervisor is not None:
-            full_ns = self.hypervisor.reconfig_accum[ReconfigMode.FULL]
-            partial_ns = self.hypervisor.reconfig_accum[ReconfigMode.PARTIAL]
-        synops = self.executor.total_synops if self.executor is not None else 0
+        accum = self.hypervisor.reconfig_accum
         sample = MetricSample(
             at=now,
             lut_pct=util["lut"],
@@ -114,9 +110,9 @@ class MetricsCollector:
             io_pct=util["io_pins"],
             dsp_pct=util["dsp"],
             throughput_gibs=throughput,
-            energy_mj=task_energy(synops, self.model),
-            reconfig_full_ns=full_ns,
-            reconfig_partial_ns=partial_ns,
+            energy_mj=task_energy(self.executor.total_synops, self.model),
+            reconfig_full_ns=accum[ReconfigMode.FULL],
+            reconfig_partial_ns=accum[ReconfigMode.PARTIAL],
         )
         self.samples.append(sample)
         return sample

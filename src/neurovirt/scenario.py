@@ -34,6 +34,10 @@ Top-level keys (all optional except ``schema_version`` and ``seed``):
                      "mode": "partial", "at_ns": 1000000}]
     }
 
+A VM's ``priority`` and a module's ``kind`` are labels that no model
+reads: the scheduler orders tasks by their own deadlines, and
+reconfiguration time depends only on bitstream bytes.
+
 The rule tables below (``TOP`` to ``RECONFIG_OP``) are the field
 reference. Each section is read against the dataclass it builds: that
 dataclass's fields are the section's keys, with their types and defaults,

@@ -121,7 +121,7 @@ class Scheduler:
         migration_penalty: int = DEFAULT_MIGRATION_PENALTY_NS,
         duration_fn: Callable[[TaskSpec, int], int] | None = None,
         on_start: Callable[["_Running"], None] | None = None,
-        on_migrate: Callable[["_Running", str, str], None] | None = None,
+        on_migrate: Callable[["_Running"], None] | None = None,
     ):
         self.engine = engine
         self.core_rate = core_rate
@@ -134,12 +134,11 @@ class Scheduler:
         self.on_migrate = on_migrate
         self.vms: dict[str, SchedVm] = {}
         self._vm_order: list[SchedVm] = []  # self.vms sorted by id
-        # ready heaps: (deadline, arrival, id, seq, task) and
-        # (arrival, id, seq, task); the submission counter seq keeps equal
-        # keys in submission order, as a stable sort would
+        # ready heaps: (deadline, arrival, id, task) and (arrival, id, task);
+        # live ids are unique, so no two entries compare equal
         self._ready_rt: list[tuple] = []
         self._ready_batch: list[tuple] = []
-        self._seq = 0
+        self._live: set[str] = set()  # ids submitted and not yet finished
         self.running: dict[str, _Running] = {}
         # running real-time tasks, not yet migrated, projected past deadline
         self._late: set[str] = set()
@@ -153,7 +152,13 @@ class Scheduler:
         self._vm_order = [self.vms[key] for key in sorted(self.vms)]
 
     def submit(self, task: TaskSpec) -> None:
-        """Enqueue a task; arrival in the future is honored via an event."""
+        """Enqueue a task; arrival in the future is honored via an event.
+
+        Raises ValueError for an id that was submitted and has not finished.
+        """
+        if task.id in self._live:
+            raise ValueError(f"task id {task.id} is already submitted")
+        self._live.add(task.id)
         if task.arrival > self.engine.now():
             self.engine.schedule(
                 task.arrival,
@@ -167,11 +172,9 @@ class Scheduler:
 
     def _arrive(self, task: TaskSpec) -> None:
         if task.is_realtime:
-            entry = (task.deadline, task.arrival, task.id, self._seq, task)
-            heapq.heappush(self._ready_rt, entry)
+            heapq.heappush(self._ready_rt, (task.deadline, task.arrival, task.id, task))
         else:
-            heapq.heappush(self._ready_batch, (task.arrival, task.id, self._seq, task))
-        self._seq += 1
+            heapq.heappush(self._ready_batch, (task.arrival, task.id, task))
         self._ensure_tick(at_now=True)
 
     def _ensure_tick(self, at_now: bool = False) -> None:
@@ -192,9 +195,8 @@ class Scheduler:
         wanted = max(1, math.ceil(task.parallelizability * vm.cores_total))
         return max(1, min(vm.cores_free, wanted))
 
-    def schedule_tick(self) -> list[Assignment]:
+    def schedule_tick(self) -> None:
         """Assign ready tasks to VMs; unplaceable tasks stay buffered."""
-        made: list[Assignment] = []
         now = self.engine.now()
         # cores_free only falls within a tick (TaskDone is an event and
         # on_start frees nothing), so the first VM with a free core only
@@ -215,18 +217,12 @@ class Scheduler:
             run = _Running(task, vm.id, cores, now, finish, duration)
             self._schedule_done(run)
             self.running[task.id] = run
-            # a task's lateness is fixed here and only migration changes it;
-            # a reused id replaces the earlier run, and its lateness with it
+            # a task's lateness is fixed here and only migration changes it
             if task.is_realtime and finish > task.deadline:
                 self._late.add(task.id)
-            else:
-                self._late.discard(task.id)
-            assignment = Assignment(task.id, vm.id, cores, now, finish)
-            self.assignments.append(assignment)
-            made.append(assignment)
+            self.assignments.append(Assignment(task.id, vm.id, cores, now, finish))
             if self.on_start is not None:
                 self.on_start(run)
-        return made
 
     def _schedule_done(self, run: _Running) -> None:
         task_id = run.task.id
@@ -241,14 +237,14 @@ class Scheduler:
 
     def _task_done(self, task_id: str) -> None:
         run = self.running.pop(task_id)
+        self._live.remove(task_id)
         self._late.discard(task_id)
         self.vms[run.vm_id].cores_free += run.cores
         self.finished[task_id] = self.engine.now()
 
-    def rebalance_on_contention(self) -> list[Migration]:
+    def rebalance_on_contention(self) -> None:
         """Migrate late real-time tasks to VMs whose idle cores restore
         deadline feasibility; useless migrations are forbidden."""
-        made: list[Migration] = []
         now = self.engine.now()
         for task_id in sorted(self._late):
             run = self.running[task_id]
@@ -280,12 +276,9 @@ class Scheduler:
             self.engine.cancel(run.done_event)
             self.vms[run.vm_id].cores_free += run.cores
             self.vms[to_vm].cores_free -= cores
-            migration = Migration(
-                task_id, run.vm_id, to_vm, now, self.migration_penalty
+            self.migrations.append(
+                Migration(task_id, run.vm_id, to_vm, now, self.migration_penalty)
             )
-            self.migrations.append(migration)
-            made.append(migration)
-            from_vm = run.vm_id
             run.vm_id = to_vm
             run.cores = cores
             run.duration = new_finish - now
@@ -294,8 +287,7 @@ class Scheduler:
             self._late.discard(task_id)
             self._schedule_done(run)
             if self.on_migrate is not None:
-                self.on_migrate(run, from_vm, to_vm)
-        return made
+                self.on_migrate(run)
 
     def makespan(self) -> int:
         return max(self.finished.values(), default=0)

@@ -67,7 +67,7 @@ class ReconfigRecord:
     mode: ReconfigMode
     started_at: int
     duration: int
-    modules: tuple[str, ...]
+    module: str
 
 
 @dataclass
@@ -77,7 +77,7 @@ class VirtualMachine:
     priority: Priority
     cores: int
     loaded: dict[str, DfxModule] = field(default_factory=dict)
-    ring_ids: list[int] = field(default_factory=list)
+    ring_id: int | None = None  # its one I/O ring, when the hypervisor has a driver
     inflight_module: DfxModule | None = None  # the module being programmed, if any
     pending_reconfigs: deque = field(default_factory=deque)
 
@@ -143,7 +143,7 @@ class Hypervisor:
         cores: int | None = None,
         vm_id: str | None = None,
     ) -> str:
-        """Allocate a region slot and attach one default I/O ring."""
+        """Allocate a region slot and, given a driver, open the VM's one I/O ring."""
         if vm_id is None:
             vm_id = f"vm{self._next_vm}"
             self._next_vm += 1
@@ -157,7 +157,7 @@ class Hypervisor:
             )
         vm = VirtualMachine(vm_id, slot_id, priority, cores)
         if self.driver is not None:
-            vm.ring_ids.append(self.driver.open_ring(vm_id))
+            vm.ring_id = self.driver.open_ring(vm_id)
         self.vms[vm_id] = vm
         return vm_id
 
@@ -165,9 +165,8 @@ class Hypervisor:
         vm = self._vm(vm_id)
         if vm.reconfiguring or vm.pending_reconfigs or self._full_active:
             raise VmBusy(f"{vm_id} is mid-reconfiguration")
-        if self.driver is not None:
-            for ring_id in vm.ring_ids:
-                self.driver.close_ring(ring_id)
+        if vm.ring_id is not None:
+            self.driver.close_ring(vm.ring_id)
         self.fabric.release(vm.slot_id)
         del self.vms[vm_id]
 
@@ -247,7 +246,7 @@ class Hypervisor:
             mode=mode,
             started_at=self.engine.now(),
             duration=duration,
-            modules=(module.id,),
+            module=module.id,
         )
         self.records.append(record)
         vm.inflight_module = module

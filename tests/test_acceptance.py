@@ -188,7 +188,7 @@ def _isolation_run(seed, streams, reconfig=None):
     completions: dict[str, list[int]] = {}
     for vm_id, size, count in streams:
         hv.create_vm(fabric.total.scaled(1, 16), vm_id=vm_id)
-        ring = hv.vms[vm_id].ring_ids[0]
+        ring = hv.vms[vm_id].ring_id
         completions[vm_id] = []
         state = {"left": count}
 

@@ -200,7 +200,9 @@ def test_input_picks_match_scalar_oracle_across_refills_and_moves(
             executor.launch(task_id=task, steps=steps, input_rate=rate,
                             fan_in=fan_in, interval=1_000, at=0, vm="vm0")
         engine.run_until((move_after % steps) * 1_000)
-        executor.move("a", "vm1", resume_at=engine.now() + 5_000, interval=700)
+        job = executor.active.get("a")
+        if job is not None:  # "a" has not finished yet
+            executor.move(job, "vm1", resume_at=engine.now() + 5_000, interval=700)
         engine.run()
     n_inputs = max(fan_in, rate)
     for task in ("a", "b"):
@@ -214,7 +216,7 @@ def _block_picks(seed, n_inputs, rate, steps):
     job = bench._SpikingTask(
         task_id="t", stream="task/t/inputs", state=None, n_inputs=n_inputs,
         n_neurons=n_inputs, rate=rate, remaining=steps, interval=1_000, vm=None,
-        params=executor.params, detail="task=t", fire=lambda: None,
+        detail="task=t",
     )
     drawn = []
     values = executor.engine.rng.values

@@ -144,6 +144,25 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
     assert "$.seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the energy fabric holds 32 one-core accelerators, 5% slots hold 20 VMs
+    (["bench-energy", "--accelerators", "33"],
+     "error: accelerator count 33 does not fit: the fabric holds 32"),
+    (["bench-reconfig", "--vm-counts", "21"],
+     "error: vm count 21 does not fit: the fabric holds 20"),
+    (["run", "--scenario", "{tmp}/missing.json"],
+     "error: [Errno 2] No such file or directory: '{tmp}/missing.json'"),
+    (["run", "--scenario", "{tmp}"], "error: [Errno 21] Is a directory: '{tmp}'"),
+    (["bench-reconfig", "--vm-counts", "1", "--out", "{tmp}/missing/rc.csv"],
+     "error: [Errno 2] No such file or directory: '{tmp}/missing/rc.csv'"),
+], ids=["energy-fabric-full", "reconfig-slots-full", "no-scenario", "scenario-is-dir",
+        "no-out-dir"])
+def test_unrunnable_request_exits_2_with_one_error_line(tmp_path, capsys, argv, message):
+    tmp = str(tmp_path)
+    assert main([arg.format(tmp=tmp) for arg in argv]) == 2
+    assert capsys.readouterr().err == message.format(tmp=tmp) + "\n"
+
+
 @pytest.mark.parametrize("override, message", [
     ({"scheduler": {"tick_period_ns": 0}}, "$.scheduler.tick_period_ns: must be positive"),
     ({"scheduler": {"core_rate": 0}}, "$.scheduler.core_rate: must be positive"),

@@ -20,8 +20,8 @@ GIB_BYTES = 1024 * MIB
 
 def test_ring_capacity_one_backpressures_second_submit():
     eng = Engine(0)
-    drv = IoDriver(eng)
-    ring = drv.open_ring("a", capacity=1)
+    drv = IoDriver(eng, LinkModel(ring_capacity=1))
+    ring = drv.open_ring("a")
     drv.submit(ring, 4096)
     with pytest.raises(Backpressure):
         drv.submit(ring, 4096)
@@ -136,8 +136,8 @@ def test_peak_table_lookup_and_domain():
 
 def test_ring_conservation_counters():
     eng = Engine(0)
-    drv = IoDriver(eng)
-    ring = drv.open_ring("a", capacity=4)
+    drv = IoDriver(eng, LinkModel(ring_capacity=4))
+    ring = drv.open_ring("a")
     submitted = 0
     for size in (4096, 8192, 4096, 8192, 4096, 4096):
         try:
@@ -178,9 +178,9 @@ OPS = st.lists(
 @given(OPS)
 def test_active_vm_count_equals_recount(ops):
     eng = Engine(0)
-    drv = IoDriver(eng)
+    drv = IoDriver(eng, LinkModel(ring_capacity=2))
     # six rings on three VMs, two each, so one VM's rings share its count
-    rings = [drv.open_ring(f"vm{i % 3}", capacity=2) for i in range(6)]
+    rings = [drv.open_ring(f"vm{i % 3}") for i in range(6)]
 
     def recount():
         """(active VMs, transfers in flight), counted from the rings."""

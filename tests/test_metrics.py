@@ -4,6 +4,7 @@ import pytest
 
 from neurovirt.engine import Engine
 from neurovirt.fabric import Fabric, ResourceVector
+from neurovirt.iodriver import IoDriver
 from neurovirt.metrics import (
     SAMPLE_CSV_HEADER,
     EnergyModel,
@@ -14,6 +15,19 @@ from neurovirt.metrics import (
     task_energy,
 )
 from neurovirt.virt import Hypervisor, ModuleKind, ReconfigMode, module_from_share
+
+
+class _Executor:
+    """Stands in for the executor, of which the collector reads only total_synops."""
+
+    def __init__(self, total_synops=0):
+        self.total_synops = total_synops
+
+
+def _collector(eng, fab, hv=None, synops=0):
+    """A collector over an idle driver and executor and, unless given, a new hypervisor."""
+    hv = hv if hv is not None else Hypervisor(eng, fab)
+    return MetricsCollector(eng, fab, IoDriver(eng), hv, EnergyModel(), _Executor(synops))
 
 
 def test_energy_anchors():
@@ -51,7 +65,7 @@ def test_task_energy():
 def test_sample_tracks_live_utilization():
     eng = Engine(0)
     fab = Fabric()
-    collector = MetricsCollector(eng, fab)
+    collector = _collector(eng, fab)
     fab.allocate(ResourceVector(lut=151_200, memory_bytes=11_400_000, io_pins=139, dsp=518))
     sample = collector.sample()
     util = fab.utilization()
@@ -61,12 +75,8 @@ def test_sample_tracks_live_utilization():
 
 
 def test_sample_csv_format():
-    class Executor:
-        total_synops = 1_000_000
-
     eng = Engine(0)
-    fab = Fabric()
-    collector = MetricsCollector(eng, fab, executor=Executor())
+    collector = _collector(eng, Fabric(), synops=1_000_000)
     collector.sample()
     buf = io.StringIO()
     export_samples(collector.samples, buf)
@@ -84,7 +94,7 @@ def test_export_failure_wrapped():
             raise OSError("disk gone")
 
     eng = Engine(0)
-    collector = MetricsCollector(eng, Fabric())
+    collector = _collector(eng, Fabric())
     collector.sample()
     with pytest.raises(ExportIoFailure):
         export_samples(collector.samples, Broken())
@@ -113,7 +123,7 @@ def test_accumulators_non_decreasing_over_samples():
     eng = Engine(0)
     fab = Fabric()
     hv = Hypervisor(eng, fab)
-    collector = MetricsCollector(eng, fab, hypervisor=hv)
+    collector = _collector(eng, fab, hv)
     vm = hv.create_vm(fab.total.scaled(1, 4))
     module = module_from_share(
         "m", ModuleKind.LIF_CORE, 0.1, fab.config.total, fab.config.bitstream_total_bytes

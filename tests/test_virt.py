@@ -176,7 +176,7 @@ def _stream_setup(seed, reconfig_mode=None, reconfig_at=None, share=0.1):
     hv = Hypervisor(eng, fab, drv)
     vm_a = hv.create_vm(fab.total.scaled(1, 4), vm_id="a")
     vm_b = hv.create_vm(fab.total.scaled(1, 4), vm_id="b")
-    ring_b = hv.vms[vm_b].ring_ids[0]
+    ring_b = hv.vms[vm_b].ring_id
     completions = []
     remaining = {"n": 8}
 
