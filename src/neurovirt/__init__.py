@@ -16,7 +16,7 @@ from neurovirt.fabric import (
 from neurovirt.iodriver import IoDriver, LinkModel, effective_throughput
 from neurovirt.metrics import EnergyModel, MetricsCollector, energy_for_accelerators, task_energy
 from neurovirt.sched import Scheduler, TaskSpec, exec_time, profile
-from neurovirt.snn import CoreState, LifParams, SpikeBatch, step_core, workload_cost
+from neurovirt.snn import CoreState, LifParams, step_core, workload_cost
 from neurovirt.virt import DfxModule, Hypervisor, Priority, ReconfigMode
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ __all__ = [
     "profile",
     "CoreState",
     "LifParams",
-    "SpikeBatch",
     "step_core",
     "workload_cost",
     "DfxModule",

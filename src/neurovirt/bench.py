@@ -23,12 +23,7 @@ from neurovirt.iodriver import (
     TransferDescriptor,
     effective_throughput,
 )
-from neurovirt.metrics import (
-    EnergyModel,
-    MetricsCollector,
-    energy_for_accelerators,
-    export_samples,
-)
+from neurovirt.metrics import MetricsCollector, energy_for_accelerators, export_samples
 from neurovirt.sched import DEFAULT_TICK_PERIOD_NS, Scheduler, TaskSpec, exec_time, profile
 from neurovirt.scenario import Scenario, TaskDef, default_module_catalog
 # make_core_state and step_core stay bound here, since perfbench/tracer.py
@@ -53,19 +48,14 @@ def _fmt(x: float) -> str:
     return repr(x)
 
 
-def bench_throughput(
-    vm_counts=DEFAULT_VM_COUNTS,
-    sizes=DEFAULT_SIZES,
-    link: LinkModel | None = None,
-    seed: int = 0,
-) -> str:
+def bench_throughput(vm_counts=DEFAULT_VM_COUNTS, sizes=DEFAULT_SIZES, seed: int = 0) -> str:
     """Aggregate Gib/s per (vm_count, transfer size), measured in simulation.
 
     Each VM streams back-to-back transfers; throughput is taken over each
     VM's post-warmup completion span, which converges to the pipe model's
     closed form as sizes grow.
     """
-    link = link if link is not None else LinkModel()
+    link = LinkModel()
     min_count = link.peak_gibps[0][0]
     for count in vm_counts:
         if count < min_count:
@@ -279,11 +269,7 @@ def _create_vms(hv: Hypervisor, request: ResourceVector, count: int, what: str) 
 REFERENCE_WORKLOAD = dict(steps=50, input_rate=4, fan_in=32, interval=1_000)
 
 
-def bench_energy(
-    max_accelerators: int = 20,
-    model: EnergyModel | None = None,
-    seed: int = 0,
-) -> str:
+def bench_energy(max_accelerators: int = 20, seed: int = 0) -> str:
     """Energy per provisioned accelerator count, 1..max.
 
     Each row runs an n-accelerator simulation of the fixed reference
@@ -292,7 +278,6 @@ def bench_energy(
     """
     if max_accelerators < 1:
         raise ConfigError("accelerator count must be >= 1")
-    model = model if model is not None else EnergyModel()
     # a wider grid than the default so twenty single-core accelerators fit
     config = FabricConfig(
         neurocore_count=32,
@@ -319,7 +304,7 @@ def bench_energy(
                 stream=f"accel/{i}",
             )
         engine.run()
-        energy = energy_for_accelerators(n, model)
+        energy = energy_for_accelerators(n)
         out.write(f"{n},{_fmt(energy)},{executor.total_synops}\n")
     return out.getvalue()
 

@@ -7,7 +7,9 @@ flags each benchmark reproduces the calibrated default configuration.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import ExitStack
 
 from neurovirt import bench
 from neurovirt.scenario import ParseError, ValidationError, load_scenario
@@ -44,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tp = sub.add_parser("bench-throughput", help="aggregate Gib/s vs transfer size")
     common(p_tp)
-    p_tp.add_argument("--scenario", default=None, help="scenario file giving the link model")
     p_tp.add_argument("--vm-counts", default="1,2,4", help="comma list, e.g. 1,2,4")
     p_tp.add_argument(
         "--sizes",
@@ -54,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_en = sub.add_parser("bench-energy", help="energy vs accelerator count")
     common(p_en)
-    p_en.add_argument("--scenario", default=None, help="scenario file giving the energy model")
     p_en.add_argument("--accelerators", type=int, default=20, help="run counts 1..N")
 
     p_rc = sub.add_parser("bench-reconfig", help="full vs partial reconfiguration time")
@@ -69,11 +69,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_out(path: str):
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        with _open_out(out_path) as fh:
             fh.write(text)
 
 
@@ -85,16 +89,11 @@ def main(argv: list[str] | None = None) -> int:
             csv = bench.bench_throughput(
                 vm_counts=_parse_int_list(args.vm_counts),
                 sizes=[int(s) for s in args.sizes.split(",") if s.strip()],
-                link=load_scenario(args.scenario).link if args.scenario else None,
                 seed=args.seed,
             )
             _emit(csv, args.out)
         elif args.command == "bench-energy":
-            csv = bench.bench_energy(
-                max_accelerators=args.accelerators,
-                model=load_scenario(args.scenario).energy if args.scenario else None,
-                seed=args.seed,
-            )
+            csv = bench.bench_energy(max_accelerators=args.accelerators, seed=args.seed)
             _emit(csv, args.out)
         elif args.command == "bench-reconfig":
             csv = bench.bench_reconfig(
@@ -105,11 +104,21 @@ def main(argv: list[str] | None = None) -> int:
             scenario = load_scenario(args.scenario)
             if args.seed is not None:
                 scenario.seed = args.seed
-            result = bench.run_scenario(scenario)
-            _emit(result.metrics_csv, args.out)
-            if args.trace_out is not None:
-                with open(args.trace_out, "w", encoding="utf-8", newline="") as fh:
-                    result.engine.write_trace(fh)
+            # two handles on one file would interleave the metrics and the trace
+            paths = [p for p in (args.out, args.trace_out) if p is not None]
+            if len({os.path.realpath(p) for p in paths}) < len(paths):
+                raise ValueError(f"--out and --trace-out are the same file: {args.out}")
+            # open both outputs first: a bad path then fails before the run,
+            # not after a finished-looking metrics file is written
+            with ExitStack() as files:
+                out, trace = (
+                    None if path is None else files.enter_context(_open_out(path))
+                    for path in (args.out, args.trace_out)
+                )
+                result = bench.run_scenario(scenario)
+                (out or sys.stdout).write(result.metrics_csv)
+                if trace is not None:
+                    result.engine.write_trace(trace)
     except (ParseError, ValidationError) as exc:
         print(str(exc), file=sys.stderr)
         return 2

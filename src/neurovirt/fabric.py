@@ -8,7 +8,6 @@ placement or fragmentation model. Conservation holds at all times:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 RESOURCE_CLASSES = ("lut", "memory_bytes", "io_pins", "dsp")
@@ -29,10 +28,6 @@ class InsufficientResources(Exception):
 
 
 class UnknownSlot(Exception):
-    pass
-
-
-class SlotBusy(Exception):
     pass
 
 
@@ -129,21 +124,8 @@ class FabricConfig:
             )
 
 
-class SlotState(enum.Enum):
-    FREE = "free"
-    ALLOCATED = "allocated"
-    RECONFIGURING = "reconfiguring"
-
-
-@dataclass
-class RegionSlot:
-    id: int
-    capacity: ResourceVector
-    state: SlotState = SlotState.ALLOCATED
-
-
 class Fabric:
-    """Resource pool with slot-level allocation bookkeeping."""
+    """Resource pool; ``slots`` maps each allocated slot id to its capacity."""
 
     def __init__(self, config: FabricConfig | None = None):
         config = config if config is not None else FabricConfig()
@@ -151,7 +133,7 @@ class Fabric:
         self.config = config
         self.total = config.total
         self.free = config.total
-        self.slots: dict[int, RegionSlot] = {}
+        self.slots: dict[int, ResourceVector] = {}
         self._next_slot_id = 0
 
     def allocate(self, request: ResourceVector) -> int:
@@ -166,35 +148,24 @@ class Fabric:
         slot_id = self._next_slot_id
         self._next_slot_id += 1
         self.free = self.free - request
-        self.slots[slot_id] = RegionSlot(slot_id, request)
+        self.slots[slot_id] = request
         return slot_id
 
     def release(self, slot_id: int) -> None:
-        slot = self.slot(slot_id)
-        if slot.state is SlotState.RECONFIGURING:
-            raise SlotBusy(f"slot {slot_id} is reconfiguring")
+        self.free = self.free + self.slot(slot_id)
         del self.slots[slot_id]
-        self.free = self.free + slot.capacity
 
-    def slot(self, slot_id: int) -> RegionSlot:
-        slot = self.slots.get(slot_id)
-        if slot is None:
+    def slot(self, slot_id: int) -> ResourceVector:
+        """The capacity of an allocated slot."""
+        capacity = self.slots.get(slot_id)
+        if capacity is None:
             raise UnknownSlot(f"slot {slot_id}")
-        return slot
-
-    def begin_reconfig(self, slot_id: int) -> None:
-        slot = self.slot(slot_id)
-        if slot.state is SlotState.RECONFIGURING:
-            raise SlotBusy(f"slot {slot_id} already reconfiguring")
-        slot.state = SlotState.RECONFIGURING
-
-    def end_reconfig(self, slot_id: int) -> None:
-        self.slot(slot_id).state = SlotState.ALLOCATED
+        return capacity
 
     def used(self) -> ResourceVector:
         used = ResourceVector()
-        for slot in self.slots.values():
-            used = used + slot.capacity
+        for capacity in self.slots.values():
+            used = used + capacity
         return used
 
     def utilization(self) -> dict[str, float]:

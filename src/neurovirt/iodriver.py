@@ -39,7 +39,6 @@ class TransferDescriptor:
     vm: str
     size: int
     direction: Direction
-    submitted_at: int
 
 
 @dataclass
@@ -158,7 +157,7 @@ class IoDriver:
             raise Backpressure(f"ring {ring_id} full")
         self.submissions += 1
         self.in_flight_by_vm[ring.vm] = self.in_flight_by_vm.get(ring.vm, 0) + 1
-        desc = TransferDescriptor(ring.vm, size, direction, self.engine.now())
+        desc = TransferDescriptor(ring.vm, size, direction)
 
         peak = self.link.peak_bw(self.active_vm_count())
         bw_share = peak / self.in_flight

@@ -16,10 +16,6 @@ from neurovirt.virt import Hypervisor, ReconfigMode
 MJ_PER_NJ = 1e-6
 
 
-class ExportIoFailure(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class EnergyModel:
     base_mj: float = 25.0  # at one accelerator
@@ -134,14 +130,11 @@ def format_float(x: float) -> str:
 
 def export_samples(samples: list[MetricSample], fh) -> None:
     """Write the sample CSV (UTF-8, LF, header included)."""
-    try:
-        fh.write(SAMPLE_CSV_HEADER + "\n")
-        for s in samples:
-            fh.write(
-                f"{s.at},{format_float(s.lut_pct)},{format_float(s.mem_pct)},"
-                f"{format_float(s.io_pct)},{format_float(s.dsp_pct)},"
-                f"{format_float(s.throughput_gibs)},{format_float(s.energy_mj)},"
-                f"{s.reconfig_full_ns},{s.reconfig_partial_ns}\n"
-            )
-    except OSError as exc:
-        raise ExportIoFailure(str(exc)) from exc
+    fh.write(SAMPLE_CSV_HEADER + "\n")
+    for s in samples:
+        fh.write(
+            f"{s.at},{format_float(s.lut_pct)},{format_float(s.mem_pct)},"
+            f"{format_float(s.io_pct)},{format_float(s.dsp_pct)},"
+            f"{format_float(s.throughput_gibs)},{format_float(s.energy_mj)},"
+            f"{s.reconfig_full_ns},{s.reconfig_partial_ns}\n"
+        )

@@ -34,9 +34,10 @@ Top-level keys (all optional except ``schema_version`` and ``seed``):
                      "mode": "partial", "at_ns": 1000000}]
     }
 
-A VM's ``priority`` and a module's ``kind`` are labels that no model
-reads: the scheduler orders tasks by their own deadlines, and
-reconfiguration time depends only on bitstream bytes.
+A VM's ``priority``, a module's ``kind`` and a task's ``data_size`` are
+labels that no model reads: the scheduler orders tasks by their own
+deadlines, reconfiguration time depends only on bitstream bytes, and a
+task's duration only on its steps, input rate and fan-in.
 
 The rule tables below (``TOP`` to ``RECONFIG_OP``) are the field
 reference. Each section is read against the dataclass it builds: that

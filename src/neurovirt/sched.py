@@ -43,7 +43,6 @@ class Assignment:
     vm_id: str
     cores: int
     start: int
-    projected_finish: int
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,6 @@ class Migration:
     from_vm: str
     to_vm: str
     at: int
-    penalty: int
 
 
 def profile(
@@ -220,7 +218,7 @@ class Scheduler:
             # a task's lateness is fixed here and only migration changes it
             if task.is_realtime and finish > task.deadline:
                 self._late.add(task.id)
-            self.assignments.append(Assignment(task.id, vm.id, cores, now, finish))
+            self.assignments.append(Assignment(task.id, vm.id, cores, now))
             if self.on_start is not None:
                 self.on_start(run)
 
@@ -276,9 +274,7 @@ class Scheduler:
             self.engine.cancel(run.done_event)
             self.vms[run.vm_id].cores_free += run.cores
             self.vms[to_vm].cores_free -= cores
-            self.migrations.append(
-                Migration(task_id, run.vm_id, to_vm, now, self.migration_penalty)
-            )
+            self.migrations.append(Migration(task_id, run.vm_id, to_vm, now))
             run.vm_id = to_vm
             run.cores = cores
             run.duration = new_finish - now

@@ -31,15 +31,12 @@ class LifParams:
     v_thresh: float = 1.0
     v_reset: float = 0.0
     leak: float = 1.0  # decay factor in (0, 1]
-    dt_ticks: int = 1_000  # simulated time per step
 
     def __post_init__(self):
         if not (self.v_reset < self.v_thresh):
             raise ValueError("v_reset must be below v_thresh")
         if not (0.0 < self.leak <= 1.0):
             raise ValueError("leak must be in (0, 1]")
-        if self.dt_ticks <= 0:
-            raise ValueError("dt_ticks must be positive")
 
 
 @dataclass
@@ -56,12 +53,6 @@ class CoreState:
     @property
     def n_inputs(self) -> int:
         return self.weights.shape[0]
-
-
-@dataclass(frozen=True)
-class SpikeBatch:
-    step_index: int
-    spiking_neuron_ids: tuple[int, ...]
 
 
 def make_core_state(
@@ -91,8 +82,9 @@ def make_core_state(
     )
 
 
-def step_core(state: CoreState, batch: SpikeBatch, params: LifParams) -> SpikeBatch:
-    """Advance one step; mutates ``state.potentials`` and returns the output batch.
+def step_core(state: CoreState, ids: Sequence[int], params: LifParams) -> tuple[int, ...]:
+    """Advance one step on the input spike ``ids``, in any order; mutates
+    ``state.potentials`` and returns the ids of the neurons that fired.
 
     Checks the weight shape and that the input ids are in range and
     distinct, then runs :func:`step_sorted` on them in ascending order.
@@ -101,7 +93,7 @@ def step_core(state: CoreState, batch: SpikeBatch, params: LifParams) -> SpikeBa
         raise DimensionMismatch(
             f"weights shape {state.weights.shape} vs {state.n_neurons} neurons"
         )
-    ids = sorted(batch.spiking_neuron_ids)
+    ids = sorted(ids)
     if ids:
         if ids[0] < 0 or ids[-1] >= state.n_inputs:
             raise DimensionMismatch(
@@ -109,8 +101,7 @@ def step_core(state: CoreState, batch: SpikeBatch, params: LifParams) -> SpikeBa
             )
         if any(a == b for a, b in zip(ids, ids[1:])):
             raise DimensionMismatch("duplicate input spike ids")
-    fired = step_sorted(state, ids, params)
-    return SpikeBatch(batch.step_index + 1, tuple(fired.tolist()))
+    return tuple(step_sorted(state, ids, params).tolist())
 
 
 def step_sorted(state: CoreState, ids: Sequence[int], params: LifParams) -> np.ndarray:

@@ -163,6 +163,7 @@ class Hypervisor:
 
     def destroy_vm(self, vm_id: str) -> None:
         vm = self._vm(vm_id)
+        # the only guard against freeing a slot mid-reprogram; the fabric has none
         if vm.reconfiguring or vm.pending_reconfigs or self._full_active:
             raise VmBusy(f"{vm_id} is mid-reconfiguration")
         if vm.ring_id is not None:
@@ -191,13 +192,12 @@ class Hypervisor:
         None when it is queued behind one already in flight for this VM.
         """
         vm = self._vm(vm_id)
-        slot = self.fabric.slot(vm.slot_id)
         pending_fp = ResourceVector()
         for queued_module, _, exchange in vm.pending_reconfigs:
             if not exchange:
                 pending_fp = pending_fp + queued_module.footprint
         combined = vm.loaded_footprint() + pending_fp + module.footprint
-        if not combined.fits_within(slot.capacity):
+        if not combined.fits_within(self.fabric.slot(vm.slot_id)):
             raise FootprintOverflow(
                 f"{module.id} does not fit {vm_id}'s slot alongside loaded modules"
             )
@@ -212,8 +212,7 @@ class Hypervisor:
         slot cease to exist when programming starts.
         """
         vm = self._vm(vm_id)
-        slot = self.fabric.slot(vm.slot_id)
-        if not module.footprint.fits_within(slot.capacity):
+        if not module.footprint.fits_within(self.fabric.slot(vm.slot_id)):
             raise FootprintOverflow(f"{module.id} does not fit {vm_id}'s slot")
         return self._enqueue(vm, module, mode, exchange=True)
 
@@ -255,7 +254,6 @@ class Hypervisor:
             self._full_active = True
             self.engine.postpone_pending(duration)
         else:
-            self.fabric.begin_reconfig(vm.slot_id)
             self.engine.postpone_pending(duration, vm=vm.id)
         self.engine.schedule_in(
             duration,
@@ -274,8 +272,6 @@ class Hypervisor:
         vm.inflight_module = None
         if mode is ReconfigMode.FULL:
             self._full_active = False
-        else:
-            self.fabric.end_reconfig(vm.slot_id)
         # a full reconfiguration may have queued work on any VM, not just its own
         for queued_vm_id in sorted(self.vms):
             queued_vm = self.vms[queued_vm_id]

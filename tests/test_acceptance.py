@@ -13,7 +13,7 @@ from neurovirt.engine import Engine
 from neurovirt.fabric import Fabric, InsufficientResources, ResourceVector
 from neurovirt.iodriver import IoDriver
 from neurovirt.sched import Scheduler, TaskSpec, exec_time
-from neurovirt.snn import LifParams, SpikeBatch, make_core_state, step_core
+from neurovirt.snn import LifParams, make_core_state, step_core
 from neurovirt.virt import (
     FootprintOverflow,
     Hypervisor,
@@ -167,11 +167,10 @@ def test_criterion_5_conservation_property_suite():
             total_ops += 1
 
             assert fabric.free + fabric.used() == fabric.total
-            for slot in fabric.slots.values():
-                assert slot.capacity.fits_within(fabric.total)
+            for capacity in fabric.slots.values():
+                assert capacity.fits_within(fabric.total)
             for vm in hv.vms.values():
-                slot = fabric.slot(vm.slot_id)
-                assert vm.loaded_footprint().fits_within(slot.capacity)
+                assert vm.loaded_footprint().fits_within(fabric.slot(vm.slot_id))
         engine.run()
         assert fabric.free + fabric.used() == fabric.total
     assert total_ops >= 10_000
@@ -365,23 +364,21 @@ def test_criterion_9_snn_checks():
     state = make_core_state(8, 8)
     params = LifParams()
     total = 0
-    batch = SpikeBatch(0, tuple(range(8)))
     for _ in range(25):
-        batch = step_core(state, SpikeBatch(batch.step_index, tuple(range(8))), params)
-        total += len(batch.spiking_neuron_ids)
+        total += len(step_core(state, tuple(range(8)), params))
     assert total == 0
 
     # hand trace 1: unit weight crosses threshold immediately
     state = make_core_state(1, 1, weights=np.array([[1.0]]))
-    out = step_core(state, SpikeBatch(0, (0,)), LifParams(v_thresh=1.0, v_reset=0.0, leak=1.0))
-    assert out.spiking_neuron_ids == (0,)
+    out = step_core(state, (0,), LifParams(v_thresh=1.0, v_reset=0.0, leak=1.0))
+    assert out == (0,)
     assert state.potentials[0] == 0.0
 
     # hand trace 2: 0.6 weight needs two steps (0.6 then 1.2 >= 1.0)
     state = make_core_state(1, 1, weights=np.array([[0.6]]))
     p = LifParams(v_thresh=1.0, v_reset=0.0, leak=1.0)
-    first = step_core(state, SpikeBatch(0, (0,)), p)
-    second = step_core(state, SpikeBatch(1, (0,)), p)
-    assert first.spiking_neuron_ids == ()
-    assert second.spiking_neuron_ids == (0,)
+    first = step_core(state, (0,), p)
+    second = step_core(state, (0,), p)
+    assert first == ()
+    assert second == (0,)
     _report(9, "zero-weight silence and both hand-traced LIF examples exact")

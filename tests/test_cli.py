@@ -12,6 +12,8 @@ from neurovirt import bench
 from neurovirt.cli import _parse_int_list, main
 from neurovirt.metrics import SAMPLE_CSV_HEADER
 
+DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
+
 
 def test_parse_int_list_forms():
     assert _parse_int_list("1,2,4") == [1, 2, 4]
@@ -48,9 +50,11 @@ def test_bench_reconfig_cli(tmp_path):
     for line in lines[1:]:
         _, full_ns, partial_ns = line.split(",")
         assert int(partial_ns) < int(full_ns)
-    # the reconfiguration benchmark reads no scenario, so it takes none
-    with pytest.raises(SystemExit):
-        main(["bench-reconfig", "--scenario", "demo.json"])
+    # no benchmark reads a scenario, so none takes one
+    for command in ("bench-reconfig", "bench-throughput", "bench-energy"):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--scenario", "demo.json"])
+        assert exited.value.code == 2
 
 
 def _scenario_file(tmp_path, seed=11, **overrides):
@@ -155,12 +159,21 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
     (["run", "--scenario", "{tmp}"], "error: [Errno 21] Is a directory: '{tmp}'"),
     (["bench-reconfig", "--vm-counts", "1", "--out", "{tmp}/missing/rc.csv"],
      "error: [Errno 2] No such file or directory: '{tmp}/missing/rc.csv'"),
+    # a bad trace path fails before the run, not after the metrics are written
+    (["run", "--scenario", str(DEMO), "--out", "{tmp}/m.csv",
+      "--trace-out", "{tmp}/missing/t.csv"],
+     "error: [Errno 2] No such file or directory: '{tmp}/missing/t.csv'"),
+    # two handles on one file would interleave the metrics and the trace
+    (["run", "--scenario", str(DEMO), "--out", "{tmp}/o.csv", "--trace-out", "{tmp}/o.csv"],
+     "error: --out and --trace-out are the same file: {tmp}/o.csv"),
 ], ids=["energy-fabric-full", "reconfig-slots-full", "no-scenario", "scenario-is-dir",
-        "no-out-dir"])
+        "no-out-dir", "no-trace-dir", "same-out-and-trace"])
 def test_unrunnable_request_exits_2_with_one_error_line(tmp_path, capsys, argv, message):
     tmp = str(tmp_path)
     assert main([arg.format(tmp=tmp) for arg in argv]) == 2
     assert capsys.readouterr().err == message.format(tmp=tmp) + "\n"
+    # nothing that looks like output is left behind
+    assert [p for p in tmp_path.rglob("*") if p.is_file() and p.stat().st_size] == []
 
 
 @pytest.mark.parametrize("override, message", [

@@ -7,7 +7,6 @@ from neurovirt.fabric import (
     InsufficientResources,
     InvalidConfig,
     ResourceVector,
-    SlotBusy,
     UnknownSlot,
 )
 
@@ -99,11 +98,9 @@ def test_release_errors():
     with pytest.raises(UnknownSlot):
         fab.release(99)
     slot = fab.allocate(ResourceVector(lut=10))
-    fab.begin_reconfig(slot)
-    with pytest.raises(SlotBusy):
-        fab.release(slot)
-    fab.end_reconfig(slot)
     fab.release(slot)
+    with pytest.raises(UnknownSlot):
+        fab.release(slot)
 
 
 def _conserved(fab: Fabric) -> bool:

@@ -8,7 +8,6 @@ from neurovirt.iodriver import IoDriver
 from neurovirt.metrics import (
     SAMPLE_CSV_HEADER,
     EnergyModel,
-    ExportIoFailure,
     MetricsCollector,
     energy_for_accelerators,
     export_samples,
@@ -96,7 +95,7 @@ def test_export_failure_wrapped():
     eng = Engine(0)
     collector = _collector(eng, Fabric())
     collector.sample()
-    with pytest.raises(ExportIoFailure):
+    with pytest.raises(OSError, match="disk gone"):
         export_samples(collector.samples, Broken())
 
 

@@ -215,7 +215,7 @@ class _Rescanning(Scheduler):
             self.running[task.id] = _Running(task, vm.id, cores, now, finish,
                                              finish - now, done)
             self.ready.remove(task)
-            self.assignments.append(Assignment(task.id, vm.id, cores, now, finish))
+            self.assignments.append(Assignment(task.id, vm.id, cores, now))
 
     def rebalance_on_contention(self):
         now = self.engine.now()
@@ -242,8 +242,7 @@ class _Rescanning(Scheduler):
             self.engine.cancel(run.done_event)
             self.vms[run.vm_id].cores_free += run.cores
             self.vms[to_vm].cores_free -= cores
-            self.migrations.append(
-                Migration(task_id, run.vm_id, to_vm, now, self.migration_penalty))
+            self.migrations.append(Migration(task_id, run.vm_id, to_vm, now))
             run.vm_id, run.cores, run.duration = to_vm, cores, new_finish - now
             run.finish, run.migrated = new_finish, True
             run.done_event = self.engine.schedule(

@@ -7,7 +7,6 @@ from neurovirt.snn import (
     CoreState,
     DimensionMismatch,
     LifParams,
-    SpikeBatch,
     make_core_state,
     step_core,
     step_sorted,
@@ -33,24 +32,22 @@ def _reference_step(potentials, weights, ids, leak, v_thresh, v_reset):
 def test_zero_weights_never_spike():
     state = make_core_state(4, 4)
     params = LifParams()
-    batch = SpikeBatch(0, (0, 1, 2, 3))
     for _ in range(10):
-        batch = step_core(state, SpikeBatch(batch.step_index, (0, 1, 2, 3)), params)
-        assert batch.spiking_neuron_ids == ()
+        assert step_core(state, (0, 1, 2, 3), params) == ()
 
 
 def test_single_neuron_unit_weight_fires_and_resets():
     state = make_core_state(1, 1, weights=np.array([[1.0]]))
     params = LifParams(v_thresh=1.0, v_reset=0.0, leak=1.0)
-    out = step_core(state, SpikeBatch(0, (0,)), params)
-    assert out.spiking_neuron_ids == (0,)
+    out = step_core(state, (0,), params)
+    assert out == (0,)
     assert state.potentials[0] == params.v_reset
 
 
 def test_step_core_basic():
     state = make_core_state(2, 2, weights=np.array([[1.0, 0.0], [0.0, 0.25]]))
-    out = step_core(state, SpikeBatch(0, (1, 0)), LifParams(leak=1.0))
-    assert out == SpikeBatch(1, (0,))
+    out = step_core(state, (1, 0), LifParams(leak=1.0))
+    assert out == (0,)
     assert state.potentials.tolist() == [0.0, 0.25]
 
 
@@ -58,11 +55,11 @@ def test_two_step_integration_trace():
     # identity weight 0.6: first input no spike (v=0.6), second crosses (1.2)
     state = make_core_state(1, 1, weights=np.array([[0.6]]))
     params = LifParams(v_thresh=1.0, v_reset=0.0, leak=1.0)
-    first = step_core(state, SpikeBatch(0, (0,)), params)
-    assert first.spiking_neuron_ids == ()
+    first = step_core(state, (0,), params)
+    assert first == ()
     assert state.potentials[0] == pytest.approx(0.6)
-    second = step_core(state, SpikeBatch(1, (0,)), params)
-    assert second.spiking_neuron_ids == (0,)
+    second = step_core(state, (0,), params)
+    assert second == (0,)
     assert state.potentials[0] == 0.0
 
 
@@ -77,11 +74,11 @@ def test_workload_cost_examples():
 def test_input_id_validation():
     state = make_core_state(2, 3)
     with pytest.raises(DimensionMismatch):
-        step_core(state, SpikeBatch(0, (2,)), LifParams())
+        step_core(state, (2,), LifParams())
     with pytest.raises(DimensionMismatch):
-        step_core(state, SpikeBatch(0, (-1,)), LifParams())
+        step_core(state, (-1,), LifParams())
     with pytest.raises(DimensionMismatch):
-        step_core(state, SpikeBatch(0, (1, 0, 1)), LifParams())
+        step_core(state, (1, 0, 1), LifParams())
 
 
 def test_step_is_pure_function_of_state_and_input():
@@ -89,9 +86,9 @@ def test_step_is_pure_function_of_state_and_input():
     a = make_core_state(8, 8, rng=eng.rng, stream="w")
     b = CoreState(a.potentials.copy(), a.weights.copy())
     params = LifParams(leak=0.9, v_thresh=0.8)
-    out_a = step_core(a, SpikeBatch(0, (1, 3)), params)
-    out_b = step_core(b, SpikeBatch(0, (1, 3)), params)
-    assert out_a.spiking_neuron_ids == out_b.spiking_neuron_ids
+    out_a = step_core(a, (1, 3), params)
+    out_b = step_core(b, (1, 3), params)
+    assert out_a == out_b
     assert np.array_equal(a.potentials, b.potentials)
 
 
@@ -121,8 +118,8 @@ def test_step_matches_brute_force_oracle_and_reset_discipline(n_in, n_out, seed)
         potentials.tolist(), weights.tolist(), ids, 0.95, 1.0, -0.1
     )
     state = CoreState(potentials.copy(), np.ascontiguousarray(weights))
-    out = step_core(state, SpikeBatch(0, ids), params)
-    assert list(out.spiking_neuron_ids) == expected_ids
+    out = step_core(state, ids, params)
+    assert list(out) == expected_ids
     # same operation order as the oracle, so the same bits
     assert state.potentials.tolist() == expected_pots
     assert np.all(state.potentials < params.v_thresh)
@@ -153,6 +150,6 @@ def test_inner_step_is_bit_exact_and_public_step_agrees(ids, extra, n_out, leak,
     assert inner.potentials.tolist() == expected_pots
 
     public = CoreState(potentials.copy(), weights.copy())
-    out = step_core(public, SpikeBatch(0, tuple(reversed(ids))), params)
-    assert out == SpikeBatch(1, tuple(expected_ids))
+    out = step_core(public, tuple(reversed(ids)), params)
+    assert out == tuple(expected_ids)
     assert public.potentials.tobytes() == inner.potentials.tobytes()

@@ -121,8 +121,7 @@ def test_loaded_footprint_never_exceeds_slot():
     with pytest.raises(FootprintOverflow):
         hv.load_module(vm, _module(0.10, hv, kind=ModuleKind.POOLING, name="c"), ReconfigMode.PARTIAL)
     eng.run()
-    slot = fab.slot(hv.vms[vm].slot_id)
-    assert hv.vms[vm].loaded_footprint().fits_within(slot.capacity)
+    assert hv.vms[vm].loaded_footprint().fits_within(fab.slot(hv.vms[vm].slot_id))
 
 
 def test_unknown_vm_errors():
@@ -141,6 +140,21 @@ def test_destroy_mid_reconfiguration_is_busy():
         hv.destroy_vm(vm)
     eng.run()
     hv.destroy_vm(vm)
+
+    # a full reconfiguration reprograms every slot, so a bystander VM is
+    # busy while it is in flight, and so is a VM whose only reconfiguration
+    # is queued behind it
+    owner, bystander, waiting = (hv.create_vm(fab.total.scaled(1, 4)) for _ in range(3))
+    hv.load_module(owner, _module(0.10, hv), ReconfigMode.FULL)
+    assert hv.load_module(waiting, _module(0.10, hv), ReconfigMode.PARTIAL) is None
+    assert not hv.vms[waiting].reconfiguring
+    for busy in (bystander, waiting):
+        with pytest.raises(VmBusy):
+            hv.destroy_vm(busy)
+    eng.run()
+    for idle in (owner, bystander, waiting):
+        hv.destroy_vm(idle)
+    assert fab.slots == {}
 
 
 def test_per_vm_reconfigs_serialize():
