@@ -17,7 +17,6 @@ from neurovirt.engine import Engine, SimEvent, round_half_up
 from neurovirt.fabric import Fabric, FabricConfig, InsufficientResources, ResourceVector
 from neurovirt.iodriver import (
     GIB,
-    Backpressure,
     IoDriver,
     LinkModel,
     TransferDescriptor,
@@ -104,19 +103,16 @@ def stream_transfers(
     """Back-to-back transfers of ``size`` bytes on one ring, ``count`` in all.
 
     Returns the callable that submits the stream's next transfer; each
-    completion submits the one after it. A full ring retries the submit
-    ``retry_after`` ns later as a TransferRetry event.
+    completion submits the one after it. A full ring refuses the submit,
+    which then retries ``retry_after`` ns later as a TransferRetry event.
     """
     vm = driver.rings[ring_id].vm
+    detail = f"vm={vm}"
     remaining = count
 
     def submit_next() -> None:
-        try:
-            driver.submit(ring_id, size, on_complete=done)
-        except Backpressure:
-            engine.schedule_in(
-                retry_after, "TransferRetry", fn=submit_next, detail=f"vm={vm}", vm=vm
-            )
+        if driver.submit(ring_id, size, on_complete=done) is None:
+            engine.schedule(engine.now() + retry_after, "TransferRetry", submit_next, detail, vm)
 
     def done(desc: TransferDescriptor) -> None:
         nonlocal remaining

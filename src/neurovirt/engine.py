@@ -106,7 +106,7 @@ class RandomStreams:
         return z.astype(np.float64) / float(1 << 53)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SimEvent:
     """A queued simulation event, and the handle :meth:`Engine.schedule`
     returns for it.
@@ -164,11 +164,15 @@ class Engine:
         event = SimEvent(at, seq, kind, detail, fn, vm, stallable)
         heapq.heappush(self._heap, (at, seq, event))
         if stallable:
-            self._by_vm.setdefault(vm, {})[seq] = event
+            index = self._by_vm.get(vm)
+            if index is None:
+                index = self._by_vm[vm] = {}
+            index[seq] = event
         return event
 
-    def schedule_in(self, delay: int, kind: str, **kwargs) -> SimEvent:
-        return self.schedule(self._now + delay, kind, **kwargs)
+    def schedule_in(self, delay: int, kind: str, fn: Callable[[], None] | None = None,
+                    detail: str = "", vm: str | None = None, stallable: bool = True) -> SimEvent:
+        return self.schedule(self._now + delay, kind, fn, detail, vm, stallable)
 
     def cancel(self, event: SimEvent) -> None:
         """Retire a queued event; a no-op once it has fired or been cancelled."""

@@ -17,10 +17,6 @@ from neurovirt.engine import Engine, SimEvent, round_half_up, NS_PER_S
 GIB = 2**30  # Gib/s means 2^30 bits per second throughout
 
 
-class Backpressure(Exception):
-    """Ring full; caller requeues at the next tick."""
-
-
 class RingClosed(Exception):
     pass
 
@@ -141,11 +137,13 @@ class IoDriver:
         return len(self.in_flight_by_vm)
 
     def submit(self, ring_id: int, size: int, direction: Direction = Direction.OUT,
-               on_complete=None) -> SimEvent:
+               on_complete=None) -> SimEvent | None:
         """Queue one transfer; returns its completion event.
 
-        Raises Backpressure when the ring is at capacity. The completion
-        time is fixed at submission from the current contention level.
+        A full ring refuses the transfer: ``submit`` returns None, counts
+        the refusal in ``backpressured`` and schedules nothing, so retrying
+        is the caller's choice. The completion time is fixed at submission
+        from the current contention level.
         """
         if size <= 0:
             raise ValueError("transfer size must be positive")
@@ -154,7 +152,7 @@ class IoDriver:
             raise RingClosed(f"ring {ring_id}")
         if len(ring.inflight) >= self.link.ring_capacity:
             self.backpressured += 1
-            raise Backpressure(f"ring {ring_id} full")
+            return None
         self.submissions += 1
         self.in_flight_by_vm[ring.vm] = self.in_flight_by_vm.get(ring.vm, 0) + 1
         desc = TransferDescriptor(ring.vm, size, direction)
@@ -164,8 +162,8 @@ class IoDriver:
         duration = self.link.latency_ns + round_half_up(
             size * 8 * NS_PER_S / (bw_share * GIB)
         )
-        event = self.engine.schedule_in(
-            duration,
+        event = self.engine.schedule(
+            self.engine.now() + duration,
             "TransferComplete",
             fn=lambda: self._complete(ring, desc, on_complete),
             detail=f"vm={ring.vm};size={size};dir={desc.direction.value}",

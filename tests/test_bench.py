@@ -1,3 +1,5 @@
+import math
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -14,8 +16,10 @@ from neurovirt.bench import (
 )
 from neurovirt.engine import Engine, RandomStreams
 from neurovirt.metrics import task_energy
-from neurovirt.scenario import scenario_from_dict
+from neurovirt.scenario import load_scenario, scenario_from_dict
 from neurovirt.snn import workload_cost
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def _rows(csv_text):
@@ -118,6 +122,37 @@ def test_migrating_spiking_task_still_completes_all_steps():
     assert result.executor.total_synops == workload_cost(1000, 16, 256)
 
 
+def _assert_retries_fire_one_tick_late(result, tick_period_ns):
+    """Every refused submit queued one TransferRetry, and each processed one
+    fired ``tick_period_ns`` after a processed transfer event of its VM,
+    plus the reconfiguration stalls that postponed it while it waited."""
+    lines = [line.split(",", 3) for line in result.engine.trace]
+    events = [(int(t), int(seq), kind, dict(kv.split("=", 1) for kv in detail.split(";")))
+              for t, seq, kind, detail in lines if detail]
+    retries = [e for e in events if e[2] == "TransferRetry"]
+    pending = [e for e in result.engine.pending() if e.kind == "TransferRetry"]
+    assert retries
+    assert result.driver.backpressured == len(retries) + len(pending)
+    # a reconfiguration starts when it schedules its ReconfigDone, so the
+    # k-th record in start order owns the k-th ReconfigDone seq
+    done_seqs = sorted([seq for _, seq, kind, _ in events if kind == "ReconfigDone"]
+                       + [e.seq for e in result.engine.pending() if e.kind == "ReconfigDone"])
+    records = result.hypervisor.records
+    assert len(done_seqs) == len(records)
+    first_transfer_seq = {}  # (time, vm) -> seq of its first transfer event
+    for t, seq, kind, detail in events:
+        if kind.startswith("Transfer"):
+            first_transfer_seq.setdefault((t, detail["vm"]), seq)
+    for fire_at, seq, _, detail in retries:
+        vm = detail["vm"]
+        # stalls of the retry's VM, or of the whole fabric, that started
+        # after it was queued and before it fired
+        stalled = sum(r.duration for r, start_seq in zip(records, done_seqs)
+                      if start_seq > seq and r.vm in (vm, None) and r.started_at < fire_at)
+        queued_at = fire_at - stalled - tick_period_ns
+        assert first_transfer_seq.get((queued_at, vm), math.inf) < seq
+
+
 def test_backpressured_transfer_retries_next_tick():
     data = {
         "schema_version": 1,
@@ -131,10 +166,15 @@ def test_backpressured_transfer_retries_next_tick():
             {"vm": "a", "size_bytes": 65_536, "start_ns": 0, "count": 2},
         ],
     }
-    result = run_scenario(scenario_from_dict(data))
-    assert result.driver.backpressured >= 1
+    scenario = scenario_from_dict(data)
+    result = run_scenario(scenario)
     assert result.driver.completions == 4  # every transfer eventually lands
-    assert any("TransferRetry" in line for line in result.engine.trace)
+    _assert_retries_fire_one_tick_late(result, scenario.tick_period_ns)
+
+
+def test_churn_retries_fire_one_tick_late_through_stalls():
+    scenario = load_scenario(SCENARIOS / "churn.json")
+    _assert_retries_fire_one_tick_late(run_scenario(scenario), scenario.tick_period_ns)
 
 
 def test_scheduled_partial_reconfig_leaves_transfer_stream_alone():

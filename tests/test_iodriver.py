@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from neurovirt.engine import Engine
 from neurovirt.iodriver import (
     GIB,
-    Backpressure,
     Direction,
     IoDriver,
     LinkModel,
@@ -22,10 +21,26 @@ def test_ring_capacity_one_backpressures_second_submit():
     eng = Engine(0)
     drv = IoDriver(eng, LinkModel(ring_capacity=1))
     ring = drv.open_ring("a")
-    drv.submit(ring, 4096)
-    with pytest.raises(Backpressure):
-        drv.submit(ring, 4096)
+    assert drv.submit(ring, 4096) is not None
+    assert drv.submit(ring, 4096) is None
     assert drv.backpressured == 1
+
+
+def test_refused_submit_leaves_the_engine_untouched():
+    eng = Engine(0)
+    drv = IoDriver(eng, LinkModel(ring_capacity=1))
+    ring = drv.open_ring("a")
+    drv.submit(ring, 4096)
+
+    def queue():
+        return [(ev.fire_at, ev.seq, ev.kind) for ev in eng.pending()]
+
+    before = queue()
+    assert drv.submit(ring, 4096) is None
+    assert queue() == before
+    # the refusal took no sequence number: the next event gets the one after
+    # the accepted transfer's completion
+    assert eng.schedule(0, "Probe").seq == before[-1][1] + 1 == 1
 
 
 def test_single_vm_completion_time_matches_pipe_model():
@@ -139,12 +154,11 @@ def test_ring_conservation_counters():
     drv = IoDriver(eng, LinkModel(ring_capacity=4))
     ring = drv.open_ring("a")
     submitted = 0
-    for size in (4096, 8192, 4096, 8192, 4096, 4096):
-        try:
-            drv.submit(ring, size)
+    for attempts, size in enumerate((4096, 8192, 4096, 8192, 4096, 4096), 1):
+        if drv.submit(ring, size) is not None:
             submitted += 1
-        except Backpressure:
-            pass
+        # each refusal returned None and was counted once
+        assert drv.backpressured == attempts - submitted
         assert drv.in_flight == len(drv.rings[ring].inflight) == submitted
     eng.run()
     assert drv.completions == submitted
@@ -190,7 +204,7 @@ def test_active_vm_count_equals_recount(ops):
         if op[0] == "submit":
             try:
                 drv.submit(rings[op[1]], op[2])
-            except (Backpressure, RingClosed):
+            except RingClosed:
                 pass
         elif op[0] == "run":
             eng.run_until(eng.now() + op[1])

@@ -172,6 +172,19 @@ def test_per_vm_reconfigs_serialize():
     assert records[1].started_at >= records[0].started_at + records[0].duration
 
 
+def test_partial_requested_during_full_starts_when_full_ends():
+    eng, fab, hv = _hypervisor()
+    owner, other = (hv.create_vm(fab.total.scaled(1, 4)) for _ in range(2))
+    full = hv.load_module(owner, _module(0.10, hv), ReconfigMode.FULL)
+    # the other VM is idle, but the full reprogram holds every slot
+    eng.schedule(full.duration // 2, "Request",
+                 fn=lambda: hv.load_module(other, _module(0.05, hv), ReconfigMode.PARTIAL))
+    eng.run()
+    partial = hv.records[1]
+    assert (partial.vm, partial.mode) == (other, ReconfigMode.PARTIAL)
+    assert partial.started_at == full.started_at + full.duration
+
+
 def test_exchange_replaces_slot_contents():
     eng, fab, hv = _hypervisor()
     vm = hv.create_vm(fab.total.scaled(1, 4))
