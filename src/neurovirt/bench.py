@@ -11,8 +11,6 @@ import io
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
-import numpy as np
-
 from neurovirt.engine import Engine, SimEvent, round_half_up
 from neurovirt.fabric import Fabric, FabricConfig, InsufficientResources, ResourceVector
 from neurovirt.iodriver import (
@@ -216,6 +214,8 @@ class SpikingExecutor:
         swap ``k`` is one gather and one scatter across the block, with at
         most ``max(INPUT_BLOCK, n_inputs)`` cells whatever the fan-in.
         """
+        import numpy as np
+
         n, rate = job.n_inputs, job.rate
         steps = min(job.remaining, max(1, INPUT_BLOCK // n))
         u = self.engine.rng.values(job.stream, steps * rate).reshape(steps, rate)

@@ -24,7 +24,10 @@ def _parse_int_list(text: str) -> list[int]:
             continue
         if "-" in part:
             lo, _, hi = part.partition("-")
-            values.extend(range(int(lo), int(hi) + 1))
+            lo, hi = int(lo), int(hi)
+            if lo > hi:
+                raise ValueError(f"descending range {part!r} in {text!r}")
+            values.extend(range(lo, hi + 1))
         else:
             values.append(int(part))
     if not values:
@@ -86,10 +89,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "bench-throughput":
+            sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+            if not sizes:
+                raise ValueError(f"no sizes in {args.sizes!r}")
             csv = bench.bench_throughput(
-                vm_counts=_parse_int_list(args.vm_counts),
-                sizes=[int(s) for s in args.sizes.split(",") if s.strip()],
-                seed=args.seed,
+                vm_counts=_parse_int_list(args.vm_counts), sizes=sizes, seed=args.seed
             )
             _emit(csv, args.out)
         elif args.command == "bench-energy":

@@ -23,13 +23,20 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+# numpy is imported by RandomStreams.values, the one method that uses it,
+# so runs without a spiking task never load it
+if TYPE_CHECKING:
+    import numpy as np
 
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
+
+# trace lines per write: one write per line took 3x as long or more on an
+# 82k-line trace
+TRACE_WRITE_LINES = 4096
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -91,6 +98,8 @@ class RandomStreams:
         """The stream's next ``n`` uniforms, bit-identical to ``n`` calls of
         :meth:`next`: the same splitmix64 over a range of indices, in
         wrapping ``uint64`` arithmetic."""
+        import numpy as np
+
         key = self._key(stream_id)
         idx = self._index.get(stream_id, 0)
         self._index[stream_id] = idx + n
@@ -260,5 +269,6 @@ class Engine:
 
     def write_trace(self, fh) -> None:
         """Dump the processed-event log, one ``tick,seq,kind,detail`` line each."""
-        for line in self.trace:
-            fh.write(line + "\n")
+        trace = self.trace
+        for start in range(0, len(trace), TRACE_WRITE_LINES):
+            fh.write("\n".join(trace[start:start + TRACE_WRITE_LINES]) + "\n")

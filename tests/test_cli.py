@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -12,13 +13,20 @@ from neurovirt import bench
 from neurovirt.cli import _parse_int_list, main
 from neurovirt.metrics import SAMPLE_CSV_HEADER
 
-DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+DEMO = SCENARIOS / "demo.json"
 
 
 def test_parse_int_list_forms():
     assert _parse_int_list("1,2,4") == [1, 2, 4]
     assert _parse_int_list("1-4") == [1, 2, 3, 4]
     assert _parse_int_list("1-2,8") == [1, 2, 8]
+
+
+def test_parse_int_list_rejects_a_descending_range():
+    # it used to be dropped without a word, leaving only the 2
+    with pytest.raises(ValueError, match="descending range '3-1'"):
+        _parse_int_list("3-1,2")
 
 
 def test_bench_energy_cli(tmp_path, capsys):
@@ -166,14 +174,64 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
     # two handles on one file would interleave the metrics and the trace
     (["run", "--scenario", str(DEMO), "--out", "{tmp}/o.csv", "--trace-out", "{tmp}/o.csv"],
      "error: --out and --trace-out are the same file: {tmp}/o.csv"),
+    # these used to run: a header-only CSV, and only the rows for 2 VMs
+    (["bench-throughput", "--sizes", ",", "--out", "{tmp}/tp.csv"], "error: no sizes in ','"),
+    (["bench-reconfig", "--vm-counts", "3-1,2", "--out", "{tmp}/rc.csv"],
+     "error: descending range '3-1' in '3-1,2'"),
 ], ids=["energy-fabric-full", "reconfig-slots-full", "no-scenario", "scenario-is-dir",
-        "no-out-dir", "no-trace-dir", "same-out-and-trace"])
+        "no-out-dir", "no-trace-dir", "same-out-and-trace", "no-sizes", "descending-range"])
 def test_unrunnable_request_exits_2_with_one_error_line(tmp_path, capsys, argv, message):
     tmp = str(tmp_path)
     assert main([arg.format(tmp=tmp) for arg in argv]) == 2
     assert capsys.readouterr().err == message.format(tmp=tmp) + "\n"
     # nothing that looks like output is left behind
     assert [p for p in tmp_path.rglob("*") if p.is_file() and p.stat().st_size] == []
+
+
+def _src_env() -> dict:
+    return dict(os.environ, PYTHONPATH=str(Path(neurovirt.__file__).resolve().parents[1]))
+
+
+# runs each argv through cli.main in one fresh interpreter and prints, after
+# each call, its exit code and whether numpy has been loaded so far
+_COLD_START = """
+import json, sys
+from neurovirt.cli import main
+print(json.dumps([(main(argv), "numpy" in sys.modules) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+@pytest.mark.parametrize("calls, numpy_loaded", [
+    # no spiking task: numpy is never imported
+    ([(["bench-throughput"], {"--out": "cde039feb154267a"}),
+      (["bench-reconfig"], {"--out": "1de81251a68a1e4a"}),
+      (["run", "--scenario", str(SCENARIOS / "churn.json")],
+       {"--out": "df8204a4aafa6558", "--trace-out": "98585428bbd5a2bd"})],
+     [False, False, False]),
+    # the first spiking draw imports it
+    ([(["bench-energy"], {"--out": "126cd6693b475716"}),
+      (["run", "--scenario", str(DEMO)],
+       {"--out": "b0129dec3e98bfcb", "--trace-out": "69614e605ac85bde"})],
+     [True, True]),
+], ids=["non-spiking", "spiking"])
+def test_cold_start_loads_numpy_only_for_spiking_runs(tmp_path, calls, numpy_loaded):
+    # pytest's own process holds numpy already, so only a fresh interpreter
+    # shows what a CLI call imports, and runs every lazy import from cold
+    argvs, outputs = [], []
+    for i, (argv, pins) in enumerate(calls):
+        for flag, digest in pins.items():
+            path = tmp_path / f"{i}{flag}.csv"
+            argv = argv + [flag, str(path)]
+            outputs.append((path, digest))
+        argvs.append(argv)
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120, env=_src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, loaded] for loaded in numpy_loaded]
+    for path, digest in outputs:
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest, path.name
 
 
 @pytest.mark.parametrize("override, message", [
@@ -217,11 +275,10 @@ def test_unrunnable_request_exits_2_with_one_error_line(tmp_path, capsys, argv, 
 ])
 def test_degenerate_field_exits_2_naming_it(tmp_path, override, message):
     path = _scenario_file(tmp_path, **override)
-    env = dict(os.environ, PYTHONPATH=str(Path(neurovirt.__file__).resolve().parents[1]))
     # a subprocess with a timeout, because a zero tick period used to hang
     proc = subprocess.run(
         [sys.executable, "-m", "neurovirt.cli", "run", "--scenario", str(path)],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=_src_env(),
     )
     assert proc.returncode == 2
     assert proc.stderr.strip() == message

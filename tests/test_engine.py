@@ -1,8 +1,17 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neurovirt.engine import Engine, RandomStreams, SchedulingInPast, SimEvent, round_half_up
+from neurovirt.engine import (
+    TRACE_WRITE_LINES,
+    Engine,
+    RandomStreams,
+    SchedulingInPast,
+    SimEvent,
+    round_half_up,
+)
 
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -179,6 +188,21 @@ def test_trace_line_format():
     eng.schedule(7, "TransferComplete", detail="vm=a;size=4096")
     eng.run_until(10)
     assert eng.trace == ["7,0,TransferComplete,vm=a;size=4096"]
+
+
+@pytest.mark.parametrize("events", [0, 1, TRACE_WRITE_LINES, TRACE_WRITE_LINES + 1,
+                                    2 * TRACE_WRITE_LINES + 1])
+def test_write_trace_writes_each_line_once_in_order(events):
+    # lines are written in slices; the pinned stall.json trace (5,891 lines)
+    # crosses one slice boundary, and these add an empty trace, an exact
+    # multiple of a slice and two boundaries
+    eng = Engine(seed=1)
+    for t in range(events):
+        eng.schedule(t, "Tick", detail=f"n={t}")
+    eng.run()
+    fh = io.StringIO()
+    eng.write_trace(fh)
+    assert fh.getvalue() == "".join(f"{t},{t},Tick,n={t}\n" for t in range(events))
 
 
 @pytest.mark.parametrize("postpones", [
