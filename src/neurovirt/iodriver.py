@@ -1,4 +1,5 @@
-"""Paravirtualized I/O path: per-VM descriptor rings and the link model.
+"""Paravirtualized I/O path: per-VM descriptor rings, transfer streams and
+the link model.
 
 Transfer completion follows a latency-plus-bandwidth pipe: a transfer of
 ``s`` bytes finishes after ``latency + s_bits / bw_share`` where the
@@ -9,7 +10,7 @@ saturates at the per-VM-count peak.
 
 from __future__ import annotations
 
-import enum
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from neurovirt.engine import Engine, SimEvent, round_half_up, NS_PER_S
@@ -21,28 +22,14 @@ class RingClosed(Exception):
     pass
 
 
-class UnknownRing(Exception):
-    pass
-
-
-class Direction(enum.Enum):
-    IN = "in"
-    OUT = "out"
-
-
-@dataclass(frozen=True, eq=False)  # keys IoRing.inflight by identity
-class TransferDescriptor:
-    vm: str
-    size: int
-    direction: Direction
-
-
 @dataclass
 class IoRing:
-    id: int
+    """One VM's descriptor ring; ``inflight`` maps a submission number to
+    its transfer's completion event."""
+
     vm: str
     closed: bool = False
-    inflight: dict[TransferDescriptor, SimEvent] = field(default_factory=dict)
+    inflight: dict[int, SimEvent] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -63,19 +50,21 @@ class LinkModel:
             raise ValueError("latency_ns must be non-negative")
         if self.ring_capacity < 1:
             raise ValueError("ring_capacity must be positive")
-        if not self.peak_gibps:
-            raise ValueError("peak table must be non-empty")
-        last = 0.0
+        if not self.peak_gibps or self.peak_gibps[0][0] != 1:
+            raise ValueError("peak table must start at 1 VM")
+        last_count, last_peak = 0, 0.0
         for count, peak in self.peak_gibps:
-            if count < 1 or peak <= 0:
+            if count <= last_count:
+                raise ValueError("peak table VM counts must ascend")
+            if peak <= 0:
                 raise ValueError("peak table entries must be positive")
-            if peak < last:
+            if peak < last_peak:
                 raise ValueError("peak table must be non-decreasing in VM count")
-            last = peak
+            last_count, last_peak = count, peak
 
     def peak_bw(self, vm_count: int) -> float:
         """Peak Gib/s at the largest tabulated count <= vm_count."""
-        if vm_count < self.peak_gibps[0][0]:
+        if vm_count < 1:
             raise ValueError(f"vm_count {vm_count} below model domain")
         best = self.peak_gibps[0][1]
         for count, peak in self.peak_gibps:
@@ -105,7 +94,6 @@ class IoDriver:
     def __init__(self, engine: Engine, link: LinkModel | None = None):
         self.engine = engine
         self.link = link if link is not None else LinkModel()
-        self.rings: dict[int, IoRing] = {}  # closed, never removed
         self.in_flight_by_vm: dict[str, int] = {}
         self.submissions = 0
         self.completions = 0
@@ -113,15 +101,13 @@ class IoDriver:
         self.drained = 0
         self.completed_bits = 0
 
-    def open_ring(self, vm_id: str) -> int:
-        """Open a ring of ``link.ring_capacity`` slots; returns its id."""
-        ring_id = len(self.rings)
-        self.rings[ring_id] = IoRing(ring_id, vm_id)
-        return ring_id
+    def open_ring(self, vm_id: str) -> IoRing:
+        """Open a ring of ``link.ring_capacity`` slots for ``vm_id``."""
+        return IoRing(vm_id)
 
-    def close_ring(self, ring_id: int) -> None:
-        """Drop in-flight descriptors and refuse further submissions."""
-        ring = self._ring(ring_id)
+    def close_ring(self, ring: IoRing) -> None:
+        """Drop in-flight transfers and refuse further submissions; a
+        stream on the ring ends at its next submit."""
         for event in ring.inflight.values():
             self.engine.cancel(event)
             self.drained += 1
@@ -136,8 +122,8 @@ class IoDriver:
     def active_vm_count(self) -> int:
         return len(self.in_flight_by_vm)
 
-    def submit(self, ring_id: int, size: int, direction: Direction = Direction.OUT,
-               on_complete=None) -> SimEvent | None:
+    def submit(self, ring: IoRing, size: int,
+               on_complete: Callable[[], None] | None = None) -> SimEvent | None:
         """Queue one transfer; returns its completion event.
 
         A full ring refuses the transfer: ``submit`` returns None, counts
@@ -147,15 +133,14 @@ class IoDriver:
         """
         if size <= 0:
             raise ValueError("transfer size must be positive")
-        ring = self._ring(ring_id)
         if ring.closed:
-            raise RingClosed(f"ring {ring_id}")
+            raise RingClosed(f"ring of {ring.vm}")
         if len(ring.inflight) >= self.link.ring_capacity:
             self.backpressured += 1
             return None
         self.submissions += 1
+        number = self.submissions
         self.in_flight_by_vm[ring.vm] = self.in_flight_by_vm.get(ring.vm, 0) + 1
-        desc = TransferDescriptor(ring.vm, size, direction)
 
         peak = self.link.peak_bw(self.active_vm_count())
         bw_share = peak / self.in_flight
@@ -165,20 +150,50 @@ class IoDriver:
         event = self.engine.schedule(
             self.engine.now() + duration,
             "TransferComplete",
-            fn=lambda: self._complete(ring, desc, on_complete),
-            detail=f"vm={ring.vm};size={size};dir={desc.direction.value}",
+            fn=lambda: self._complete(ring, number, size, on_complete),
+            detail=f"vm={ring.vm};size={size};dir=out",
             vm=ring.vm,
         )
-        ring.inflight[desc] = event
+        ring.inflight[number] = event
         return event
 
-    def _complete(self, ring: IoRing, desc: TransferDescriptor, on_complete) -> None:
-        del ring.inflight[desc]
-        self._leave(desc.vm)
+    def stream(self, ring: IoRing, size: int, count: int, retry_after: int,
+               on_complete: Callable[[], None] | None = None) -> Callable[[], None]:
+        """Back-to-back transfers of ``size`` bytes on ``ring``, ``count`` in all.
+
+        Returns the callable that submits the stream's next transfer; each
+        completion submits the one after it. A full ring refuses the submit,
+        which then retries ``retry_after`` ns later as a TransferRetry event.
+        The stream ends early once its ring is closed.
+        """
+        engine, detail = self.engine, f"vm={ring.vm}"
+        remaining = count
+
+        def submit_next() -> None:
+            if ring.closed:
+                return
+            # through self.submit, so a wrapper patched onto the class sees it
+            if self.submit(ring, size, on_complete=done) is None:
+                engine.schedule(engine.now() + retry_after, "TransferRetry",
+                                submit_next, detail, ring.vm)
+
+        def done() -> None:
+            nonlocal remaining
+            remaining -= 1
+            if on_complete is not None:
+                on_complete()
+            if remaining > 0:
+                submit_next()
+
+        return submit_next
+
+    def _complete(self, ring: IoRing, number: int, size: int, on_complete) -> None:
+        del ring.inflight[number]
+        self._leave(ring.vm)
         self.completions += 1
-        self.completed_bits += desc.size * 8
+        self.completed_bits += size * 8
         if on_complete is not None:
-            on_complete(desc)
+            on_complete()
 
     def _leave(self, vm_id: str) -> None:
         """One of ``vm_id``'s transfers is no longer in flight."""
@@ -186,9 +201,3 @@ class IoDriver:
             del self.in_flight_by_vm[vm_id]
         else:
             self.in_flight_by_vm[vm_id] -= 1
-
-    def _ring(self, ring_id: int) -> IoRing:
-        ring = self.rings.get(ring_id)
-        if ring is None:
-            raise UnknownRing(f"ring {ring_id}")
-        return ring

@@ -52,6 +52,8 @@ VM ``share``/module ``share`` are fabric fractions; explicit ``resources``
 ``bitstream_bytes`` defaults to its lut share of the full bitstream. All ids
 referenced by tasks, transfers, and reconfigs must resolve, tasks need a
 VM, and the VMs and reconfigured modules must fit the fabric.
+The ``peak_gibps`` table starts at 1 VM, and its peaks never fall as the
+VM count grows.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from neurovirt.engine import Engine, round_half_up, NS_PER_S
 from neurovirt.fabric import Fabric, ResourceVector
+from neurovirt.iodriver import IoRing
 
 
 class VmUnknown(Exception):
@@ -77,7 +78,7 @@ class VirtualMachine:
     priority: Priority
     cores: int
     loaded: dict[str, DfxModule] = field(default_factory=dict)
-    ring_id: int | None = None  # its one I/O ring, when the hypervisor has a driver
+    ring: IoRing | None = None  # its one I/O ring, when the hypervisor has a driver
     inflight_module: DfxModule | None = None  # the module being programmed, if any
     pending_reconfigs: deque = field(default_factory=deque)
 
@@ -157,7 +158,7 @@ class Hypervisor:
             )
         vm = VirtualMachine(vm_id, slot_id, priority, cores)
         if self.driver is not None:
-            vm.ring_id = self.driver.open_ring(vm_id)
+            vm.ring = self.driver.open_ring(vm_id)
         self.vms[vm_id] = vm
         return vm_id
 
@@ -166,8 +167,8 @@ class Hypervisor:
         # the only guard against freeing a slot mid-reprogram; the fabric has none
         if vm.reconfiguring or vm.pending_reconfigs or self._full_active:
             raise VmBusy(f"{vm_id} is mid-reconfiguration")
-        if vm.ring_id is not None:
-            self.driver.close_ring(vm.ring_id)
+        if vm.ring is not None:
+            self.driver.close_ring(vm.ring)
         self.fabric.release(vm.slot_id)
         del self.vms[vm_id]
 

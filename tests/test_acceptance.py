@@ -187,11 +187,11 @@ def _isolation_run(seed, streams, reconfig=None):
     completions: dict[str, list[int]] = {}
     for vm_id, size, count in streams:
         hv.create_vm(fabric.total.scaled(1, 16), vm_id=vm_id)
-        ring = hv.vms[vm_id].ring_id
+        ring = hv.vms[vm_id].ring
         completions[vm_id] = []
         state = {"left": count}
 
-        def on_complete(_desc, vm_id=vm_id, ring=ring, size=size, state=state):
+        def on_complete(vm_id=vm_id, ring=ring, size=size, state=state):
             completions[vm_id].append(engine.now())
             state["left"] -= 1
             if state["left"] > 0:

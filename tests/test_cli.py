@@ -178,11 +178,20 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
     (["bench-throughput", "--sizes", ",", "--out", "{tmp}/tp.csv"], "error: no sizes in ','"),
     (["bench-reconfig", "--vm-counts", "3-1,2", "--out", "{tmp}/rc.csv"],
      "error: descending range '3-1' in '3-1,2'"),
+    # this one used to load, then die at its first transfer and leave an empty --out
+    (["run", "--scenario", "{peak2}", "--out", "{tmp}/m.csv"],
+     "$.link.peak_gibps: peak table must start at 1 VM"),
 ], ids=["energy-fabric-full", "reconfig-slots-full", "no-scenario", "scenario-is-dir",
-        "no-out-dir", "no-trace-dir", "same-out-and-trace", "no-sizes", "descending-range"])
-def test_unrunnable_request_exits_2_with_one_error_line(tmp_path, capsys, argv, message):
+        "no-out-dir", "no-trace-dir", "same-out-and-trace", "no-sizes", "descending-range",
+        "peak-table-from-2-vms"])
+def test_unrunnable_request_exits_2_with_one_error_line(
+    tmp_path, tmp_path_factory, capsys, argv, message
+):
     tmp = str(tmp_path)
-    assert main([arg.format(tmp=tmp) for arg in argv]) == 2
+    # an input scenario whose peak table has no entry for 1 VM; it lives
+    # outside tmp_path, which must hold no output afterwards
+    peak2 = _scenario_file(tmp_path_factory.mktemp("in"), link={"peak_gibps": {"2": 2.9}})
+    assert main([arg.format(tmp=tmp, peak2=peak2) for arg in argv]) == 2
     assert capsys.readouterr().err == message.format(tmp=tmp) + "\n"
     # nothing that looks like output is left behind
     assert [p for p in tmp_path.rglob("*") if p.is_file() and p.stat().st_size] == []

@@ -91,7 +91,9 @@ def test_duplicate_vm_ids_rejected():
 
 def test_bad_peak_table_rejected():
     data = minimal()
-    for table in ({"1": 3.0, "2": 1.0}, {"1": 0.0}, {"0": 1.0}, {}):
+    # {"2": 2.9} used to load and then fail mid-run at the first transfer
+    for table in ({"1": 3.0, "2": 1.0}, {"1": 0.0}, {"0": 1.0}, {}, {"2": 2.9},
+                  {"1": 1.5, "01": 2.0}):
         data["link"] = {"peak_gibps": table}
         with pytest.raises(ValidationError) as err:
             scenario_from_dict(data)

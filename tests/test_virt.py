@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from neurovirt.engine import Engine, NS_PER_MS
 from neurovirt.fabric import Fabric, InsufficientResources, ResourceVector
-from neurovirt.iodriver import IoDriver
+from neurovirt.iodriver import IoDriver, LinkModel
 from neurovirt.virt import (
     DfxModule,
     FootprintOverflow,
@@ -157,6 +157,37 @@ def test_destroy_mid_reconfiguration_is_busy():
     assert fab.slots == {}
 
 
+def test_destroy_ends_the_vms_transfer_streams():
+    # three 3-transfer streams into the 1-slot ring of vm "a": at the
+    # destroy (5 us) one transfer is in flight, the second stream waits on
+    # a TransferRetry and the third has not started; "b" streams alongside
+    eng = Engine(0)
+    fab = Fabric()
+    drv = IoDriver(eng, LinkModel(ring_capacity=1))
+    hv = Hypervisor(eng, fab, drv)
+    completed = {"a": [], "b": []}
+    for vm_id, starts in (("a", (0, 0, 20_000)), ("b", (0,))):
+        ring = hv.vms[hv.create_vm(fab.total.scaled(1, 8), vm_id=vm_id)].ring
+        for start in starts:
+            stream = drv.stream(ring, 4096, 3, 100_000,
+                                on_complete=lambda t=completed[vm_id]: t.append(eng.now()))
+            eng.schedule(start, "TransferStart", fn=stream, vm=vm_id)
+    ring_a = hv.vms["a"].ring
+    at_destroy = []
+
+    def destroy():
+        at_destroy.append(len(ring_a.inflight))
+        hv.destroy_vm("a")
+
+    eng.schedule(5_000, "Destroy", fn=destroy, stallable=False)
+    eng.run()  # the retry and the late start fire on the closed ring
+    assert at_destroy == [1]
+    assert completed["a"] == []
+    assert len(completed["b"]) == 3
+    assert drv.drained == at_destroy[0]
+    assert drv.in_flight == 0
+
+
 def test_per_vm_reconfigs_serialize():
     eng, fab, hv = _hypervisor()
     vm = hv.create_vm(fab.total.scaled(1, 4))
@@ -203,11 +234,11 @@ def _stream_setup(seed, reconfig_mode=None, reconfig_at=None, share=0.1):
     hv = Hypervisor(eng, fab, drv)
     vm_a = hv.create_vm(fab.total.scaled(1, 4), vm_id="a")
     vm_b = hv.create_vm(fab.total.scaled(1, 4), vm_id="b")
-    ring_b = hv.vms[vm_b].ring_id
+    ring_b = hv.vms[vm_b].ring
     completions = []
     remaining = {"n": 8}
 
-    def on_complete(_desc):
+    def on_complete():
         completions.append(eng.now())
         remaining["n"] -= 1
         if remaining["n"] > 0:
