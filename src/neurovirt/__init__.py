@@ -17,7 +17,7 @@ from neurovirt.iodriver import IoDriver, LinkModel, effective_throughput
 from neurovirt.metrics import EnergyModel, MetricsCollector, energy_for_accelerators, task_energy
 from neurovirt.sched import Scheduler, TaskSpec, exec_time, profile
 from neurovirt.snn import CoreState, LifParams, step_core, workload_cost
-from neurovirt.virt import DfxModule, Hypervisor, Priority, ReconfigMode
+from neurovirt.virt import DfxModule, Hypervisor, ReconfigMode
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "workload_cost",
     "DfxModule",
     "Hypervisor",
-    "Priority",
     "ReconfigMode",
     "KERNEL_BACKEND",
     "__version__",

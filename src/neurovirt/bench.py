@@ -1,8 +1,11 @@
 """Benchmark experiments and the mixed-scenario runner.
 
 Every experiment is a real event-driven simulation (no closed-form
-shortcuts in the measured columns) and is a pure function of its seed, so
-repeated runs emit byte-identical CSV.
+shortcuts in the measured columns) and is a pure function of its
+arguments, so repeated runs emit byte-identical CSV. None takes a seed:
+the only random draws, a spiking task's weights and input picks, reach no
+experiment's columns. A scenario run is a pure function of its scenario,
+seed included.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from neurovirt.engine import Engine, SimEvent, round_half_up
-from neurovirt.fabric import Fabric, FabricConfig, InsufficientResources, ResourceVector
+from neurovirt.fabric import Fabric, InsufficientResources, ResourceVector
 from neurovirt.iodriver import GIB, IoDriver, LinkModel, effective_throughput
 from neurovirt.metrics import MetricsCollector, energy_for_accelerators, export_samples
 from neurovirt.sched import DEFAULT_TICK_PERIOD_NS, Scheduler, TaskSpec, exec_time, profile
@@ -39,7 +42,7 @@ def _fmt(x: float) -> str:
     return repr(x)
 
 
-def bench_throughput(vm_counts=DEFAULT_VM_COUNTS, sizes=DEFAULT_SIZES, seed: int = 0) -> str:
+def bench_throughput(vm_counts=DEFAULT_VM_COUNTS, sizes=DEFAULT_SIZES) -> str:
     """Aggregate Gib/s per (vm_count, transfer size), measured in simulation.
 
     Each VM streams back-to-back transfers; throughput is taken over each
@@ -54,14 +57,14 @@ def bench_throughput(vm_counts=DEFAULT_VM_COUNTS, sizes=DEFAULT_SIZES, seed: int
     out.write("vm_count,transfer_bytes,measured_gibs,model_gibs\n")
     for vm_count in vm_counts:
         for size in sizes:
-            measured = _measure_cell(vm_count, size, link, seed)
+            measured = _measure_cell(vm_count, size, link)
             model = effective_throughput(size, vm_count, link)
             out.write(f"{vm_count},{size},{_fmt(measured)},{_fmt(model)}\n")
     return out.getvalue()
 
 
-def _measure_cell(vm_count: int, size: int, link: LinkModel, seed: int) -> float:
-    engine = Engine(seed)
+def _measure_cell(vm_count: int, size: int, link: LinkModel) -> float:
+    engine = Engine()
     driver = IoDriver(engine, link)
     total_rounds = WARMUP_TRANSFERS + MEASURED_TRANSFERS
     completions: dict[str, list[int]] = {}
@@ -224,7 +227,7 @@ def _create_vms(hv: Hypervisor, request: ResourceVector, count: int, what: str) 
 REFERENCE_WORKLOAD = dict(steps=50, input_rate=4, fan_in=32, interval=1_000)
 
 
-def bench_energy(max_accelerators: int = 20, seed: int = 0) -> str:
+def bench_energy(max_accelerators: int = 20) -> str:
     """Energy per provisioned accelerator count, 1..max.
 
     Each row runs an n-accelerator simulation of the fixed reference
@@ -233,20 +236,15 @@ def bench_energy(max_accelerators: int = 20, seed: int = 0) -> str:
     """
     if max_accelerators < 1:
         raise ConfigError("accelerator count must be >= 1")
-    # a wider grid than the default so twenty single-core accelerators fit
-    config = FabricConfig(
-        neurocore_count=32,
-        core_footprint=FabricConfig().total.scaled(1, 64),
-        neurons_per_core=REFERENCE_WORKLOAD["fan_in"],
-    )
     out = io.StringIO()
     out.write("accelerators,energy_mj,synaptic_ops\n")
     for n in range(1, max_accelerators + 1):
-        engine = Engine(seed)
-        fabric = Fabric(config)
+        engine = Engine()
+        fabric = Fabric()
         hv = Hypervisor(engine, fabric)
         executor = SpikingExecutor(engine)
-        vm_ids = _create_vms(hv, config.total.scaled(1, 32), n, "accelerator count")
+        # a 1/32 slot each, so the fabric holds 32 single-core accelerators
+        vm_ids = _create_vms(hv, fabric.total.scaled(1, 32), n, "accelerator count")
         for i, vm_id in enumerate(vm_ids):
             executor.launch(
                 task_id=f"ref{i}",
@@ -268,7 +266,7 @@ RECONFIG_SLOT_SHARE = 0.05
 RECONFIG_SWAP_KINDS = ("lif_core", "router", "pooling")
 
 
-def bench_reconfig(vm_counts=tuple(range(1, 17)), seed: int = 0) -> str:
+def bench_reconfig(vm_counts=tuple(range(1, 17))) -> str:
     """Total reconfiguration time under full-only vs partial-only policies.
 
     For each VM count, every VM runs the identical module-exchange
@@ -283,7 +281,7 @@ def bench_reconfig(vm_counts=tuple(range(1, 17)), seed: int = 0) -> str:
     for count in vm_counts:
         totals = {}
         for mode in (ReconfigMode.FULL, ReconfigMode.PARTIAL):
-            engine = Engine(seed)
+            engine = Engine()
             fabric = Fabric()
             hv = Hypervisor(engine, fabric)
             catalog = default_module_catalog(fabric.config)
@@ -368,7 +366,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     )
 
     for vmdef in scenario.vms:
-        hv.create_vm(vmdef.request, vmdef.priority, vmdef.cores, vmdef.id)
+        hv.create_vm(vmdef.request, vmdef.cores, vmdef.id)
         scheduler.add_vm(vmdef.id, hv.vms[vmdef.id].cores)
 
     for tdef in scenario.tasks:

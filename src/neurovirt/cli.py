@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="simulation seed")
         p.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
     p_tp = sub.add_parser("bench-throughput", help="aggregate Gib/s vs transfer size")
@@ -66,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario file")
     common(p_run)
-    p_run.set_defaults(seed=None)  # the scenario's own seed unless --seed is given
+    p_run.add_argument("--seed", type=int, help="simulation seed (default: the scenario's)")
     p_run.add_argument("--scenario", required=True, help="scenario file to run")
     p_run.add_argument("--trace-out", default=None, help="event trace output path")
     return parser
@@ -93,16 +92,14 @@ def main(argv: list[str] | None = None) -> int:
             if not sizes:
                 raise ValueError(f"no sizes in {args.sizes!r}")
             csv = bench.bench_throughput(
-                vm_counts=_parse_int_list(args.vm_counts), sizes=sizes, seed=args.seed
+                vm_counts=_parse_int_list(args.vm_counts), sizes=sizes
             )
             _emit(csv, args.out)
         elif args.command == "bench-energy":
-            csv = bench.bench_energy(max_accelerators=args.accelerators, seed=args.seed)
+            csv = bench.bench_energy(max_accelerators=args.accelerators)
             _emit(csv, args.out)
         elif args.command == "bench-reconfig":
-            csv = bench.bench_reconfig(
-                vm_counts=_parse_int_list(args.vm_counts), seed=args.seed
-            )
+            csv = bench.bench_reconfig(vm_counts=_parse_int_list(args.vm_counts))
             _emit(csv, args.out)
         elif args.command == "run":
             scenario = load_scenario(args.scenario)

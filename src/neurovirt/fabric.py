@@ -100,12 +100,7 @@ class FabricConfig:
     total: ResourceVector = DEFAULT_TOTAL
     neurocore_count: int = 16
     neurons_per_core: int = 256
-    core_footprint: ResourceVector | None = None  # None: 1/32 of total
     bitstream_total_bytes: int = DEFAULT_BITSTREAM_BYTES
-
-    def __post_init__(self):
-        if self.core_footprint is None:
-            object.__setattr__(self, "core_footprint", self.total.scaled(1, 32))
 
     def validate(self) -> None:
         if self.neurocore_count <= 0:
@@ -117,11 +112,6 @@ class FabricConfig:
         # utilization and bitstream shares divide by each class's total
         if not all(getattr(self.total, name) > 0 for name in RESOURCE_CLASSES):
             raise InvalidConfig("total must be positive in every class")
-        if not self.core_footprint.scaled(self.neurocore_count, 1).fits_within(self.total):
-            raise InvalidConfig(
-                f"{self.neurocore_count} neurocores at {self.core_footprint} "
-                f"exceed fabric total {self.total}"
-            )
 
 
 class Fabric:

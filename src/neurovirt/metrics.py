@@ -15,26 +15,20 @@ from neurovirt.virt import Hypervisor, ReconfigMode
 
 MJ_PER_NJ = 1e-6
 
+BASE_MJ = 25.0  # at one accelerator
+SLOPE_MJ = 20.0 / 19.0  # per additional accelerator
+
 
 @dataclass(frozen=True)
 class EnergyModel:
-    base_mj: float = 25.0  # at one accelerator
-    slope_mj: float = 20.0 / 19.0  # per additional accelerator
     dyn_nj_per_synop: float = 1.0
 
-    def __post_init__(self):
-        if self.base_mj <= 0:
-            raise ValueError("base_mj must be positive")
-        if self.slope_mj < 0:
-            raise ValueError("slope_mj must be non-negative")
 
-
-def energy_for_accelerators(n: int, model: EnergyModel | None = None) -> float:
+def energy_for_accelerators(n: int) -> float:
     """Provisioned energy in mJ for one benchmark workload unit on n accelerators."""
     if n < 1:
         raise ValueError("accelerator count must be >= 1")
-    model = model if model is not None else EnergyModel()
-    return model.base_mj + (n - 1) * model.slope_mj
+    return BASE_MJ + (n - 1) * SLOPE_MJ
 
 
 def task_energy(ops: int, model: EnergyModel | None = None) -> float:

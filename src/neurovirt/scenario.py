@@ -15,15 +15,13 @@ Top-level keys (all optional except ``schema_version`` and ``seed``):
                     "bitstream_total_bytes": 31457280},
       "link":      {"latency_ns": 10000, "ring_capacity": 256,
                     "peak_gibps": {"1": 1.5, "2": 2.9, "4": 5.1}},
-      "energy":    {"base_mj": 25.0, "slope_mj": 1.052631578947368,
-                    "dyn_nj_per_synop": 1.0},
+      "energy":    {"dyn_nj_per_synop": 1.0},
       "reconfig":  {"config_port_bw": 419430400,
                     "partial_setup_overhead_ns": 100000},
       "scheduler": {"core_rate": 1, "tick_period_ns": 100000,
                     "migration_penalty_ns": 1000000},
       "modules":   [{"id": "lif0", "kind": "lif_core", "share": 0.04}],
-      "vms":       [{"id": "vmA", "share": 0.125, "cores": 2,
-                     "priority": "batch"}],
+      "vms":       [{"id": "vmA", "share": 0.125, "cores": 2}],
       "tasks":     [{"id": "t0", "steps": 100, "input_rate": 8,
                      "fan_in": 256, "data_size": 4096,
                      "deadline_ns": null, "arrival_ns": 0,
@@ -34,10 +32,14 @@ Top-level keys (all optional except ``schema_version`` and ``seed``):
                      "mode": "partial", "at_ns": 1000000}]
     }
 
-A VM's ``priority``, a module's ``kind`` and a task's ``data_size`` are
-labels that no model reads: the scheduler orders tasks by their own
-deadlines, reconfiguration time depends only on bitstream bytes, and a
-task's duration only on its steps, input rate and fan-in.
+A run is a pure function of its scenario: ``seed`` seeds its only random
+draws, a spiking task's weights and input picks. The bench commands take
+no scenario and no seed; each is a pure function of its arguments.
+
+A module's ``kind`` and a task's ``data_size`` are labels that no model
+reads: reconfiguration time depends only on bitstream bytes, and a task's
+duration only on its steps, input rate and fan-in. They stay in the schema
+because the benchmark's generated scenarios write them.
 
 The rule tables below (``TOP`` to ``RECONFIG_OP``) are the field
 reference. Each section is read against the dataclass it builds: that
@@ -84,7 +86,6 @@ from neurovirt.sched import (
 from neurovirt.virt import (
     DfxModule,
     ModuleKind,
-    Priority,
     ReconfigMode,
     ReconfigParams,
     bitstream_bytes_for,
@@ -120,7 +121,6 @@ class VmDef:
     id: str
     request: ResourceVector
     cores: int | None = None
-    priority: Priority = Priority.BATCH
 
 
 @dataclass(frozen=True)
@@ -235,25 +235,20 @@ SCHEDULER = _section(
 FABRIC = _section(
     FabricConfig,
     {"total": None, "neurocore_count": POSITIVE, "neurons_per_core": POSITIVE,
-     "core_footprint": None, "bitstream_total_bytes": POSITIVE},
+     "bitstream_total_bytes": POSITIVE},
 )
 RESOURCES = _section(ResourceVector, {name: NON_NEGATIVE for name in RESOURCE_CLASSES})
 LINK = _section(
     LinkModel, {"latency_ns": NON_NEGATIVE, "ring_capacity": POSITIVE}, ("peak_gibps",)
 )
-ENERGY = _section(
-    EnergyModel,
-    {"base_mj": POSITIVE, "slope_mj": NON_NEGATIVE, "dyn_nj_per_synop": NON_NEGATIVE},
-)
+ENERGY = _section(EnergyModel, {"dyn_nj_per_synop": NON_NEGATIVE})
 RECONFIG = _section(
     ReconfigParams, {"config_port_bw": POSITIVE, "partial_setup_overhead_ns": NON_NEGATIVE}
 )
 MODULE = _section(
     DfxModule, {"id": None, "kind": None}, ("share", "footprint", "bitstream_bytes")
 )
-VM = _section(
-    VmDef, {"id": None, "cores": POSITIVE, "priority": None}, ("share", "resources")
-)
+VM = _section(VmDef, {"id": None, "cores": POSITIVE}, ("share", "resources"))
 TASK = _section(
     TaskDef,
     {"id": None, "steps": POSITIVE, "input_rate": POSITIVE, "fan_in": POSITIVE,
@@ -352,7 +347,7 @@ def _peak_table(peaks) -> tuple[tuple[int, float], ...]:
     return tuple(sorted(entries))
 
 
-def scenario_from_dict(data: dict, source: str = "<memory>") -> Scenario:
+def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ValidationError("$", "scenario must be a JSON object")
     version = _check(data.get("schema_version"), int, ANY, "$", "schema_version")
@@ -470,4 +465,4 @@ def load_scenario(path: str) -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, exc.msg) from exc
-    return scenario_from_dict(data, source=path)
+    return scenario_from_dict(data)

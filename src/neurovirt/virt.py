@@ -30,11 +30,6 @@ class FootprintOverflow(Exception):
     pass
 
 
-class Priority(enum.Enum):
-    REAL_TIME = "realtime"
-    BATCH = "batch"
-
-
 class ModuleKind(enum.Enum):
     LIF_CORE = "lif_core"
     ROUTER = "router"
@@ -75,7 +70,6 @@ class ReconfigRecord:
 class VirtualMachine:
     id: str
     slot_id: int
-    priority: Priority
     cores: int
     loaded: dict[str, DfxModule] = field(default_factory=dict)
     ring: IoRing | None = None  # its one I/O ring, when the hypervisor has a driver
@@ -140,7 +134,6 @@ class Hypervisor:
     def create_vm(
         self,
         request: ResourceVector,
-        priority: Priority = Priority.BATCH,
         cores: int | None = None,
         vm_id: str | None = None,
     ) -> str:
@@ -156,7 +149,7 @@ class Hypervisor:
             cores = max(
                 1, round(config.neurocore_count * request.lut / config.total.lut)
             )
-        vm = VirtualMachine(vm_id, slot_id, priority, cores)
+        vm = VirtualMachine(vm_id, slot_id, cores)
         if self.driver is not None:
             vm.ring = self.driver.open_ring(vm_id)
         self.vms[vm_id] = vm

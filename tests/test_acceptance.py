@@ -322,13 +322,9 @@ def test_criterion_8_determinism(tmp_path):
 
     pairs = []
     for name, argv in (
-        ("energy", ["bench-energy", "--accelerators", "6", "--seed", "3"]),
-        ("reconfig", ["bench-reconfig", "--vm-counts", "1-4", "--seed", "3"]),
-        (
-            "throughput",
-            ["bench-throughput", "--vm-counts", "1,2", "--sizes", "4096,1048576",
-             "--seed", "3"],
-        ),
+        ("energy", ["bench-energy", "--accelerators", "6"]),
+        ("reconfig", ["bench-reconfig", "--vm-counts", "1-4"]),
+        ("throughput", ["bench-throughput", "--vm-counts", "1,2", "--sizes", "4096,1048576"]),
     ):
         outs = []
         for run in range(2):

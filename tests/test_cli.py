@@ -58,11 +58,13 @@ def test_bench_reconfig_cli(tmp_path):
     for line in lines[1:]:
         _, full_ns, partial_ns = line.split(",")
         assert int(partial_ns) < int(full_ns)
-    # no benchmark reads a scenario, so none takes one
+    # no benchmark reads a scenario or draws a random number that reaches
+    # its CSV, so none takes a scenario or a seed
     for command in ("bench-reconfig", "bench-throughput", "bench-energy"):
-        with pytest.raises(SystemExit) as exited:
-            main([command, "--scenario", "demo.json"])
-        assert exited.value.code == 2
+        for flags in (["--scenario", "demo.json"], ["--seed", "3"]):
+            with pytest.raises(SystemExit) as exited:
+                main([command, *flags])
+            assert exited.value.code == 2
 
 
 def _scenario_file(tmp_path, seed=11, **overrides):
@@ -72,7 +74,7 @@ def _scenario_file(tmp_path, seed=11, **overrides):
         "duration_ns": 30_000_000,
         "sample_period_ns": 5_000_000,
         "vms": [
-            {"id": "vmA", "share": 0.25, "cores": 2, "priority": "realtime"},
+            {"id": "vmA", "share": 0.25, "cores": 2},
             {"id": "vmB", "share": 0.25, "cores": 2},
         ],
         "tasks": [
@@ -276,11 +278,18 @@ def test_cold_start_loads_numpy_only_for_spiking_runs(tmp_path, calls, numpy_loa
     ({"energy": {"dyn_nj_per_synop": -1.0}}, "$.energy.dyn_nj_per_synop: must be non-negative"),
     ({"vms": [], "transfers": [], "reconfigs": []}, "$.tasks: no vm to run them on"),
     # numbers too large for a float, and one that is not finite
-    ({"energy": {"base_mj": 10**400}}, "$.energy.base_mj: must be below 2**63 in magnitude"),
+    ({"energy": {"dyn_nj_per_synop": 10**400}},
+     "$.energy.dyn_nj_per_synop: must be below 2**63 in magnitude"),
     ({"fabric": {"total": {"lut": 10**400, "memory_bytes": 38_000_000, "io_pins": 464,
                            "dsp": 1728}}},
      "$.fabric.total.lut: must be below 2**63 in magnitude"),
-    ({"energy": {"base_mj": float("inf")}}, "$.energy.base_mj: must be finite"),
+    ({"energy": {"dyn_nj_per_synop": float("inf")}}, "$.energy.dyn_nj_per_synop: must be finite"),
+    # keys that no model would read are not in the schema
+    ({"vms": [{"id": "vmA", "share": 0.25, "priority": "realtime"},
+              {"id": "vmB", "share": 0.25}]},
+     "$.vms[0].priority: unknown field"),
+    ({"fabric": {"core_footprint": {"lut": 1}}}, "$.fabric.core_footprint: unknown field"),
+    ({"energy": {"base_mj": 25.0}}, "$.energy.base_mj: unknown field"),
 ])
 def test_degenerate_field_exits_2_naming_it(tmp_path, override, message):
     path = _scenario_file(tmp_path, **override)
@@ -302,9 +311,9 @@ def test_stalled_late_task_does_not_crash_the_run(tmp_path):
         fabric={"bitstream_total_bytes": 2_097_152},
         scheduler={"migration_penalty_ns": 50_000},
         vms=[
-            {"id": "vm1", "share": 0.06, "cores": 1, "priority": "realtime"},
+            {"id": "vm1", "share": 0.06, "cores": 1},
             {"id": "vm2", "share": 0.06, "cores": 4},
-            {"id": "vm3", "share": 0.06, "cores": 2, "priority": "realtime"},
+            {"id": "vm3", "share": 0.06, "cores": 2},
         ],
         tasks=[
             {"id": "t03", "mode": "spiking", "steps": 41, "input_rate": 6, "fan_in": 512,

@@ -23,24 +23,10 @@ def test_default_totals():
 
 
 def test_infeasible_config_rejected():
-    for cfg in [
-        FabricConfig(
-            core_footprint=ResourceVector(lut=600_000, memory_bytes=1, io_pins=1, dsp=1)
-        ),
-        # utilization divides by every class's total
-        FabricConfig(
-            total=ResourceVector(lut=504_000, memory_bytes=38_000_000, io_pins=464),
-            core_footprint=ResourceVector(lut=1),
-        ),
-    ]:
-        with pytest.raises(InvalidConfig):
-            Fabric(cfg)
-
-
-def test_core_footprint_defaults_to_a_32nd_of_total():
-    total = ResourceVector(lut=64_000, memory_bytes=3_200, io_pins=320, dsp=32)
-    assert FabricConfig(total=total).core_footprint == total.scaled(1, 32)
-    assert FabricConfig().core_footprint == FabricConfig().total.scaled(1, 32)
+    # utilization divides by every class's total
+    cfg = FabricConfig(total=ResourceVector(lut=504_000, memory_bytes=38_000_000, io_pins=464))
+    with pytest.raises(InvalidConfig):
+        Fabric(cfg)
 
 
 def test_utilization_of_reference_allocation():

@@ -49,8 +49,6 @@ def test_energy_exactly_linear_and_monotone():
 def test_energy_validation():
     with pytest.raises(ValueError):
         energy_for_accelerators(0)
-    with pytest.raises(ValueError):
-        EnergyModel(base_mj=0.0)
 
 
 def test_task_energy():

@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from neurovirt import scenario as scenario_module
 from neurovirt.scenario import (
     DEFAULT_MODULE_SHARES,
+    TOP,
     ParseError,
     ValidationError,
     load_scenario,
@@ -24,7 +26,16 @@ def test_minimal_scenario_gets_defaults():
     assert sc.fabric.total.lut == 504_000
     assert sc.link.latency_ns == 10_000
     assert set(sc.modules) == set(DEFAULT_MODULE_SHARES)
-    assert sc.energy.base_mj == 25.0
+    assert sc.energy.dyn_nj_per_synop == 1.0
+
+
+def test_docstring_example_loads_and_shows_every_top_level_key():
+    # the module docstring's JSON example is the schema's field reference
+    block = scenario_module.__doc__.split(".. code-block:: json")[1].split("\n\n")[1]
+    example = json.loads(block)
+    scenario_from_dict(example)
+    allowed, _ = TOP
+    assert set(example) == allowed
 
 
 def test_missing_seed_rejected():
@@ -185,12 +196,12 @@ OBJECT_PATHS = [()] + [p for p in VALUE_PATHS if isinstance(_at(DEMO, p), dict)]
 # known names, so an added key is sometimes a field the demo leaves out
 KEYS = st.sampled_from([
     "fabric", "link", "energy", "reconfig", "scheduler", "modules", "total",
-    "core_footprint", "neurocore_count", "peak_gibps", "1", "lut", "share",
+    "bitstream_total_bytes", "neurocore_count", "peak_gibps", "1", "lut", "share",
     "resources", "footprint", "bitstream_bytes", "cores", "deadline_ns", "kind",
 ]) | st.text(max_size=6)
 SCALARS = (
     st.none() | st.booleans() | st.integers(-(2**63), 2**63) | st.floats()
-    | st.text(max_size=6) | st.sampled_from(["router", "realtime", "full", "spiking"])
+    | st.text(max_size=6) | st.sampled_from(["router", "lif_core", "full", "spiking"])
 )
 VALUES = st.recursive(
     SCALARS,
