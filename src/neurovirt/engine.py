@@ -16,6 +16,11 @@ stallable event is indexed by its VM (untagged ones under None), so a
 reconfiguration stall walks only the events it shifts. Once stale entries
 make up more than half of the heap, the heap is compacted: they are dropped
 and the rest re-heapified.
+
+Each processed event is logged as one ``tick,seq,kind,detail`` line. The log
+is held as a few large text chunks of :data:`TRACE_WRITE_LINES` lines each,
+not one string per event, and :meth:`Engine.write_trace` hands it off once:
+each chunk is released as it is written.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
 
-# trace lines per write: one write per line took 3x as long or more on an
+# trace lines per chunk, and so per write: one string per line held 3.4x the
+# bytes of its text, and one write per line took 3x as long or more on an
 # 82k-line trace
 TRACE_WRITE_LINES = 4096
 
@@ -147,7 +153,8 @@ class Engine:
         self._stale = 0  # heap entries whose time is not their event's fire_at
         self._processed = 0
         self.rng = RandomStreams(seed)
-        self.trace: list[str] = []
+        self._lines: list[str] = []  # the open chunk: lines not yet joined
+        self._chunks: list[str] = []  # closed chunks, "\n"-terminated text
 
     def now(self) -> int:
         return self._now
@@ -155,6 +162,13 @@ class Engine:
     @property
     def processed_count(self) -> int:
         return self._processed
+
+    @property
+    def trace(self) -> list[str]:
+        """The lines processed and not yet written, one per event: an O(n)
+        copy for diagnostics and tests."""
+        # split on "\n" only: str.splitlines() also splits on "\r" and others
+        return "".join(self._chunks).split("\n")[:-1] + self._lines
 
     def schedule(
         self,
@@ -207,9 +221,9 @@ class Engine:
         """Process events in (fire_at, seq) order while the next one fires at
         or before ``t_end``; returns how many were processed."""
         # locals stay valid for the whole loop: handlers only ever mutate the
-        # heap, the index and the trace in place
-        heap, by_vm, log = self._heap, self._by_vm, self.trace.append
-        pop = heapq.heappop
+        # heap, the index and the open chunk in place
+        heap, by_vm, lines = self._heap, self._by_vm, self._lines
+        log, pop = lines.append, heapq.heappop
         start = self._processed
         while heap and heap[0][0] <= t_end:
             fire_at, seq, event = pop(heap)
@@ -221,6 +235,8 @@ class Engine:
                 del by_vm[event.vm][seq]
             self._now = fire_at
             log(f"{fire_at},{seq},{event.kind},{event.detail}")
+            if len(lines) == TRACE_WRITE_LINES:
+                self._close_chunk()
             self._processed += 1
             if event.fn is not None:
                 event.fn()
@@ -267,8 +283,27 @@ class Engine:
             self._heap[:] = live  # in place: a running loop holds this list
             self._stale = 0
 
+    def _close_chunk(self) -> None:
+        """Join the open chunk's lines into one closed chunk."""
+        lines = self._lines
+        if lines:
+            # the closing newline joined in, not added to a copy: freeing
+            # that copy raised glibc's mmap threshold, so later chunks came
+            # from the heap and stayed resident once released (+1.3 MiB
+            # peak RSS on io-reconfig-churn)
+            lines.append("")
+            self._chunks.append("\n".join(lines))
+            lines.clear()  # in place: a running loop holds this list
+
     def write_trace(self, fh) -> None:
-        """Dump the processed-event log, one ``tick,seq,kind,detail`` line each."""
-        trace = self.trace
-        for start in range(0, len(trace), TRACE_WRITE_LINES):
-            fh.write("\n".join(trace[start:start + TRACE_WRITE_LINES]) + "\n")
+        """Write the processed-event log, one ``tick,seq,kind,detail`` line
+        each, and release it.
+
+        The log is a stream handed off once: each chunk is dropped as it is
+        written, so afterwards the engine holds no trace, and a second call
+        writes only the events processed since."""
+        self._close_chunk()
+        chunks = self._chunks
+        while chunks:
+            fh.write(chunks[0])
+            del chunks[0]

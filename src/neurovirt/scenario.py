@@ -51,7 +51,10 @@ magnitude. A null value means the default. Any other key is rejected as
 
 VM ``share``/module ``share`` are fabric fractions; explicit ``resources``
 / ``footprint`` objects are accepted instead, but not both. A module's
-``bitstream_bytes`` defaults to its lut share of the full bitstream. All ids
+``bitstream_bytes`` defaults to its lut share of the full bitstream. A VM,
+module or task id is non-empty and holds no whitespace, ``,``, ``;`` or
+``=``, since it is written into ``tick,seq,kind,detail`` trace lines as a
+``k=v;k=v`` detail. All ids
 referenced by tasks, transfers, and reconfigs must resolve, tasks need a
 VM, and the VMs and reconfigured modules must fit the fabric.
 The ``peak_gibps`` table starts at 1 VM, and its peaks never fall as the
@@ -321,6 +324,27 @@ def _mismatch(value, kind) -> str:
     return f"expected {_JSON_TYPES[kind]}, got {got}"
 
 
+def _is_id(text: str) -> bool:
+    """``text`` is non-empty and holds no whitespace, ``,``, ``;`` or ``=``,
+    so it can stand as a value in a trace line's ``k=v;k=v`` detail."""
+    return text.split() == [text] and not any(c in text for c in ",;=")
+
+
+def _check_ids(ids: list[str], path: str) -> None:
+    """Refuse the first of a section's ids, in row order, that is not
+    :func:`_is_id`."""
+    # non-empty ids join into an id iff each is one, so one scan clears a
+    # whole section: a regex match per id cost ~9% of scenario_from_dict
+    # on 1,600 tasks
+    if all(ids) and _is_id("".join(ids)):
+        return
+    for i, value in enumerate(ids):
+        if not _is_id(value):
+            raise ValidationError(
+                f"{path}[{i}].id", "must be non-empty, without whitespace, ',', ';' or '='"
+            )
+
+
 def _rows(data: dict, key: str) -> list:
     rows = data.get(key)
     return [] if rows is None else _check(rows, list, None, "$", key)
@@ -397,6 +421,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         if module.id in scenario.modules:
             raise ValidationError(f"{path}.id", f"duplicate module id {module.id!r}")
         scenario.modules[module.id] = module
+    _check_ids(list(scenario.modules), "$.modules")  # the default catalog passes
 
     # replay the VM requests in creation order against a scratch fabric, so
     # an overcommit is reported here instead of when the run sets up
@@ -414,6 +439,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ValidationError(path, str(exc)) from None
         vm_requests[vm.id] = vm.request
         scenario.vms.append(vm)
+    _check_ids(list(vm_requests), "$.vms")
 
     task_ids = set()
     for i, row in enumerate(_rows(data, "tasks")):
@@ -425,6 +451,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         if task.deadline_ns is not None and task.deadline_ns <= task.arrival_ns:
             raise ValidationError(f"{path}.deadline_ns", "must exceed arrival_ns")
         scenario.tasks.append(task)
+    _check_ids([task.id for task in scenario.tasks], "$.tasks")
     if scenario.tasks and not scenario.vms:
         raise ValidationError("$.tasks", "no vm to run them on")
 

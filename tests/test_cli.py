@@ -245,6 +245,9 @@ def test_cold_start_loads_numpy_only_for_spiking_runs(tmp_path, calls, numpy_loa
         assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest, path.name
 
 
+_BAD_ID = "must be non-empty, without whitespace, ',', ';' or '='"
+
+
 @pytest.mark.parametrize("override, message", [
     ({"scheduler": {"tick_period_ns": 0}}, "$.scheduler.tick_period_ns: must be positive"),
     ({"scheduler": {"core_rate": 0}}, "$.scheduler.core_rate: must be positive"),
@@ -290,6 +293,15 @@ def test_cold_start_loads_numpy_only_for_spiking_runs(tmp_path, calls, numpy_loa
      "$.vms[0].priority: unknown field"),
     ({"fabric": {"core_footprint": {"lut": 1}}}, "$.fabric.core_footprint: unknown field"),
     ({"energy": {"base_mj": 25.0}}, "$.energy.base_mj: unknown field"),
+    # an id is written into trace lines, so it must not forge one or break a detail
+    ({"tasks": [{"id": "t,0\n9,9,Fake,", "steps": 20, "input_rate": 4, "fan_in": 32}]},
+     f"$.tasks[0].id: {_BAD_ID}"),
+    ({"vms": [{"id": "vm\nA;x=1", "share": 0.25}, {"id": "vmB", "share": 0.25}]},
+     f"$.vms[0].id: {_BAD_ID}"),
+    ({"vms": [{"id": "vmA", "share": 0.25}, {"id": "", "share": 0.25}]},
+     f"$.vms[1].id: {_BAD_ID}"),
+    ({"modules": [{"id": "lif 0", "kind": "lif_core", "share": 0.04}]},
+     f"$.modules[0].id: {_BAD_ID}"),
 ])
 def test_degenerate_field_exits_2_naming_it(tmp_path, override, message):
     path = _scenario_file(tmp_path, **override)

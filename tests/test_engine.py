@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,16 +194,67 @@ def test_trace_line_format():
 @pytest.mark.parametrize("events", [0, 1, TRACE_WRITE_LINES, TRACE_WRITE_LINES + 1,
                                     2 * TRACE_WRITE_LINES + 1])
 def test_write_trace_writes_each_line_once_in_order(events):
-    # lines are written in slices; the pinned stall.json trace (5,891 lines)
-    # crosses one slice boundary, and these add an empty trace, an exact
-    # multiple of a slice and two boundaries
+    # lines are held and written in chunks; the pinned stall.json trace
+    # (5,891 lines) crosses one chunk boundary, and these add an empty trace,
+    # an exact multiple of a chunk and two boundaries
     eng = Engine(seed=1)
     for t in range(events):
         eng.schedule(t, "Tick", detail=f"n={t}")
     eng.run()
+    lines = [f"{t},{t},Tick,n={t}" for t in range(events)]
+    assert eng.trace == lines
     fh = io.StringIO()
     eng.write_trace(fh)
-    assert fh.getvalue() == "".join(f"{t},{t},Tick,n={t}\n" for t in range(events))
+    assert fh.getvalue() == "".join(line + "\n" for line in lines)
+    # the trace is handed off once: the write releases it
+    assert eng.trace == []
+    again = io.StringIO()
+    eng.write_trace(again)
+    assert again.getvalue() == ""
+
+
+def test_held_trace_costs_under_twice_its_text():
+    # one str per line held 3.4x the bytes of its text
+    events = 20_000
+    eng = Engine(seed=1)
+    for t in range(events):
+        eng.schedule(t, "Tick", detail=f"n={t}")
+    tracemalloc.start()
+    try:
+        eng.run()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    text = sum(len(f"{t},{t},Tick,n={t}\n") for t in range(events))
+    assert held < 2 * text
+
+
+def _tickers(eng: Engine) -> None:
+    """Three self-rescheduling handlers, every 1, 2 and 3 ns."""
+    def tick(period: int, n: int) -> None:
+        eng.schedule_in(period, f"P{period}", fn=lambda: tick(period, n + 1),
+                        detail=f"n={n}")
+
+    for period in (1, 2, 3):
+        eng.schedule(0, f"P{period}", fn=lambda period=period: tick(period, 1), detail="n=0")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 5_000), max_size=6))
+def test_split_runs_write_the_same_bytes_as_one_run(splits):
+    # 9,169 events to t=5,000: chunks close inside a call and between calls
+    end = 5_000
+    whole, split = Engine(seed=1), Engine(seed=1)
+    _tickers(whole)
+    _tickers(split)
+    whole.run_until(end)
+    for t in splits + [end]:
+        split.run_until(t)
+    assert whole.processed_count == split.processed_count > 2 * TRACE_WRITE_LINES
+    expected, got = io.StringIO(), io.StringIO()
+    whole.write_trace(expected)
+    split.write_trace(got)
+    assert got.getvalue() == expected.getvalue()
 
 
 @pytest.mark.parametrize("postpones", [

@@ -1,5 +1,7 @@
 import copy
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from neurovirt.scenario import (
     TOP,
     ParseError,
     ValidationError,
+    _check_ids,
     load_scenario,
     scenario_from_dict,
 )
@@ -98,6 +101,33 @@ def test_duplicate_vm_ids_rejected():
     data["vms"] = [{"id": "a", "share": 0.1}, {"id": "a", "share": 0.1}]
     with pytest.raises(ValidationError):
         scenario_from_dict(data)
+
+
+# every whitespace character: str.split() and the regex \s both go by str.isspace()
+WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+ID_TEXT = st.text(st.sampled_from(WHITESPACE + ",;=ab-_\u00e9\U0001f600"), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ID_TEXT, max_size=4))
+def test_id_check_names_the_first_id_the_rule_refuses(ids):
+    # the scan of the joined ids must agree with the rule applied to each
+    refused = [i for i, value in enumerate(ids) if not re.fullmatch(r"[^\s,;=]+", value)]
+    if not refused:
+        _check_ids(ids, "$.vms")
+        return
+    with pytest.raises(ValidationError) as err:
+        _check_ids(ids, "$.vms")
+    assert err.value.field == f"$.vms[{refused[0]}].id"
+
+
+def test_every_whitespace_character_is_refused_in_an_id():
+    data = minimal()
+    for c in WHITESPACE:
+        data["vms"] = [{"id": f"vm{c}0", "share": 0.1}]
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(data)
+        assert err.value.field == "$.vms[0].id", repr(c)
 
 
 def test_bad_peak_table_rejected():
