@@ -1,4 +1,4 @@
-"""Benchmark experiments and the mixed-scenario runner.
+"""The three benchmark experiments and the mixed-scenario runner.
 
 Every experiment is a real event-driven simulation (no closed-form
 shortcuts in the measured columns) and is a pure function of its
@@ -11,18 +11,18 @@ seed included.
 from __future__ import annotations
 
 import io
-from collections.abc import Iterator
 from dataclasses import dataclass
 
-from neurovirt.engine import Engine, SimEvent, round_half_up
+from neurovirt.engine import Engine, round_half_up
 from neurovirt.fabric import Fabric, InsufficientResources, ResourceVector
 from neurovirt.iodriver import GIB, IoDriver, LinkModel, effective_throughput
 from neurovirt.metrics import MetricsCollector, energy_for_accelerators, export_samples
 from neurovirt.sched import DEFAULT_TICK_PERIOD_NS, Scheduler, TaskSpec, exec_time, profile
 from neurovirt.scenario import Scenario, TaskDef, default_module_catalog
+from neurovirt.snn import SpikingExecutor
 # make_core_state and step_core stay bound here, since perfbench/tracer.py
 # patches bench.make_core_state and bench.step_core by name
-from neurovirt.snn import LifParams, make_core_state, step_core, step_sorted  # noqa: F401
+from neurovirt.snn import make_core_state, step_core  # noqa: F401
 from neurovirt.virt import Hypervisor, ReconfigMode
 
 # sizes from latency-dominated to saturated, powers of four
@@ -31,10 +31,6 @@ DEFAULT_VM_COUNTS = (1, 2, 4)
 
 WARMUP_TRANSFERS = 2
 MEASURED_TRANSFERS = 8
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _fmt(x: float) -> str:
@@ -52,7 +48,7 @@ def bench_throughput(vm_counts=DEFAULT_VM_COUNTS, sizes=DEFAULT_SIZES) -> str:
     link = LinkModel()
     for count in vm_counts:
         if count < 1:
-            raise ConfigError(f"vm count {count} below link model domain")
+            raise ValueError(f"vm count {count} below link model domain")
     out = io.StringIO()
     out.write("vm_count,transfer_bytes,measured_gibs,model_gibs\n")
     for vm_count in vm_counts:
@@ -85,142 +81,15 @@ def _measure_cell(vm_count: int, size: int, link: LinkModel) -> float:
     return aggregate
 
 
-@dataclass
-class _SpikingTask:
-    """One spiking workload being stepped on a core."""
-
-    task_id: str
-    stream: str
-    state: object
-    n_inputs: int
-    n_neurons: int
-    rate: int
-    remaining: int
-    interval: int
-    vm: str | None
-    detail: str
-    next_event: SimEvent | None = None
-    # input ids of the pre-drawn steps, one sorted tuple per step
-    picks: Iterator[tuple[int, ...]] = iter(())
-
-
-# pool cells per refill of a task's input picks: bounds the look-ahead
-# memory per active task whatever its step count or fan-in
-INPUT_BLOCK = 4096
-
-
-class SpikingExecutor:
-    """Steps LIF workloads on the engine and counts synaptic ops."""
-
-    def __init__(self, engine: Engine, params: LifParams | None = None):
-        self.engine = engine
-        self.params = params if params is not None else LifParams()
-        self.active: dict[str, _SpikingTask] = {}
-        self.total_synops = 0
-        self.output_spikes = 0
-
-    def launch(
-        self,
-        task_id: str,
-        steps: int,
-        input_rate: int,
-        fan_in: int,
-        interval: int,
-        at: int,
-        vm: str | None = None,
-        stream: str | None = None,
-    ) -> None:
-        n_inputs = max(fan_in, input_rate)
-        stream = stream if stream is not None else f"task/{task_id}"
-        state = make_core_state(
-            n_inputs, fan_in, rng=self.engine.rng, stream=f"{stream}/weights"
-        )
-        job = _SpikingTask(
-            task_id=task_id,
-            stream=f"{stream}/inputs",
-            state=state,
-            n_inputs=n_inputs,
-            n_neurons=fan_in,
-            rate=input_rate,
-            remaining=steps,
-            interval=interval,
-            vm=vm,
-            detail=f"task={task_id}",
-        )
-        self.active[task_id] = job
-        self._schedule_step(job, at)
-
-    def _schedule_step(self, job: _SpikingTask, at: int) -> None:
-        # a closure per step, not one kept on the job: job -> next_event ->
-        # closure -> job is then the only cycle, and _step breaks it when the
-        # job finishes, so a finished job is freed at once
-        job.next_event = self.engine.schedule(
-            at, "SpikeStep", fn=lambda: self._step(job), detail=job.detail, vm=job.vm
-        )
-
-    def _pick_inputs(self, job: _SpikingTask) -> tuple[int, ...]:
-        ids = next(job.picks, None)
-        if ids is None:
-            job.picks = self._draw_picks(job)
-            ids = next(job.picks)
-        return ids
-
-    def _draw_picks(self, job: _SpikingTask) -> Iterator[tuple[int, ...]]:
-        """Input ids of the next block of steps: per step, the sorted prefix
-        of a partial Fisher-Yates shuffle of ``range(n_inputs)`` whose swap
-        ``k`` targets ``k + floor(u * (n_inputs - k))``.
-
-        The stream is the task's own, so drawing ahead leaves each value
-        and its order unchanged. All steps of a block shuffle together: the
-        pool holds position ``p`` of step ``s`` at ``p * steps + s``, and
-        swap ``k`` is one gather and one scatter across the block, with at
-        most ``max(INPUT_BLOCK, n_inputs)`` cells whatever the fan-in.
-        """
-        import numpy as np
-
-        n, rate = job.n_inputs, job.rate
-        steps = min(job.remaining, max(1, INPUT_BLOCK // n))
-        u = self.engine.rng.values(job.stream, steps * rate).reshape(steps, rate)
-        k = np.arange(rate)
-        there = (k + (u * (n - k)).astype(np.int64)).T * steps + np.arange(steps)
-        here = np.arange(rate * steps).reshape(rate, steps)
-        forth = np.concatenate((here, there), axis=1)
-        back = np.concatenate((there, here), axis=1)
-        pool = np.repeat(np.arange(n), steps)
-        for to, frm in zip(forth, back):
-            pool[to] = pool[frm]
-        picks = np.sort(pool[: rate * steps].reshape(rate, steps).T, axis=1)
-        return map(tuple, picks.tolist())
-
-    def _step(self, job: _SpikingTask) -> None:
-        ids = self._pick_inputs(job)
-        self.output_spikes += len(step_sorted(job.state, ids, self.params))
-        self.total_synops += job.rate * job.n_neurons
-        job.remaining -= 1
-        if job.remaining > 0:
-            self._schedule_step(job, self.engine.now() + job.interval)
-        else:
-            job.next_event = None
-            del self.active[job.task_id]
-
-    def move(self, job: _SpikingTask, new_vm: str, resume_at: int, interval: int) -> None:
-        """Re-home an active workload after a migration, stepping every
-        ``interval`` ns from ``resume_at``."""
-        self.engine.cancel(job.next_event)
-        job.vm = new_vm
-        job.interval = max(1, interval)
-        self._schedule_step(job, max(resume_at, self.engine.now()))
-
-
 def _create_vms(hv: Hypervisor, request: ResourceVector, count: int, what: str) -> list[str]:
-    """``count`` one-core VMs of ``request``; a ConfigError names the
+    """``count`` one-core VMs of ``request``; a ValueError names the
     count when the experiment's fabric holds fewer."""
     vm_ids = []
     for held in range(count):
         try:
             vm_ids.append(hv.create_vm(request, cores=1))
         except InsufficientResources as exc:
-            raise ConfigError(f"{what} {count} does not fit: the fabric holds {held}") from exc
+            raise ValueError(f"{what} {count} does not fit: the fabric holds {held}") from exc
     return vm_ids
 
 
@@ -235,7 +104,7 @@ def bench_energy(max_accelerators: int = 20) -> str:
     energy for that workload unit, synaptic ops are the measured compute.
     """
     if max_accelerators < 1:
-        raise ConfigError("accelerator count must be >= 1")
+        raise ValueError("accelerator count must be >= 1")
     out = io.StringIO()
     out.write("accelerators,energy_mj,synaptic_ops\n")
     for n in range(1, max_accelerators + 1):
@@ -275,7 +144,7 @@ def bench_reconfig(vm_counts=tuple(range(1, 17))) -> str:
     """
     for count in vm_counts:
         if count < 1:
-            raise ConfigError("vm counts must be >= 1")
+            raise ValueError("vm counts must be >= 1")
     out = io.StringIO()
     out.write("vm_count,full_ns,partial_ns\n")
     for count in vm_counts:

@@ -123,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValidationError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (bench.ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -193,10 +193,6 @@ class Engine:
             index[seq] = event
         return event
 
-    def schedule_in(self, delay: int, kind: str, fn: Callable[[], None] | None = None,
-                    detail: str = "", vm: str | None = None, stallable: bool = True) -> SimEvent:
-        return self.schedule(self._now + delay, kind, fn, detail, vm, stallable)
-
     def cancel(self, event: SimEvent) -> None:
         """Retire a queued event; a no-op once it has fired or been cancelled."""
         if event.fire_at is None:

@@ -13,10 +13,6 @@ from dataclasses import dataclass
 RESOURCE_CLASSES = ("lut", "memory_bytes", "io_pins", "dsp")
 
 
-class InvalidConfig(Exception):
-    pass
-
-
 class InsufficientResources(Exception):
     def __init__(self, resource: str, requested: int, available: int):
         self.resource = resource
@@ -102,16 +98,16 @@ class FabricConfig:
     neurons_per_core: int = 256
     bitstream_total_bytes: int = DEFAULT_BITSTREAM_BYTES
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.neurocore_count <= 0:
-            raise InvalidConfig("neurocore_count must be positive")
+            raise ValueError("neurocore_count must be positive")
         if self.neurons_per_core <= 0:
-            raise InvalidConfig("neurons_per_core must be positive")
+            raise ValueError("neurons_per_core must be positive")
         if self.bitstream_total_bytes <= 0:
-            raise InvalidConfig("bitstream_total_bytes must be positive")
+            raise ValueError("bitstream_total_bytes must be positive")
         # utilization and bitstream shares divide by each class's total
         if not all(getattr(self.total, name) > 0 for name in RESOURCE_CLASSES):
-            raise InvalidConfig("total must be positive in every class")
+            raise ValueError("total must be positive in every class")
 
 
 class Fabric:
@@ -119,7 +115,6 @@ class Fabric:
 
     def __init__(self, config: FabricConfig | None = None):
         config = config if config is not None else FabricConfig()
-        config.validate()
         self.config = config
         self.total = config.total
         self.free = config.total

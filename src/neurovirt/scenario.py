@@ -75,7 +75,6 @@ from neurovirt.fabric import (
     Fabric,
     FabricConfig,
     InsufficientResources,
-    InvalidConfig,
     ResourceVector,
     RESOURCE_CLASSES,
 )
@@ -379,10 +378,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ValidationError("$.schema_version", f"unsupported version {version}")
     top = _load(data, "$", TOP)
 
-    fabric = FabricConfig(**_load(data.get("fabric"), "$.fabric", FABRIC))
+    fabric_values = _load(data.get("fabric"), "$.fabric", FABRIC)
     try:
-        fabric.validate()
-    except InvalidConfig as exc:
+        fabric = FabricConfig(**fabric_values)
+    except ValueError as exc:  # _load has checked each field on its own
         raise ValidationError("$.fabric", str(exc)) from None
     total = fabric.total
 

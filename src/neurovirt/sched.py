@@ -180,7 +180,7 @@ class Scheduler:
             return
         self._tick_pending = True
         delay = 0 if at_now else self.tick_period
-        self.engine.schedule_in(delay, "SchedulerTick", fn=self._on_tick)
+        self.engine.schedule(self.engine.now() + delay, "SchedulerTick", fn=self._on_tick)
 
     def _on_tick(self) -> None:
         self._tick_pending = False

@@ -249,8 +249,8 @@ class Hypervisor:
             self.engine.postpone_pending(duration)
         else:
             self.engine.postpone_pending(duration, vm=vm.id)
-        self.engine.schedule_in(
-            duration,
+        self.engine.schedule(
+            self.engine.now() + duration,
             "ReconfigDone",
             fn=lambda: self._finish_reconfig(vm, module, mode, duration),
             detail=f"vm={vm.id};module={module.id};mode={mode.value}",

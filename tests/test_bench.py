@@ -5,19 +5,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neurovirt import bench
-from neurovirt.bench import (
-    ConfigError,
-    SpikingExecutor,
-    bench_energy,
-    bench_reconfig,
-    bench_throughput,
-    run_scenario,
-)
+from neurovirt import snn
+from neurovirt.bench import bench_energy, bench_reconfig, bench_throughput, run_scenario
 from neurovirt.engine import Engine, RandomStreams
 from neurovirt.metrics import task_energy
 from neurovirt.scenario import load_scenario, scenario_from_dict
-from neurovirt.snn import workload_cost
+from neurovirt.snn import SpikingExecutor, workload_cost
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -33,7 +26,7 @@ def test_measured_throughput_converges_to_model_at_large_sizes():
 
 
 def test_throughput_rejects_counts_below_model_domain():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         bench_throughput(vm_counts=(0,), sizes=(4096,))
 
 
@@ -45,7 +38,7 @@ def test_energy_rows_run_real_reference_workload():
 
 
 def test_reconfig_rejects_bad_counts():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         bench_reconfig(vm_counts=(0,))
 
 
@@ -235,7 +228,7 @@ def test_input_picks_match_scalar_oracle_across_refills_and_moves(
         return ids
 
     executor._pick_inputs = spy
-    with mock.patch.object(bench, "INPUT_BLOCK", block):
+    with mock.patch.object(snn, "INPUT_BLOCK", block):
         for task in ("a", "b"):
             executor.launch(task_id=task, steps=steps, input_rate=rate,
                             fan_in=fan_in, interval=1_000, at=0, vm="vm0")
@@ -253,7 +246,7 @@ def test_input_picks_match_scalar_oracle_across_refills_and_moves(
 def _block_picks(seed, n_inputs, rate, steps):
     """A task's input ids for ``steps`` steps, and the uniforms each refill drew."""
     executor = SpikingExecutor(Engine(seed))
-    job = bench._SpikingTask(
+    job = snn._SpikingTask(
         task_id="t", stream="task/t/inputs", state=None, n_inputs=n_inputs,
         n_neurons=n_inputs, rate=rate, remaining=steps, interval=1_000, vm=None,
         detail="task=t",
@@ -284,4 +277,4 @@ def test_block_picks_match_oracle_with_a_bounded_pool(n_inputs, rate, steps):
     assert sum(drawn) == steps * rate
     for n in drawn:
         # a refill of n // rate steps shuffles a pool of that many rows
-        assert n // rate * n_inputs <= max(bench.INPUT_BLOCK, n_inputs)
+        assert n // rate * n_inputs <= max(snn.INPUT_BLOCK, n_inputs)

@@ -302,6 +302,8 @@ _BAD_ID = "must be non-empty, without whitespace, ',', ';' or '='"
      f"$.vms[1].id: {_BAD_ID}"),
     ({"modules": [{"id": "lif 0", "kind": "lif_core", "share": 0.04}]},
      f"$.modules[0].id: {_BAD_ID}"),
+    ({"fabric": {"total": {"lut": 504_000, "memory_bytes": 38_000_000, "io_pins": 464}}},
+     "$.fabric: total must be positive in every class"),
 ])
 def test_degenerate_field_exits_2_naming_it(tmp_path, override, message):
     path = _scenario_file(tmp_path, **override)

@@ -9,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from neurovirt.bench import REFERENCE_WORKLOAD, SpikingExecutor, run_scenario
+from neurovirt.bench import REFERENCE_WORKLOAD, run_scenario
 from neurovirt.cli import main
 from neurovirt.engine import Engine
 from neurovirt.scenario import load_scenario
-from neurovirt.snn import LifParams
+from neurovirt.snn import LifParams, SpikingExecutor
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 

@@ -75,7 +75,7 @@ def test_run_drains_skips_cancelled_and_stops_clock_at_last_fire():
     # a handler that postpones events mid-loop, and one that schedules more
     eng.schedule(10, "A", fn=lambda: eng.postpone_pending(100, vm="v"))
     eng.schedule(20, "B", fn=note("b"), vm="v")
-    eng.schedule(25, "C", fn=lambda: eng.schedule_in(5, "D", fn=note("d")))
+    eng.schedule(25, "C", fn=lambda: eng.schedule(eng.now() + 5, "D", fn=note("d")))
     eng.cancel(eng.schedule(500, "X", fn=note("x")))
     assert eng.run() == 4
     assert fired == [("d", 30), ("b", 120)]
@@ -232,8 +232,8 @@ def test_held_trace_costs_under_twice_its_text():
 def _tickers(eng: Engine) -> None:
     """Three self-rescheduling handlers, every 1, 2 and 3 ns."""
     def tick(period: int, n: int) -> None:
-        eng.schedule_in(period, f"P{period}", fn=lambda: tick(period, n + 1),
-                        detail=f"n={n}")
+        eng.schedule(eng.now() + period, f"P{period}", fn=lambda: tick(period, n + 1),
+                     detail=f"n={n}")
 
     for period in (1, 2, 3):
         eng.schedule(0, f"P{period}", fn=lambda period=period: tick(period, 1), detail="n=0")

@@ -5,7 +5,6 @@ from neurovirt.fabric import (
     Fabric,
     FabricConfig,
     InsufficientResources,
-    InvalidConfig,
     ResourceVector,
     UnknownSlot,
 )
@@ -22,11 +21,17 @@ def test_default_totals():
     assert fab.total.io_pins == 464
 
 
-def test_infeasible_config_rejected():
+@pytest.mark.parametrize("fields, message", [
+    ({"neurocore_count": 0}, "neurocore_count must be positive"),
+    ({"neurons_per_core": 0}, "neurons_per_core must be positive"),
+    ({"bitstream_total_bytes": 0}, "bitstream_total_bytes must be positive"),
     # utilization divides by every class's total
-    cfg = FabricConfig(total=ResourceVector(lut=504_000, memory_bytes=38_000_000, io_pins=464))
-    with pytest.raises(InvalidConfig):
-        Fabric(cfg)
+    ({"total": ResourceVector(lut=504_000, memory_bytes=38_000_000, io_pins=464)},
+     "total must be positive in every class"),
+], ids=["no-cores", "no-neurons", "no-bitstream", "zero-dsp-total"])
+def test_infeasible_config_rejected(fields, message):
+    with pytest.raises(ValueError, match=message):
+        FabricConfig(**fields)
 
 
 def test_utilization_of_reference_allocation():
