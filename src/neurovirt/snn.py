@@ -13,9 +13,17 @@ gathers those rows, adds the leaked potentials to the first, and runs
 ``add.reduce`` may), so the last row holds exactly the bits of the
 one-row-at-a-time loop, and every run gives the same bits.
 
-``SpikingExecutor`` steps such workloads on the event engine. Its input
-picks are the one source of the trusted ids that ``step_sorted`` takes:
-distinct, in range and ascending.
+``SpikingExecutor`` runs such workloads on the event engine. A
+``SpikeStep`` event only counts the step and its synaptic ops, which is
+all that energy and every CLI output read. The kernel runs when its
+results are read: ``output_spikes`` and ``potentials(task_id)`` first
+replay every launched task from its last replayed step up to the steps
+processed so far, with the weights, input picks and ``step_sorted`` that
+stepping at each event would use. Each task draws only from its own
+streams and no step result feeds back into timing, so a read, mid-run or
+at the end, gives those bits exactly, and a run whose spikes nobody reads
+never loads numpy. The input picks are the one source of the trusted ids
+that ``step_sorted`` takes: distinct, in range and ascending.
 """
 
 from __future__ import annotations
@@ -156,37 +164,46 @@ def workload_cost(steps: int, input_rate: int, fan_in: int) -> int:
 
 @dataclass
 class _SpikingTask:
-    """One spiking workload being stepped on a core."""
+    """One spiking workload: its steps on the engine, and the LIF kernel
+    that runs behind them as far as a read of spikes or potentials asks."""
 
     task_id: str
-    stream: str
-    state: object
+    stream: str  # weights come from "<stream>/weights", inputs from "<stream>/inputs"
     n_inputs: int
     n_neurons: int
     rate: int
-    remaining: int
+    steps: int
+    remaining: int  # steps the engine has not processed yet
     interval: int
     vm: str | None
     detail: str
     next_event: SimEvent | None = None
+    replayed: int = 0  # steps the kernel has run
+    # the kernel's state from the first replay until the last step is
+    # replayed; its potentials stay readable after that
+    state: CoreState | None = None
+    potentials: np.ndarray | None = None
     # input ids of the pre-drawn steps, one sorted tuple per step
     picks: Iterator[tuple[int, ...]] = iter(())
 
 
 # pool cells per refill of a task's input picks: bounds the look-ahead
-# memory per active task whatever its step count or fan-in
+# memory per replayed task whatever its step count or fan-in
 INPUT_BLOCK = 4096
 
 
 class SpikingExecutor:
-    """Steps LIF workloads on the engine and counts synaptic ops."""
+    """Runs LIF workloads on the engine: counts their steps and synaptic
+    ops as the events fire, and runs their kernel when it is read."""
 
     def __init__(self, engine: Engine, params: LifParams | None = None):
         self.engine = engine
         self.params = params if params is not None else LifParams()
         self.active: dict[str, _SpikingTask] = {}
         self.total_synops = 0
-        self.output_spikes = 0
+        self._tasks: dict[str, _SpikingTask] = {}  # every launched task
+        self._streams: set[str] = set()
+        self._output_spikes = 0
 
     def launch(
         self,
@@ -199,33 +216,75 @@ class SpikingExecutor:
         vm: str | None = None,
         stream: str | None = None,
     ) -> None:
-        n_inputs = max(fan_in, input_rate)
         stream = stream if stream is not None else f"task/{task_id}"
-        state = make_core_state(
-            n_inputs, fan_in, rng=self.engine.rng, stream=f"{stream}/weights"
-        )
+        if steps < 1 or fan_in < 1:
+            raise ValueError(f"task {task_id}: steps and fan_in must be >= 1")
+        if task_id in self._tasks:
+            raise ValueError(f"task {task_id} is already launched")
+        # a replay draws each task's stream in one go, so two tasks that
+        # shared one could not get the values their steps interleaved on it
+        if stream in self._streams:
+            raise ValueError(f"stream {stream} is already used")
         job = _SpikingTask(
             task_id=task_id,
-            stream=f"{stream}/inputs",
-            state=state,
-            n_inputs=n_inputs,
+            stream=stream,
+            n_inputs=max(fan_in, input_rate),
             n_neurons=fan_in,
             rate=input_rate,
+            steps=steps,
             remaining=steps,
             interval=interval,
             vm=vm,
             detail=f"task={task_id}",
         )
-        self.active[task_id] = job
+        self._tasks[task_id] = self.active[task_id] = job
+        self._streams.add(stream)
         self._schedule_step(job, at)
 
     def _schedule_step(self, job: _SpikingTask, at: int) -> None:
         # a closure per step, not one kept on the job: job -> next_event ->
         # closure -> job is then the only cycle, and _step breaks it when the
-        # job finishes, so a finished job is freed at once
+        # job finishes
         job.next_event = self.engine.schedule(
             at, "SpikeStep", fn=lambda: self._step(job), detail=job.detail, vm=job.vm
         )
+
+    @property
+    def output_spikes(self) -> int:
+        """Neurons fired over every step processed so far, by all tasks."""
+        self._replay()
+        return self._output_spikes
+
+    def potentials(self, task_id: str) -> np.ndarray:
+        """A copy of the task's membrane potentials after the steps
+        processed so far."""
+        self._replay()
+        return self._tasks[task_id].potentials.copy()
+
+    def _replay(self) -> None:
+        """Run every launched task's kernel forward, from the steps already
+        replayed up to the steps processed so far.
+
+        A task draws only from its own streams and no step result feeds
+        back into timing, so this gives the bits of stepping at each event.
+        A finished task that has caught up keeps only its potentials, so a
+        replay holds one finished task's weights at a time.
+        """
+        for job in self._tasks.values():
+            if job.replayed == job.steps:
+                continue
+            if job.state is None:
+                job.state = make_core_state(
+                    job.n_inputs, job.n_neurons, rng=self.engine.rng,
+                    stream=f"{job.stream}/weights",
+                )
+                job.potentials = job.state.potentials
+            for _ in range(job.steps - job.remaining - job.replayed):
+                fired = step_sorted(job.state, self._pick_inputs(job), self.params)
+                self._output_spikes += len(fired)
+                job.replayed += 1
+            if job.replayed == job.steps:
+                job.state, job.picks = None, iter(())
 
     def _pick_inputs(self, job: _SpikingTask) -> tuple[int, ...]:
         ids = next(job.picks, None)
@@ -235,9 +294,10 @@ class SpikingExecutor:
         return ids
 
     def _draw_picks(self, job: _SpikingTask) -> Iterator[tuple[int, ...]]:
-        """Input ids of the next block of steps: per step, the sorted prefix
-        of a partial Fisher-Yates shuffle of ``range(n_inputs)`` whose swap
-        ``k`` targets ``k + floor(u * (n_inputs - k))``.
+        """Input ids of the next block of steps to replay: per step, the
+        sorted prefix of a partial Fisher-Yates shuffle of
+        ``range(n_inputs)`` whose swap ``k`` targets
+        ``k + floor(u * (n_inputs - k))``.
 
         The stream is the task's own, so drawing ahead leaves each value
         and its order unchanged. All steps of a block shuffle together: the
@@ -248,8 +308,8 @@ class SpikingExecutor:
         import numpy as np
 
         n, rate = job.n_inputs, job.rate
-        steps = min(job.remaining, max(1, INPUT_BLOCK // n))
-        u = self.engine.rng.values(job.stream, steps * rate).reshape(steps, rate)
+        steps = min(job.steps - job.replayed, max(1, INPUT_BLOCK // n))
+        u = self.engine.rng.values(f"{job.stream}/inputs", steps * rate).reshape(steps, rate)
         k = np.arange(rate)
         there = (k + (u * (n - k)).astype(np.int64)).T * steps + np.arange(steps)
         here = np.arange(rate * steps).reshape(rate, steps)
@@ -262,8 +322,6 @@ class SpikingExecutor:
         return map(tuple, picks.tolist())
 
     def _step(self, job: _SpikingTask) -> None:
-        ids = self._pick_inputs(job)
-        self.output_spikes += len(step_sorted(job.state, ids, self.params))
         self.total_synops += job.rate * job.n_neurons
         job.remaining -= 1
         if job.remaining > 0:

@@ -2,6 +2,7 @@ import math
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +11,7 @@ from neurovirt.bench import bench_energy, bench_reconfig, bench_throughput, run_
 from neurovirt.engine import Engine, RandomStreams
 from neurovirt.metrics import task_energy
 from neurovirt.scenario import load_scenario, scenario_from_dict
-from neurovirt.snn import SpikingExecutor, workload_cost
+from neurovirt.snn import LifParams, SpikingExecutor, make_core_state, step_core, workload_cost
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -233,10 +234,12 @@ def test_input_picks_match_scalar_oracle_across_refills_and_moves(
             executor.launch(task_id=task, steps=steps, input_rate=rate,
                             fan_in=fan_in, interval=1_000, at=0, vm="vm0")
         engine.run_until((move_after % steps) * 1_000)
+        executor.output_spikes  # a read: the replay picks the steps run so far
         job = executor.active.get("a")
         if job is not None:  # "a" has not finished yet
             executor.move(job, "vm1", resume_at=engine.now() + 5_000, interval=700)
         engine.run()
+        executor.output_spikes  # and the rest
     n_inputs = max(fan_in, rate)
     for task in ("a", "b"):
         want = _oracle_inputs(seed, f"task/{task}/inputs", n_inputs, rate, steps)
@@ -244,25 +247,33 @@ def test_input_picks_match_scalar_oracle_across_refills_and_moves(
 
 
 def _block_picks(seed, n_inputs, rate, steps):
-    """A task's input ids for ``steps`` steps, and the uniforms each refill drew."""
-    executor = SpikingExecutor(Engine(seed))
-    job = snn._SpikingTask(
-        task_id="t", stream="task/t/inputs", state=None, n_inputs=n_inputs,
-        n_neurons=n_inputs, rate=rate, remaining=steps, interval=1_000, vm=None,
-        detail="task=t",
-    )
-    drawn = []
-    values = executor.engine.rng.values
+    """A task's input ids for ``steps`` steps as a replay after the run
+    picks them, and the uniforms each refill drew."""
+    engine = Engine(seed)
+    executor = SpikingExecutor(engine)
+    executor.launch(task_id="t", steps=steps, input_rate=rate, fan_in=n_inputs,
+                    interval=1_000, at=0)
+    engine.run()
+    picks, drawn = [], []
+    pick, values = executor._pick_inputs, engine.rng.values
 
-    def spy(stream, n):
-        drawn.append(n)
+    def spy_pick(job):
+        picks.append(pick(job))
+        return picks[-1]
+
+    def spy_values(stream, n):
+        if stream == "task/t/inputs":
+            drawn.append(n)
         return values(stream, n)
 
-    picks = []
-    with mock.patch.object(executor.engine.rng, "values", spy):
-        for _ in range(steps):
-            picks.append(executor._pick_inputs(job))
-            job.remaining -= 1
+    def zero_state(n_inputs, n_neurons, **_):
+        # zero weights in no memory: drawn, 5000 x 5000 would take 200 MB
+        return snn.CoreState(np.zeros(n_neurons), np.broadcast_to(0.0, (n_inputs, n_neurons)))
+
+    executor._pick_inputs = spy_pick
+    with mock.patch.object(engine.rng, "values", spy_values), \
+            mock.patch.object(snn, "make_core_state", zero_state):
+        assert executor.output_spikes == 0
     return picks, drawn
 
 
@@ -278,3 +289,103 @@ def test_block_picks_match_oracle_with_a_bounded_pool(n_inputs, rate, steps):
     for n in drawn:
         # a refill of n // rate steps shuffles a pool of that many rows
         assert n // rate * n_inputs <= max(snn.INPUT_BLOCK, n_inputs)
+
+
+def _eager_spikes(seed, launch, params):
+    """Spikes fired after each step, and the final potentials, of one task
+    stepped eagerly: weights from ``RandomStreams.values``, inputs from the
+    scalar oracle, each step through ``step_core``."""
+    stream = f"task/{launch['task_id']}"
+    n_inputs, fan_in = max(launch["fan_in"], launch["input_rate"]), launch["fan_in"]
+    weights = RandomStreams(seed).values(f"{stream}/weights", n_inputs * fan_in) - 0.5
+    state = make_core_state(n_inputs, fan_in, weights=weights.reshape(n_inputs, fan_in))
+    fired = [0]
+    for ids in _oracle_inputs(seed, f"{stream}/inputs", n_inputs, launch["input_rate"],
+                              launch["steps"]):
+        fired.append(fired[-1] + len(step_core(state, ids, params)))
+    return fired, state.potentials
+
+
+_launches = st.lists(
+    st.fixed_dictionaries(dict(
+        steps=st.integers(1, 40),
+        input_rate=st.integers(0, 24),
+        fan_in=st.integers(1, 24),
+        interval=st.integers(1, 3_000),
+        at=st.integers(0, 5_000),
+    )),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    launches=_launches,
+    leak=st.sampled_from([1.0, 0.9, 0.5]),
+    split=st.integers(0, 60_000),
+    mover=st.integers(0, 2),
+    block=st.integers(1, 64),
+)
+def test_replay_on_read_equals_eager_stepping(seed, launches, leak, split, mover, block):
+    params = LifParams(v_thresh=0.4, leak=leak)
+    launches = [dict(kw, task_id=f"t{i}") for i, kw in enumerate(launches)]
+    engine = Engine(seed)
+    executor = SpikingExecutor(engine, params)
+    eager = {kw["task_id"]: _eager_spikes(seed, kw, params) for kw in launches}
+    with mock.patch.object(snn, "INPUT_BLOCK", block):
+        for kw in launches:
+            executor.launch(**kw, vm="vm0")
+        engine.run_until(split)
+        mid = 0  # the oracle's spikes over the steps processed so far
+        for kw in launches:
+            job = executor.active.get(kw["task_id"])
+            mid += eager[kw["task_id"]][0][kw["steps"] - (job.remaining if job else 0)]
+        assert executor.output_spikes == mid
+        job = executor.active.get(f"t{mover % len(launches)}")
+        if job is not None:
+            executor.move(job, "vm1", resume_at=engine.now() + 700, interval=300)
+        engine.run()
+    assert executor.output_spikes == sum(fired[-1] for fired, _ in eager.values())
+    for task, (_, potentials) in eager.items():
+        assert executor.potentials(task).tobytes() == potentials.tobytes()
+
+
+def _launch_kwargs(**kwargs):
+    return dict(dict(task_id="a", steps=3, input_rate=2, fan_in=4, interval=1_000, at=0),
+                **kwargs)
+
+
+@pytest.mark.parametrize("bad", [dict(steps=0), dict(steps=-1), dict(fan_in=0)])
+def test_launch_refuses_an_empty_task(bad):
+    engine = Engine(1)
+    executor = SpikingExecutor(engine)
+    with pytest.raises(ValueError, match="steps and fan_in must be >= 1"):
+        executor.launch(**_launch_kwargs(**bad))
+    assert (engine.pending(), executor.active, executor.output_spikes) == ([], {}, 0)
+
+
+def test_launch_refuses_a_task_id_already_launched():
+    engine = Engine(1)
+    executor = SpikingExecutor(engine)
+    executor.launch(**_launch_kwargs())
+    with pytest.raises(ValueError, match="task a is already launched"):
+        executor.launch(**_launch_kwargs(at=500, stream="other"))
+    assert len(engine.pending()) == 1
+    engine.run()  # "a" finishes, with no KeyError
+    with pytest.raises(ValueError, match="task a is already launched"):
+        executor.launch(**_launch_kwargs(stream="other"))  # also once it has finished
+    assert engine.pending() == [] and executor.total_synops == 3 * 2 * 4
+
+
+@pytest.mark.parametrize("first, second", [
+    (dict(stream="s"), dict(stream="s")),
+    ({}, dict(stream="task/a")),  # the first task's default stream
+])
+def test_launch_refuses_a_stream_already_used(first, second):
+    engine = Engine(1)
+    executor = SpikingExecutor(engine)
+    executor.launch(**_launch_kwargs(**first))
+    with pytest.raises(ValueError, match="is already used"):
+        executor.launch(**_launch_kwargs(task_id="b", **second))
+    assert list(executor.active) == ["a"] and len(engine.pending()) == 1

@@ -204,28 +204,38 @@ def _src_env() -> dict:
 
 
 # runs each argv through cli.main in one fresh interpreter and prints, after
-# each call, its exit code and whether numpy has been loaded so far
+# each call, its exit code and whether numpy has been loaded so far; then,
+# given a scenario, runs it through the API and prints whether numpy was
+# loaded before and after its output spikes were read, and how many there are
 _COLD_START = """
 import json, sys
+from neurovirt.bench import run_scenario
 from neurovirt.cli import main
-print(json.dumps([(main(argv), "numpy" in sys.modules) for argv in json.loads(sys.argv[1])]))
+from neurovirt.scenario import load_scenario
+argvs, read = json.loads(sys.argv[1]), sys.argv[2:]
+found = [(main(argv), "numpy" in sys.modules) for argv in argvs]
+for path in read:
+    executor = run_scenario(load_scenario(path)).executor
+    found.append(("numpy" in sys.modules, executor.output_spikes, "numpy" in sys.modules))
+print(json.dumps(found))
 """
 
 
-@pytest.mark.parametrize("calls, numpy_loaded", [
+@pytest.mark.parametrize("calls, read, loaded", [
     # no spiking task: numpy is never imported
     ([(["bench-throughput"], {"--out": "cde039feb154267a"}),
       (["bench-reconfig"], {"--out": "1de81251a68a1e4a"}),
       (["run", "--scenario", str(SCENARIOS / "churn.json")],
        {"--out": "df8204a4aafa6558", "--trace-out": "98585428bbd5a2bd"})],
-     [False, False, False]),
-    # the first spiking draw imports it
+     [], [[0, False], [0, False], [0, False]]),
+    # spiking tasks run the LIF kernel only when their spikes are read,
+    # and no CLI output reads them: the first read imports numpy
     ([(["bench-energy"], {"--out": "126cd6693b475716"}),
       (["run", "--scenario", str(DEMO)],
        {"--out": "b0129dec3e98bfcb", "--trace-out": "69614e605ac85bde"})],
-     [True, True]),
+     [str(DEMO)], [[0, False], [0, False], [False, 378, True]]),
 ], ids=["non-spiking", "spiking"])
-def test_cold_start_loads_numpy_only_for_spiking_runs(tmp_path, calls, numpy_loaded):
+def test_cold_start_loads_numpy_only_for_spiking_runs(tmp_path, calls, read, loaded):
     # pytest's own process holds numpy already, so only a fresh interpreter
     # shows what a CLI call imports, and runs every lazy import from cold
     argvs, outputs = [], []
@@ -236,11 +246,11 @@ def test_cold_start_loads_numpy_only_for_spiking_runs(tmp_path, calls, numpy_loa
             outputs.append((path, digest))
         argvs.append(argv)
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START, json.dumps(argvs)],
+        [sys.executable, "-c", _COLD_START, json.dumps(argvs), *read],
         capture_output=True, text=True, timeout=120, env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0, loaded] for loaded in numpy_loaded]
+    assert json.loads(proc.stdout) == loaded
     for path, digest in outputs:
         assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest, path.name
 

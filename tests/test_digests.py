@@ -90,14 +90,12 @@ def test_stall_scenario_reaches_what_it_pins():
 
 def _spiking_digest(executor, engine, launches) -> str:
     """sha256[:16] of the output spike count and every task's final potentials."""
-    states = []
     for kwargs in launches:
         executor.launch(**kwargs)
-        states.append(executor.active[kwargs["task_id"]].state)
     engine.run()
     h = hashlib.sha256(str(executor.output_spikes).encode())
-    for state in states:
-        h.update(state.potentials.tobytes())
+    for kwargs in launches:
+        h.update(executor.potentials(kwargs["task_id"]).tobytes())
     return h.hexdigest()[:16]
 
 
