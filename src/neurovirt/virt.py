@@ -1,10 +1,16 @@
-"""Virtualization layer: VM lifecycle, DFX module loading, reconfiguration.
+"""Virtualization layer: VM lifecycle, DFX module exchange, reconfiguration.
+
+Each VM's region slot holds one DFX module at a time. The one request,
+:meth:`Hypervisor.exchange_module`, replaces it: the old module ceases to
+exist when programming starts and the new one is usable when it ends. A
+VM's requests run one at a time in FIFO order.
 
 Reconfiguration cost is a bytes-over-configuration-port model. A full
 reconfiguration reprograms the whole fabric and stalls every VM for its
 duration; a partial reconfiguration reprograms one region slot and stalls
-only the owning VM. Reconfigurations per VM are serialized; partials on
-distinct VMs may overlap.
+only the owning VM. Port rule: partials on distinct VMs overlap. A device
+with one configuration port (ICAP) would load them one at a time; that
+rule is not modelled.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ class VirtualMachine:
     id: str
     slot_id: int
     cores: int
-    loaded: dict[str, DfxModule] = field(default_factory=dict)
+    loaded: DfxModule | None = None  # the module the region holds, if any
     ring: IoRing | None = None  # its one I/O ring, when the hypervisor has a driver
     inflight_module: DfxModule | None = None  # the module being programmed, if any
     pending_reconfigs: deque = field(default_factory=deque)
@@ -79,14 +85,6 @@ class VirtualMachine:
     @property
     def reconfiguring(self) -> bool:
         return self.inflight_module is not None
-
-    def loaded_footprint(self) -> ResourceVector:
-        total = ResourceVector()
-        for module in self.loaded.values():
-            total = total + module.footprint
-        if self.inflight_module is not None:
-            total = total + self.inflight_module.footprint
-        return total
 
 
 def bitstream_bytes_for(
@@ -146,9 +144,8 @@ class Hypervisor:
         slot_id = self.fabric.allocate(request)
         if cores is None:
             config = self.fabric.config
-            cores = max(
-                1, round(config.neurocore_count * request.lut / config.total.lut)
-            )
+            exact = config.neurocore_count * request.lut / config.total.lut
+            cores = max(1, round_half_up(exact))
         vm = VirtualMachine(vm_id, slot_id, cores)
         if self.driver is not None:
             vm.ring = self.driver.open_ring(vm_id)
@@ -177,46 +174,22 @@ class Hypervisor:
             + self.params.partial_setup_overhead_ns
         )
 
-    def load_module(
-        self, vm_id: str, module: DfxModule, mode: ReconfigMode
-    ) -> ReconfigRecord | None:
-        """Start (or queue) a reconfiguration that adds ``module`` to the slot.
-
-        Returns the record when the reconfiguration starts immediately and
-        None when it is queued behind one already in flight for this VM.
-        """
-        vm = self._vm(vm_id)
-        pending_fp = ResourceVector()
-        for queued_module, _, exchange in vm.pending_reconfigs:
-            if not exchange:
-                pending_fp = pending_fp + queued_module.footprint
-        combined = vm.loaded_footprint() + pending_fp + module.footprint
-        if not combined.fits_within(self.fabric.slot(vm.slot_id)):
-            raise FootprintOverflow(
-                f"{module.id} does not fit {vm_id}'s slot alongside loaded modules"
-            )
-        return self._enqueue(vm, module, mode, exchange=False)
-
     def exchange_module(
         self, vm_id: str, module: DfxModule, mode: ReconfigMode
     ) -> ReconfigRecord | None:
-        """Reprogram the VM's region with ``module``, replacing its contents.
+        """Start (or queue) a reconfiguration that replaces the module in
+        the VM's region with ``module``.
 
-        This is the function-exchange path: the previous modules in the
-        slot cease to exist when programming starts.
+        Returns the record when the reconfiguration starts immediately and
+        None when it is queued behind one in flight.
         """
         vm = self._vm(vm_id)
         if not module.footprint.fits_within(self.fabric.slot(vm.slot_id)):
             raise FootprintOverflow(f"{module.id} does not fit {vm_id}'s slot")
-        return self._enqueue(vm, module, mode, exchange=True)
-
-    def _enqueue(
-        self, vm: VirtualMachine, module: DfxModule, mode: ReconfigMode, exchange: bool
-    ) -> ReconfigRecord | None:
         if vm.reconfiguring or self._full_active:
-            vm.pending_reconfigs.append((module, mode, exchange))
+            vm.pending_reconfigs.append((module, mode))
             return None
-        return self._start_reconfig(vm, module, mode, exchange)
+        return self._start_reconfig(vm, module, mode)
 
     def _vm(self, vm_id: str) -> VirtualMachine:
         vm = self.vms.get(vm_id)
@@ -225,14 +198,9 @@ class Hypervisor:
         return vm
 
     def _start_reconfig(
-        self,
-        vm: VirtualMachine,
-        module: DfxModule,
-        mode: ReconfigMode,
-        exchange: bool = False,
+        self, vm: VirtualMachine, module: DfxModule, mode: ReconfigMode
     ) -> ReconfigRecord:
-        if exchange:
-            vm.loaded.clear()
+        vm.loaded = None
         duration = self.reconfig_time(mode, module)
         record = ReconfigRecord(
             vm=None if mode is ReconfigMode.FULL else vm.id,
@@ -262,7 +230,7 @@ class Hypervisor:
         self, vm: VirtualMachine, module: DfxModule, mode: ReconfigMode, duration: int
     ) -> None:
         self.reconfig_accum[mode] += duration
-        vm.loaded[module.id] = module
+        vm.loaded = module
         vm.inflight_module = None
         if mode is ReconfigMode.FULL:
             self._full_active = False
@@ -273,5 +241,4 @@ class Hypervisor:
                 break
             if queued_vm.reconfiguring or not queued_vm.pending_reconfigs:
                 continue
-            next_module, next_mode, next_exchange = queued_vm.pending_reconfigs.popleft()
-            self._start_reconfig(queued_vm, next_module, next_mode, next_exchange)
+            self._start_reconfig(queued_vm, *queued_vm.pending_reconfigs.popleft())

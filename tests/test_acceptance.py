@@ -159,7 +159,7 @@ def test_criterion_5_conservation_property_suite():
                     fabric.release(raw_slots.pop(rng.randrange(len(raw_slots))))
                 elif choice < 0.90 and hv.vms:
                     vm = rng.choice(sorted(hv.vms))
-                    hv.load_module(vm, rng.choice(catalog), ReconfigMode.PARTIAL)
+                    hv.exchange_module(vm, rng.choice(catalog), ReconfigMode.PARTIAL)
                 else:
                     engine.run_until(engine.now() + rng.randint(1, 20) * 1_000_000)
             except (InsufficientResources, FootprintOverflow, VmBusy):
@@ -170,7 +170,9 @@ def test_criterion_5_conservation_property_suite():
             for capacity in fabric.slots.values():
                 assert capacity.fits_within(fabric.total)
             for vm in hv.vms.values():
-                assert vm.loaded_footprint().fits_within(fabric.slot(vm.slot_id))
+                held = vm.inflight_module or vm.loaded
+                if held is not None:
+                    assert held.footprint.fits_within(fabric.slot(vm.slot_id))
         engine.run()
         assert fabric.free + fabric.used() == fabric.total
     assert total_ops >= 10_000
@@ -208,7 +210,7 @@ def _isolation_run(seed, streams, reconfig=None):
         duration = hv.reconfig_time(mode, module)
         engine.schedule(
             at, "ReconfigRequest",
-            fn=lambda: hv.load_module("a", module, mode),
+            fn=lambda: hv.exchange_module("a", module, mode),
             stallable=False,
         )
     engine.run()

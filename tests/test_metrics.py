@@ -125,7 +125,7 @@ def test_accumulators_non_decreasing_over_samples():
     module = module_from_share(
         "m", ModuleKind.LIF_CORE, 0.1, fab.config.total, fab.config.bitstream_total_bytes
     )
-    hv.load_module(vm, module, ReconfigMode.PARTIAL)
+    hv.exchange_module(vm, module, ReconfigMode.PARTIAL)
     collector.start_sampling(1_000_000, 20_000_000)
     eng.run_until(20_000_000)
     partials = [s.reconfig_partial_ns for s in collector.samples]

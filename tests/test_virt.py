@@ -41,6 +41,14 @@ def test_four_equal_vms_reach_half_utilization():
     assert all(v == pytest.approx(50.0) for v in util.values())
 
 
+def test_default_cores_round_half_up():
+    # 16 cores x 78,750 / 504,000 LUT = 2.5 cores, which rounds up
+    eng, fab, hv = _hypervisor()
+    vm = hv.create_vm(fab.total.share(0.15625))
+    assert fab.slot(hv.vms[vm].slot_id).lut == 78_750
+    assert hv.vms[vm].cores == 3
+
+
 def test_create_vm_insufficient_resources():
     eng, fab, hv = _hypervisor()
     with pytest.raises(InsufficientResources):
@@ -98,11 +106,11 @@ def test_load_module_completes_after_duration():
     eng, fab, hv = _hypervisor()
     vm = hv.create_vm(fab.total.scaled(1, 4))
     module = _module(0.10, hv)
-    record = hv.load_module(vm, module, ReconfigMode.PARTIAL)
+    record = hv.exchange_module(vm, module, ReconfigMode.PARTIAL)
     assert record is not None and record.duration == 7_600_000
-    assert module.id not in hv.vms[vm].loaded  # not usable until completion
+    assert hv.vms[vm].loaded is None  # not usable until completion
     eng.run_until(record.started_at + record.duration)
-    assert module.id in hv.vms[vm].loaded
+    assert hv.vms[vm].loaded is module
     assert hv.reconfig_accum[ReconfigMode.PARTIAL] == record.duration
 
 
@@ -110,24 +118,39 @@ def test_footprint_overflow_rejected():
     eng, fab, hv = _hypervisor()
     vm = hv.create_vm(fab.total.scaled(1, 8))
     with pytest.raises(FootprintOverflow):
-        hv.load_module(vm, _module(0.5, hv), ReconfigMode.PARTIAL)
+        hv.exchange_module(vm, _module(0.5, hv), ReconfigMode.PARTIAL)
+
+
+def _held(vm):
+    """The module a VM's region holds or is being programmed with."""
+    return vm.inflight_module or vm.loaded
 
 
 def test_loaded_footprint_never_exceeds_slot():
+    # a small module, then an exchange to a large one, then a medium one:
+    # each request replaces the region's module, so the two last modules
+    # (151,200 LUT together) never share the 126,000-LUT slot
     eng, fab, hv = _hypervisor()
     vm = hv.create_vm(fab.total.scaled(1, 4))
-    hv.load_module(vm, _module(0.10, hv, name="a"), ReconfigMode.PARTIAL)
-    hv.load_module(vm, _module(0.10, hv, kind=ModuleKind.ROUTER, name="b"), ReconfigMode.PARTIAL)
+    slot = fab.slot(hv.vms[vm].slot_id)
+    a = _module(0.02, hv, name="a")
+    b = _module(0.20, hv, kind=ModuleKind.ROUTER, name="b")
+    c = _module(0.10, hv, kind=ModuleKind.POOLING, name="c")
+    for module in (a, b, c):
+        hv.exchange_module(vm, module, ReconfigMode.PARTIAL)
+        assert _held(hv.vms[vm]).footprint.fits_within(slot)
     with pytest.raises(FootprintOverflow):
-        hv.load_module(vm, _module(0.10, hv, kind=ModuleKind.POOLING, name="c"), ReconfigMode.PARTIAL)
-    eng.run()
-    assert hv.vms[vm].loaded_footprint().fits_within(fab.slot(hv.vms[vm].slot_id))
+        hv.exchange_module(vm, _module(0.30, hv, name="d"), ReconfigMode.PARTIAL)
+    while eng.pending():
+        eng.run_until(eng.pending()[0].fire_at)
+        assert _held(hv.vms[vm]).footprint.fits_within(slot)
+    assert hv.vms[vm].loaded is c
 
 
 def test_unknown_vm_errors():
     eng, fab, hv = _hypervisor()
     with pytest.raises(VmUnknown):
-        hv.load_module("nope", _module(0.1, hv), ReconfigMode.FULL)
+        hv.exchange_module("nope", _module(0.1, hv), ReconfigMode.FULL)
     with pytest.raises(VmUnknown):
         hv.destroy_vm("nope")
 
@@ -135,7 +158,7 @@ def test_unknown_vm_errors():
 def test_destroy_mid_reconfiguration_is_busy():
     eng, fab, hv = _hypervisor()
     vm = hv.create_vm(fab.total.scaled(1, 4))
-    hv.load_module(vm, _module(0.10, hv), ReconfigMode.PARTIAL)
+    hv.exchange_module(vm, _module(0.10, hv), ReconfigMode.PARTIAL)
     with pytest.raises(VmBusy):
         hv.destroy_vm(vm)
     eng.run()
@@ -145,8 +168,8 @@ def test_destroy_mid_reconfiguration_is_busy():
     # busy while it is in flight, and so is a VM whose only reconfiguration
     # is queued behind it
     owner, bystander, waiting = (hv.create_vm(fab.total.scaled(1, 4)) for _ in range(3))
-    hv.load_module(owner, _module(0.10, hv), ReconfigMode.FULL)
-    assert hv.load_module(waiting, _module(0.10, hv), ReconfigMode.PARTIAL) is None
+    hv.exchange_module(owner, _module(0.10, hv), ReconfigMode.FULL)
+    assert hv.exchange_module(waiting, _module(0.10, hv), ReconfigMode.PARTIAL) is None
     assert not hv.vms[waiting].reconfiguring
     for busy in (bystander, waiting):
         with pytest.raises(VmBusy):
@@ -191,25 +214,78 @@ def test_destroy_ends_the_vms_transfer_streams():
 def test_per_vm_reconfigs_serialize():
     eng, fab, hv = _hypervisor()
     vm = hv.create_vm(fab.total.scaled(1, 4))
-    first = hv.load_module(vm, _module(0.05, hv, name="a"), ReconfigMode.PARTIAL)
-    queued = hv.load_module(
-        vm, _module(0.05, hv, kind=ModuleKind.ROUTER, name="b"), ReconfigMode.PARTIAL
-    )
+    b = _module(0.05, hv, kind=ModuleKind.ROUTER, name="b")
+    first = hv.exchange_module(vm, _module(0.05, hv, name="a"), ReconfigMode.PARTIAL)
+    queued = hv.exchange_module(vm, b, ReconfigMode.PARTIAL)
     assert first is not None and queued is None
     eng.run()
-    assert set(hv.vms[vm].loaded) == {"a", "b"}
+    assert hv.vms[vm].loaded is b  # the later request ran last
     records = [r for r in hv.records if r.mode is ReconfigMode.PARTIAL]
     assert len(records) == 2
     assert records[1].started_at >= records[0].started_at + records[0].duration
 
 
+_REQUEST_SHARES = (0.01, 0.03, 0.06, 0.12, 0.20)
+
+_exchange_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("request"), st.integers(0, 3),
+                  st.sampled_from(_REQUEST_SHARES), st.sampled_from(ReconfigMode)),
+        st.tuples(st.just("split"), st.integers(0, 100 * NS_PER_MS)),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from((4, 8, 16)), min_size=2, max_size=4), _exchange_ops)
+def test_exchanges_fit_and_run_in_request_order(slot_divisors, ops):
+    eng, fab, hv = _hypervisor()
+    vms = [hv.create_vm(fab.total.scaled(1, d)) for d in slot_divisors]
+    slots = {vm: fab.slot(hv.vms[vm].slot_id) for vm in vms}
+    requested = {vm: [] for vm in vms}  # module ids accepted, in request order
+    owner = {}
+    for op in ops:
+        if op[0] == "split":
+            eng.run_until(eng.now() + op[1])
+        else:
+            _, index, share, mode = op
+            vm = vms[index % len(vms)]
+            module = _module(share, hv, name=f"r{len(owner)}")
+            if module.footprint.fits_within(slots[vm]):
+                hv.exchange_module(vm, module, mode)
+                requested[vm].append(module.id)
+                owner[module.id] = vm
+            else:
+                with pytest.raises(FootprintOverflow):
+                    hv.exchange_module(vm, module, mode)
+        for vm in vms:
+            held = _held(hv.vms[vm])
+            assert held is None or held.footprint.fits_within(slots[vm])
+    eng.run()
+
+    for vm in vms:
+        state = hv.vms[vm]
+        assert not state.reconfiguring and not state.pending_reconfigs
+        last = requested[vm][-1] if requested[vm] else None
+        assert (state.loaded.id if state.loaded else None) == last
+        records = [r for r in hv.records if owner[r.module] == vm]
+        assert [r.module for r in records] == requested[vm]
+        for before, after in zip(records, records[1:]):
+            assert after.started_at >= before.started_at + before.duration
+    for i, full in enumerate(hv.records):
+        if full.mode is ReconfigMode.FULL:
+            for later in hv.records[i + 1:]:
+                assert later.started_at >= full.started_at + full.duration
+
+
 def test_partial_requested_during_full_starts_when_full_ends():
     eng, fab, hv = _hypervisor()
     owner, other = (hv.create_vm(fab.total.scaled(1, 4)) for _ in range(2))
-    full = hv.load_module(owner, _module(0.10, hv), ReconfigMode.FULL)
+    full = hv.exchange_module(owner, _module(0.10, hv), ReconfigMode.FULL)
     # the other VM is idle, but the full reprogram holds every slot
     eng.schedule(full.duration // 2, "Request",
-                 fn=lambda: hv.load_module(other, _module(0.05, hv), ReconfigMode.PARTIAL))
+                 fn=lambda: hv.exchange_module(other, _module(0.05, hv), ReconfigMode.PARTIAL))
     eng.run()
     partial = hv.records[1]
     assert (partial.vm, partial.mode) == (other, ReconfigMode.PARTIAL)
@@ -219,11 +295,13 @@ def test_partial_requested_during_full_starts_when_full_ends():
 def test_exchange_replaces_slot_contents():
     eng, fab, hv = _hypervisor()
     vm = hv.create_vm(fab.total.scaled(1, 4))
-    hv.load_module(vm, _module(0.10, hv, name="a"), ReconfigMode.PARTIAL)
+    b = _module(0.12, hv, kind=ModuleKind.ROUTER, name="b")
+    hv.exchange_module(vm, _module(0.10, hv, name="a"), ReconfigMode.PARTIAL)
     eng.run()
-    hv.exchange_module(vm, _module(0.12, hv, kind=ModuleKind.ROUTER, name="b"), ReconfigMode.PARTIAL)
+    hv.exchange_module(vm, b, ReconfigMode.PARTIAL)
+    assert hv.vms[vm].loaded is None  # "a" is gone once programming starts
     eng.run()
-    assert set(hv.vms[vm].loaded) == {"b"}
+    assert hv.vms[vm].loaded is b
 
 
 def _stream_setup(seed, reconfig_mode=None, reconfig_at=None, share=0.1):
@@ -256,7 +334,7 @@ def _stream_setup(seed, reconfig_mode=None, reconfig_at=None, share=0.1):
         eng.schedule(
             reconfig_at,
             "ReconfigRequest",
-            fn=lambda: hv.load_module(vm_a, module, reconfig_mode),
+            fn=lambda: hv.exchange_module(vm_a, module, reconfig_mode),
             stallable=False,
         )
     eng.run()
