@@ -18,17 +18,16 @@ one-row-at-a-time loop, and every run gives the same bits.
 all that energy and every CLI output read. The kernel runs when its
 results are read: ``output_spikes`` and ``potentials(task_id)`` first
 replay every launched task from its last replayed step up to the steps
-processed so far, with the weights, input picks and ``step_sorted`` that
-stepping at each event would use. Each task draws only from its own
-streams and no step result feeds back into timing, so a read, mid-run or
-at the end, gives those bits exactly, and a run whose spikes nobody reads
-never loads numpy. The input picks are the one source of the trusted ids
-that ``step_sorted`` takes: distinct, in range and ascending.
+processed so far, stepping through ``step_core`` with the weights and
+input picks that stepping at each event would use. Each task draws only
+from its own streams and no step result feeds back into timing, so a
+read, mid-run or at the end, gives those bits exactly, and a run whose
+spikes nobody reads never loads numpy.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -107,13 +106,17 @@ def step_core(state: CoreState, ids: Sequence[int], params: LifParams) -> tuple[
     ``state.potentials`` and returns the ids of the neurons that fired.
 
     Checks the weight shape and that the input ids are in range and
-    distinct, then runs :func:`step_sorted` on them in ascending order.
+    distinct, and adds their weight rows in ascending id order. An empty
+    ``ids`` still applies the leak.
     """
+    import numpy as np
+
     if state.weights.shape[1] != state.n_neurons:
         raise DimensionMismatch(
             f"weights shape {state.weights.shape} vs {state.n_neurons} neurons"
         )
     ids = sorted(ids)
+    potentials = state.potentials
     if ids:
         if ids[0] < 0 or ids[-1] >= state.n_inputs:
             raise DimensionMismatch(
@@ -121,38 +124,16 @@ def step_core(state: CoreState, ids: Sequence[int], params: LifParams) -> tuple[
             )
         if any(a == b for a, b in zip(ids, ids[1:])):
             raise DimensionMismatch("duplicate input spike ids")
-    return tuple(step_sorted(state, ids, params).tolist())
-
-
-def _add_accumulate(rows, axis, out):
-    """``np.add.accumulate``, which this first call imports and binds in its
-    place: an import statement in :func:`step_sorted` would cost every step
-    ~0.15 us, ~1.5% of a calibration run."""
-    global _add_accumulate
-    import numpy as np
-
-    _add_accumulate = np.add.accumulate
-    return _add_accumulate(rows, axis=axis, out=out)
-
-
-def step_sorted(state: CoreState, ids: Sequence[int], params: LifParams) -> np.ndarray:
-    """One step over trusted input ids: distinct, in range and ascending.
-
-    Mutates ``state.potentials`` and returns the ids of the neurons that
-    fired. An empty ``ids`` still applies the leak.
-    """
-    potentials = state.potentials
-    if ids:
         rows = state.weights.take(ids, axis=0)
         rows[0] += potentials * params.leak
-        _add_accumulate(rows, axis=0, out=rows)
+        np.add.accumulate(rows, axis=0, out=rows)
         potentials[:] = rows[-1]
     else:
         potentials *= params.leak
     fired = (potentials >= params.v_thresh).nonzero()[0]
     if fired.size:
         potentials[fired] = params.v_reset
-    return fired
+    return tuple(fired.tolist())
 
 
 def workload_cost(steps: int, input_rate: int, fan_in: int) -> int:
@@ -183,13 +164,6 @@ class _SpikingTask:
     # replayed; its potentials stay readable after that
     state: CoreState | None = None
     potentials: np.ndarray | None = None
-    # input ids of the pre-drawn steps, one sorted tuple per step
-    picks: Iterator[tuple[int, ...]] = iter(())
-
-
-# pool cells per refill of a task's input picks: bounds the look-ahead
-# memory per replayed task whatever its step count or fan-in
-INPUT_BLOCK = 4096
 
 
 class SpikingExecutor:
@@ -217,12 +191,14 @@ class SpikingExecutor:
         stream: str | None = None,
     ) -> None:
         stream = stream if stream is not None else f"task/{task_id}"
-        if steps < 1 or fan_in < 1:
-            raise ValueError(f"task {task_id}: steps and fan_in must be >= 1")
+        if steps < 1 or fan_in < 1 or input_rate < 0:
+            raise ValueError(
+                f"task {task_id}: steps and fan_in must be >= 1, input_rate >= 0"
+            )
         if task_id in self._tasks:
             raise ValueError(f"task {task_id} is already launched")
-        # a replay draws each task's stream in one go, so two tasks that
-        # shared one could not get the values their steps interleaved on it
+        # a replay runs each task's steps in one go, so two tasks that
+        # shared a stream could not get the values their steps interleaved on it
         if stream in self._streams:
             raise ValueError(f"stream {stream} is already used")
         job = _SpikingTask(
@@ -280,46 +256,24 @@ class SpikingExecutor:
                 )
                 job.potentials = job.state.potentials
             for _ in range(job.steps - job.remaining - job.replayed):
-                fired = step_sorted(job.state, self._pick_inputs(job), self.params)
+                fired = step_core(job.state, self._pick_inputs(job), self.params)
                 self._output_spikes += len(fired)
                 job.replayed += 1
             if job.replayed == job.steps:
-                job.state, job.picks = None, iter(())
+                job.state = None
 
     def _pick_inputs(self, job: _SpikingTask) -> tuple[int, ...]:
-        ids = next(job.picks, None)
-        if ids is None:
-            job.picks = self._draw_picks(job)
-            ids = next(job.picks)
-        return ids
-
-    def _draw_picks(self, job: _SpikingTask) -> Iterator[tuple[int, ...]]:
-        """Input ids of the next block of steps to replay: per step, the
-        sorted prefix of a partial Fisher-Yates shuffle of
-        ``range(n_inputs)`` whose swap ``k`` targets
-        ``k + floor(u * (n_inputs - k))``.
-
-        The stream is the task's own, so drawing ahead leaves each value
-        and its order unchanged. All steps of a block shuffle together: the
-        pool holds position ``p`` of step ``s`` at ``p * steps + s``, and
-        swap ``k`` is one gather and one scatter across the block, with at
-        most ``max(INPUT_BLOCK, n_inputs)`` cells whatever the fan-in.
-        """
-        import numpy as np
-
-        n, rate = job.n_inputs, job.rate
-        steps = min(job.steps - job.replayed, max(1, INPUT_BLOCK // n))
-        u = self.engine.rng.values(f"{job.stream}/inputs", steps * rate).reshape(steps, rate)
-        k = np.arange(rate)
-        there = (k + (u * (n - k)).astype(np.int64)).T * steps + np.arange(steps)
-        here = np.arange(rate * steps).reshape(rate, steps)
-        forth = np.concatenate((here, there), axis=1)
-        back = np.concatenate((there, here), axis=1)
-        pool = np.repeat(np.arange(n), steps)
-        for to, frm in zip(forth, back):
-            pool[to] = pool[frm]
-        picks = np.sort(pool[: rate * steps].reshape(rate, steps).T, axis=1)
-        return map(tuple, picks.tolist())
+        """The next replayed step's input ids: the sorted prefix of a partial
+        Fisher-Yates shuffle of ``range(n_inputs)`` whose swap ``k`` targets
+        ``k + floor(u_k * (n_inputs - k))``, over the step's ``rate``
+        uniforms from the task's own stream."""
+        n = job.n_inputs
+        pool = list(range(n))
+        uniforms = self.engine.rng.values(f"{job.stream}/inputs", job.rate).tolist()
+        for k, u in enumerate(uniforms):
+            j = k + int(u * (n - k))
+            pool[k], pool[j] = pool[j], pool[k]
+        return tuple(sorted(pool[: job.rate]))
 
     def _step(self, job: _SpikingTask) -> None:
         self.total_synops += job.rate * job.n_neurons

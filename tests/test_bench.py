@@ -212,11 +212,10 @@ def _oracle_inputs(seed, stream, n_inputs, rate, steps):
     fan_in=st.integers(1, 40),
     rate=st.integers(1, 40),
     steps=st.integers(1, 60),
-    block=st.integers(1, 64),
     move_after=st.integers(0, 59),
 )
 def test_input_picks_match_scalar_oracle_across_refills_and_moves(
-    seed, fan_in, rate, steps, block, move_after
+    seed, fan_in, rate, steps, move_after
 ):
     engine = Engine(seed)
     executor = SpikingExecutor(engine)
@@ -229,17 +228,16 @@ def test_input_picks_match_scalar_oracle_across_refills_and_moves(
         return ids
 
     executor._pick_inputs = spy
-    with mock.patch.object(snn, "INPUT_BLOCK", block):
-        for task in ("a", "b"):
-            executor.launch(task_id=task, steps=steps, input_rate=rate,
-                            fan_in=fan_in, interval=1_000, at=0, vm="vm0")
-        engine.run_until((move_after % steps) * 1_000)
-        executor.output_spikes  # a read: the replay picks the steps run so far
-        job = executor.active.get("a")
-        if job is not None:  # "a" has not finished yet
-            executor.move(job, "vm1", resume_at=engine.now() + 5_000, interval=700)
-        engine.run()
-        executor.output_spikes  # and the rest
+    for task in ("a", "b"):
+        executor.launch(task_id=task, steps=steps, input_rate=rate,
+                        fan_in=fan_in, interval=1_000, at=0, vm="vm0")
+    engine.run_until((move_after % steps) * 1_000)
+    executor.output_spikes  # a read: the replay picks the steps run so far
+    job = executor.active.get("a")
+    if job is not None:  # "a" has not finished yet
+        executor.move(job, "vm1", resume_at=engine.now() + 5_000, interval=700)
+    engine.run()
+    executor.output_spikes  # and the rest
     n_inputs = max(fan_in, rate)
     for task in ("a", "b"):
         want = _oracle_inputs(seed, f"task/{task}/inputs", n_inputs, rate, steps)
@@ -248,7 +246,7 @@ def test_input_picks_match_scalar_oracle_across_refills_and_moves(
 
 def _block_picks(seed, n_inputs, rate, steps):
     """A task's input ids for ``steps`` steps as a replay after the run
-    picks them, and the uniforms each refill drew."""
+    picks them, and the uniforms each draw on its input stream took."""
     engine = Engine(seed)
     executor = SpikingExecutor(engine)
     executor.launch(task_id="t", steps=steps, input_rate=rate, fan_in=n_inputs,
@@ -278,17 +276,16 @@ def _block_picks(seed, n_inputs, rate, steps):
 
 
 @pytest.mark.parametrize("n_inputs, rate, steps", [
-    (5000, 1, 40),  # wide fan-in, one input per step: one step per refill
-    (40, 40, 250),  # rate == n_inputs, a full permutation, across refills
+    (5000, 1, 40),  # wide fan-in, one input per step
+    (40, 40, 250),  # rate == n_inputs, a full permutation
     (1, 1, 3),
 ])
 def test_block_picks_match_oracle_with_a_bounded_pool(n_inputs, rate, steps):
     picks, drawn = _block_picks(11, n_inputs, rate, steps)
     assert picks == list(_oracle_inputs(11, "task/t/inputs", n_inputs, rate, steps))
-    assert sum(drawn) == steps * rate
-    for n in drawn:
-        # a refill of n // rate steps shuffles a pool of that many rows
-        assert n // rate * n_inputs <= max(snn.INPUT_BLOCK, n_inputs)
+    # each replayed step draws its own uniforms and no more: one pool of
+    # n_inputs at a time, whatever the step count
+    assert drawn == [rate] * steps
 
 
 def _eager_spikes(seed, launch, params):
@@ -325,27 +322,25 @@ _launches = st.lists(
     leak=st.sampled_from([1.0, 0.9, 0.5]),
     split=st.integers(0, 60_000),
     mover=st.integers(0, 2),
-    block=st.integers(1, 64),
 )
-def test_replay_on_read_equals_eager_stepping(seed, launches, leak, split, mover, block):
+def test_replay_on_read_equals_eager_stepping(seed, launches, leak, split, mover):
     params = LifParams(v_thresh=0.4, leak=leak)
     launches = [dict(kw, task_id=f"t{i}") for i, kw in enumerate(launches)]
     engine = Engine(seed)
     executor = SpikingExecutor(engine, params)
     eager = {kw["task_id"]: _eager_spikes(seed, kw, params) for kw in launches}
-    with mock.patch.object(snn, "INPUT_BLOCK", block):
-        for kw in launches:
-            executor.launch(**kw, vm="vm0")
-        engine.run_until(split)
-        mid = 0  # the oracle's spikes over the steps processed so far
-        for kw in launches:
-            job = executor.active.get(kw["task_id"])
-            mid += eager[kw["task_id"]][0][kw["steps"] - (job.remaining if job else 0)]
-        assert executor.output_spikes == mid
-        job = executor.active.get(f"t{mover % len(launches)}")
-        if job is not None:
-            executor.move(job, "vm1", resume_at=engine.now() + 700, interval=300)
-        engine.run()
+    for kw in launches:
+        executor.launch(**kw, vm="vm0")
+    engine.run_until(split)
+    mid = 0  # the oracle's spikes over the steps processed so far
+    for kw in launches:
+        job = executor.active.get(kw["task_id"])
+        mid += eager[kw["task_id"]][0][kw["steps"] - (job.remaining if job else 0)]
+    assert executor.output_spikes == mid
+    job = executor.active.get(f"t{mover % len(launches)}")
+    if job is not None:
+        executor.move(job, "vm1", resume_at=engine.now() + 700, interval=300)
+    engine.run()
     assert executor.output_spikes == sum(fired[-1] for fired, _ in eager.values())
     for task, (_, potentials) in eager.items():
         assert executor.potentials(task).tobytes() == potentials.tobytes()
@@ -356,7 +351,8 @@ def _launch_kwargs(**kwargs):
                 **kwargs)
 
 
-@pytest.mark.parametrize("bad", [dict(steps=0), dict(steps=-1), dict(fan_in=0)])
+@pytest.mark.parametrize("bad", [dict(steps=0), dict(steps=-1), dict(fan_in=0),
+                                 dict(input_rate=-1)])
 def test_launch_refuses_an_empty_task(bad):
     engine = Engine(1)
     executor = SpikingExecutor(engine)

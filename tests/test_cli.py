@@ -232,8 +232,12 @@ print(json.dumps(found))
     # and no CLI output reads them: the first read imports numpy
     ([(["bench-energy"], {"--out": "126cd6693b475716"}),
       (["run", "--scenario", str(DEMO)],
-       {"--out": "b0129dec3e98bfcb", "--trace-out": "69614e605ac85bde"})],
-     [str(DEMO)], [[0, False], [0, False], [False, 378, True]]),
+       {"--out": "b0129dec3e98bfcb", "--trace-out": "69614e605ac85bde"}),
+      # migrations and stalls: the replay must follow moved tasks
+      (["run", "--scenario", str(SCENARIOS / "stall.json")],
+       {"--out": "242fd920a5a84457", "--trace-out": "33e8390e96f22665"})],
+     [str(DEMO), str(SCENARIOS / "stall.json")],
+     [[0, False], [0, False], [0, False], [False, 378, True], [True, 88431, True]]),
 ], ids=["non-spiking", "spiking"])
 def test_cold_start_loads_numpy_only_for_spiking_runs(tmp_path, calls, read, loaded):
     # pytest's own process holds numpy already, so only a fresh interpreter

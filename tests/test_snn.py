@@ -9,7 +9,6 @@ from neurovirt.snn import (
     LifParams,
     make_core_state,
     step_core,
-    step_sorted,
     workload_cost,
 )
 
@@ -144,12 +143,10 @@ def test_inner_step_is_bit_exact_and_public_step_agrees(ids, extra, n_out, leak,
     expected_pots, expected_ids = _reference_step(
         potentials.tolist(), weights.tolist(), ids, leak, 0.8, -0.1
     )
-    inner = CoreState(potentials.copy(), weights.copy())
-    fired = step_sorted(inner, ids, params)
-    assert fired.tolist() == expected_ids
-    assert inner.potentials.tolist() == expected_pots
+    ascending = CoreState(potentials.copy(), weights.copy())
+    assert step_core(ascending, ids, params) == tuple(expected_ids)
+    assert ascending.potentials.tolist() == expected_pots
 
-    public = CoreState(potentials.copy(), weights.copy())
-    out = step_core(public, tuple(reversed(ids)), params)
-    assert out == tuple(expected_ids)
-    assert public.potentials.tobytes() == inner.potentials.tobytes()
+    reversed_ids = CoreState(potentials.copy(), weights.copy())
+    assert step_core(reversed_ids, tuple(reversed(ids)), params) == tuple(expected_ids)
+    assert reversed_ids.potentials.tobytes() == ascending.potentials.tobytes()
