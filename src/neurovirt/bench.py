@@ -1,8 +1,11 @@
 """The three benchmark experiments and the mixed-scenario runner.
 
-Every experiment is a real event-driven simulation (no closed-form
-shortcuts in the measured columns) and is a pure function of its
-arguments, so repeated runs emit byte-identical CSV. None takes a seed:
+Every experiment runs an event-driven simulation and is a pure function
+of its arguments, so repeated runs emit byte-identical CSV. One column is
+not simulated: ``bench_energy``'s ``energy_mj`` is the closed-form anchor
+line, :func:`metrics.energy_for_accelerators`, and only its
+``synaptic_ops`` column comes from the run (until ROADMAP item 6 drives
+energy from the simulation). None takes a seed:
 the only random draws, a spiking task's weights and input picks, reach no
 experiment's columns. A scenario run is a pure function of its scenario,
 seed included.

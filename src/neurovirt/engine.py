@@ -6,12 +6,18 @@ streams. Events with equal fire times are processed in insertion order,
 so a run is a pure function of (seed, schedule calls).
 
 The queue is a binary heap of ``(fire_at, seq, event)`` entries with one
-liveness rule: an entry is live iff its time equals ``event.fire_at``.
-:meth:`Engine.schedule` returns the event itself as its handle. Postponing
-an event moves its ``fire_at`` and pushes a fresh entry; cancelling it, or
-firing it, sets ``fire_at`` to None. Either way the old entry goes stale in
-place and the loop skips it when it surfaces, so cancelling an event that
-already fired, or was already cancelled, is a no-op. Every queued
+liveness rule: an entry is live iff its time equals ``event.fire_at`` and
+its seq equals ``event.seq``. :meth:`Engine.schedule` returns the event
+itself as its handle. Postponing an event moves its ``fire_at`` and pushes
+a fresh entry; cancelling it, or firing it, sets ``fire_at`` to None.
+Either way the old entry goes stale in place and the loop skips it when it
+surfaces, so cancelling an event that already fired, or was already
+cancelled, is a no-op. :meth:`Engine.reschedule` queues a fired or
+cancelled event again under the next seq, so an owner that queues its own
+successor keeps one event for its lifetime; its old entries stay stale by
+seq even when the new time equals an old one. ``schedule`` builds the
+event and hands it to ``reschedule``, the one method that pushes a new
+event onto the heap. Every queued
 stallable event is indexed by its VM (untagged ones under None), so a
 reconfiguration stall walks only the events it shifts. Once stale entries
 make up more than half of the heap, the heap is compacted: they are dropped
@@ -127,7 +133,8 @@ class SimEvent:
     returns for it.
 
     ``(fire_at, seq)`` is unique per run and defines the total processing
-    order; ``fire_at`` is None once the event has fired or been cancelled.
+    order; ``fire_at`` is None once the event has fired or been cancelled,
+    and :meth:`Engine.reschedule` queues it again under a fresh seq.
     ``vm`` tags events that belong to one virtual machine so
     reconfiguration stalls can postpone exactly that machine's progress.
     """
@@ -150,7 +157,7 @@ class Engine:
         self._heap: list[tuple[int, int, SimEvent]] = []
         # queued stallable events of each VM (None: untagged), seq -> event
         self._by_vm: dict[str | None, dict[int, SimEvent]] = {}
-        self._stale = 0  # heap entries whose time is not their event's fire_at
+        self._stale = 0  # heap entries not live: not their event's (fire_at, seq)
         self._processed = 0
         self.rng = RandomStreams(seed)
         self._lines: list[str] = []  # the open chunk: lines not yet joined
@@ -180,16 +187,27 @@ class Engine:
         stallable: bool = True,
     ) -> SimEvent:
         """Queue an event at absolute time ``at``; returns it as a handle."""
+        return self.reschedule(SimEvent(None, -1, kind, detail, fn, vm, stallable), at)
+
+    def reschedule(self, event: SimEvent, at: int) -> SimEvent:
+        """Queue a fired or cancelled ``event`` again at absolute time ``at``,
+        under the next seq, exactly as a fresh :meth:`schedule` of its kind,
+        detail, fn, VM and stallable flag would be; returns it.
+
+        Raises ValueError while the event is still queued."""
+        if event.fire_at is not None:
+            raise ValueError(f"{event.kind} event {event.seq} is still queued")
         if at < self._now:
             raise SchedulingInPast(f"schedule at {at} < now {self._now}")
         seq = self._scheduled
         self._scheduled = seq + 1
-        event = SimEvent(at, seq, kind, detail, fn, vm, stallable)
+        event.fire_at = at
+        event.seq = seq
         heapq.heappush(self._heap, (at, seq, event))
-        if stallable:
-            index = self._by_vm.get(vm)
+        if event.stallable:
+            index = self._by_vm.get(event.vm)
             if index is None:
-                index = self._by_vm[vm] = {}
+                index = self._by_vm[event.vm] = {}
             index[seq] = event
         return event
 
@@ -223,7 +241,8 @@ class Engine:
         start = self._processed
         while heap and heap[0][0] <= t_end:
             fire_at, seq, event = pop(heap)
-            if fire_at != event.fire_at:  # moved, fired or cancelled
+            # moved, fired, cancelled or re-armed under a later seq
+            if fire_at != event.fire_at or seq != event.seq:
                 self._stale -= 1
                 continue
             event.fire_at = None
@@ -240,7 +259,7 @@ class Engine:
 
     def pending(self) -> list[SimEvent]:
         """Live queued events in processing order (diagnostic snapshot)."""
-        live = [ev for t, _, ev in self._heap if t == ev.fire_at]
+        live = [ev for t, seq, ev in self._heap if t == ev.fire_at and seq == ev.seq]
         return sorted(live, key=lambda ev: (ev.fire_at, ev.seq))
 
     def postpone_pending(self, delta: int, vm: str | None = None) -> int:
@@ -274,7 +293,8 @@ class Engine:
         stale entries are more than half of it."""
         self._stale += entries
         if 2 * self._stale > len(self._heap):
-            live = [entry for entry in self._heap if entry[0] == entry[2].fire_at]
+            live = [entry for entry in self._heap
+                    if entry[0] == entry[2].fire_at and entry[1] == entry[2].seq]
             heapq.heapify(live)
             self._heap[:] = live  # in place: a running loop holds this list
             self._stale = 0

@@ -164,26 +164,39 @@ class IoDriver:
         Returns the callable that submits the stream's next transfer; each
         completion submits the one after it. A full ring refuses the submit,
         which then retries ``retry_after`` ns later as a TransferRetry event.
-        The stream ends early once its ring is closed.
+        A stream has one such event: made at its first refusal, re-armed at
+        each later one, and dropped when the stream ends. The stream ends
+        early once its ring is closed.
         """
-        engine, detail = self.engine, f"vm={ring.vm}"
+        engine = self.engine
         remaining = count
+        retry: SimEvent | None = None
 
         def submit_next() -> None:
+            nonlocal retry
             if ring.closed:
+                retry = None
                 return
             # through self.submit, so a wrapper patched onto the class sees it
-            if self.submit(ring, size, on_complete=done) is None:
-                engine.schedule(engine.now() + retry_after, "TransferRetry",
-                                submit_next, detail, ring.vm)
+            if self.submit(ring, size, on_complete=done) is not None:
+                return
+            # a stream has one submit or retry outstanding, so a refused
+            # submit runs with its retry event fired or not yet made
+            if retry is None:
+                retry = engine.schedule(engine.now() + retry_after, "TransferRetry",
+                                        submit_next, f"vm={ring.vm}", ring.vm)
+            else:
+                engine.reschedule(retry, engine.now() + retry_after)
 
         def done() -> None:
-            nonlocal remaining
+            nonlocal remaining, retry
             remaining -= 1
             if on_complete is not None:
                 on_complete()
             if remaining > 0:
                 submit_next()
+            else:
+                retry = None
 
         return submit_next
 

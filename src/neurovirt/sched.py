@@ -143,7 +143,9 @@ class Scheduler:
         self.finished: dict[str, int] = {}
         self.assignments: list[Assignment] = []
         self.migrations: list[Migration] = []
-        self._tick_pending = False
+        # the one SchedulerTick event, made by the first _ensure_tick and
+        # re-armed by each later one
+        self._tick: SimEvent | None = None
 
     def add_vm(self, vm_id: str, cores: int) -> None:
         self.vms[vm_id] = SchedVm(vm_id, cores, cores)
@@ -176,14 +178,14 @@ class Scheduler:
         self._ensure_tick(at_now=True)
 
     def _ensure_tick(self, at_now: bool = False) -> None:
-        if self._tick_pending:
-            return
-        self._tick_pending = True
-        delay = 0 if at_now else self.tick_period
-        self.engine.schedule(self.engine.now() + delay, "SchedulerTick", fn=self._on_tick)
+        tick = self._tick
+        at = self.engine.now() + (0 if at_now else self.tick_period)
+        if tick is None:
+            self._tick = self.engine.schedule(at, "SchedulerTick", fn=self._on_tick)
+        elif tick.fire_at is None:  # not already pending
+            self.engine.reschedule(tick, at)
 
     def _on_tick(self) -> None:
-        self._tick_pending = False
         self.schedule_tick()
         self.rebalance_on_contention()
         if self._ready_rt or self._ready_batch or self.running:

@@ -156,8 +156,8 @@ class _SpikingTask:
     steps: int
     remaining: int  # steps the engine has not processed yet
     interval: int
-    vm: str | None
-    detail: str
+    # the SpikeStep event of every step, which carries the job's VM; None
+    # after the last step
     next_event: SimEvent | None = None
     replayed: int = 0  # steps the kernel has run
     # the kernel's state from the first replay until the last step is
@@ -210,19 +210,14 @@ class SpikingExecutor:
             steps=steps,
             remaining=steps,
             interval=interval,
-            vm=vm,
-            detail=f"task={task_id}",
         )
         self._tasks[task_id] = self.active[task_id] = job
         self._streams.add(stream)
-        self._schedule_step(job, at)
-
-    def _schedule_step(self, job: _SpikingTask, at: int) -> None:
-        # a closure per step, not one kept on the job: job -> next_event ->
-        # closure -> job is then the only cycle, and _step breaks it when the
-        # job finishes
+        # one event for all the job's steps, re-armed by _step and move:
+        # job -> next_event -> fn -> job is the only cycle, and _step breaks
+        # it at the last step
         job.next_event = self.engine.schedule(
-            at, "SpikeStep", fn=lambda: self._step(job), detail=job.detail, vm=job.vm
+            at, "SpikeStep", fn=lambda: self._step(job), detail=f"task={task_id}", vm=vm
         )
 
     @property
@@ -279,7 +274,7 @@ class SpikingExecutor:
         self.total_synops += job.rate * job.n_neurons
         job.remaining -= 1
         if job.remaining > 0:
-            self._schedule_step(job, self.engine.now() + job.interval)
+            self.engine.reschedule(job.next_event, self.engine.now() + job.interval)
         else:
             job.next_event = None
             del self.active[job.task_id]
@@ -287,7 +282,8 @@ class SpikingExecutor:
     def move(self, job: _SpikingTask, new_vm: str, resume_at: int, interval: int) -> None:
         """Re-home an active workload after a migration, stepping every
         ``interval`` ns from ``resume_at``."""
-        self.engine.cancel(job.next_event)
-        job.vm = new_vm
+        event = job.next_event
+        self.engine.cancel(event)
+        event.vm = new_vm
         job.interval = max(1, interval)
-        self._schedule_step(job, max(resume_at, self.engine.now()))
+        self.engine.reschedule(event, max(resume_at, self.engine.now()))

@@ -116,6 +116,30 @@ def test_migrating_spiking_task_still_completes_all_steps():
     assert result.executor.total_synops == workload_cost(1000, 16, 256)
 
 
+def test_a_spiking_job_keeps_one_event_across_its_steps_and_a_move():
+    engine = Engine(1)
+    executor = SpikingExecutor(engine)
+    # every queueing of an event passes through reschedule, schedule's too
+    with mock.patch.object(engine, "reschedule", wraps=engine.reschedule) as arm:
+        executor.launch(task_id="a", steps=5, input_rate=2, fan_in=4, interval=1_000,
+                        at=0, vm="vm0")
+        engine.run_until(2_000)  # three steps
+        job = executor.active["a"]
+        event = job.next_event
+        executor.move(job, "vm1", resume_at=engine.now() + 500, interval=700)
+        # the event's VM follows the job
+        assert event.vm == "vm1" and engine.pending() == [event]
+        assert engine.postpone_pending(1, vm="vm0") == 0
+        assert engine.postpone_pending(1, vm="vm1") == 1
+        engine.run()
+    armed = [call.args[0] for call in arm.call_args_list]
+    assert len(armed) == 6  # launch, three re-arms by steps, the move, one more step
+    assert all(ev is event for ev in armed)
+    assert [line.split(",")[0] for line in engine.trace] == [
+        "0", "1000", "2000", "2501", "3201"]
+    assert job.next_event is None and executor.active == {}
+
+
 def _assert_retries_fire_one_tick_late(result, tick_period_ns):
     """Every refused submit queued one TransferRetry, and each processed one
     fired ``tick_period_ns`` after a processed transfer event of its VM,

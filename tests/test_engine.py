@@ -340,9 +340,85 @@ def test_repeated_vm_postpones_compact_the_heap():
     assert len(eng._heap) == 0
 
 
+def test_cancelled_event_rearmed_at_its_old_time_fires_once():
+    # its old entry matches the new fire time and differs only in seq; with
+    # ten other events queued the heap is not compacted, so the old entry
+    # is still there when the loop reaches it
+    eng = Engine(seed=1)
+    fired = []
+    for t in range(10):
+        eng.schedule(10 + t, "O", vm="v")
+    event = eng.schedule(15, "A", fn=lambda: fired.append(eng.now()), vm="v")
+    eng.cancel(event)
+    assert eng.reschedule(event, 15) is event
+    assert event.seq == 11
+    assert [ev.seq for ev in eng.pending()].count(11) == 1
+    assert eng.run() == 11
+    assert fired == [15]
+    assert eng.pending() == []
+
+
+def test_compaction_drops_the_old_entry_of_a_rearmed_event():
+    eng = Engine(seed=1)
+    event = eng.schedule(10, "A")
+    other = eng.schedule(20, "B")
+    eng.cancel(event)
+    eng.reschedule(event, 10)
+    eng.cancel(other)  # two stale entries of three: the heap is compacted
+    assert eng._heap == [(10, 2, event)]
+    assert eng.run() == 1
+
+
+def test_rearmed_event_takes_the_next_seq_like_a_fresh_schedule():
+    eng = Engine(seed=1)
+    event = eng.schedule(5, "A", detail="x=1", vm="v")
+    eng.run_until(5)
+    other = eng.schedule(7, "B")
+    assert eng.reschedule(event, 7) is event
+    assert (event.fire_at, event.seq, other.seq) == (7, 2, 1)
+    eng.run()
+    assert eng.trace == ["5,0,A,x=1", "7,1,B,", "7,2,A,x=1"]
+
+
+def test_rescheduling_a_queued_event_is_refused():
+    eng = Engine(seed=1)
+    event = eng.schedule(5, "A")
+    with pytest.raises(ValueError, match="still queued"):
+        eng.reschedule(event, 6)
+    assert eng.pending() == [event] and event.fire_at == 5
+
+
+def test_rescheduling_into_the_past_is_refused():
+    eng = Engine(seed=1)
+    event = eng.schedule(5, "A")
+    eng.run_until(10)
+    with pytest.raises(SchedulingInPast):
+        eng.reschedule(event, 9)
+    assert event.fire_at is None and eng.pending() == []
+
+
+def test_rearmed_stallable_event_is_postponed_with_its_own_vm_only():
+    eng = Engine(seed=1)
+    event = eng.schedule(5, "A", vm="v")
+    eng.run_until(5)
+    eng.reschedule(event, 10)
+    assert eng.postpone_pending(3, vm="w") == 0
+    assert eng.postpone_pending(3, vm="v") == 1
+    assert event.fire_at == 13
+    # moved to another VM while not queued, it follows that VM
+    eng.cancel(event)
+    event.vm = "w"
+    eng.reschedule(event, 13)
+    assert eng.postpone_pending(4, vm="v") == 0
+    assert eng.postpone_pending(4, vm="w") == 1
+    assert eng.run() == 1
+    assert eng.trace[-1] == "17,2,A,"
+
+
 class _Oracle:
     """The engine's contract as a plain list kept in (fire_at, seq) order on
-    demand: cancelling removes the event, postponing edits its time."""
+    demand: cancelling removes the event, postponing edits its time, and
+    rescheduling removes it, then appends it under the next seq."""
 
     def __init__(self):
         self._now = 0
@@ -361,8 +437,19 @@ class _Oracle:
         self._live.append(event)
         return event
 
+    def reschedule(self, event, at):
+        assert at >= self._now
+        if any(ev is event for ev in self._live):
+            raise ValueError("still queued")
+        self.cancel(event)
+        event.fire_at, event.seq = at, self._next_seq
+        self._next_seq += 1
+        self._live.append(event)
+        return event
+
     def cancel(self, event):
         self._live = [ev for ev in self._live if ev is not event]
+        event.fire_at = None
 
     def postpone_pending(self, delta, vm=None):
         chosen = [ev for ev in self._live if ev.stallable and vm in (None, ev.vm)]
@@ -380,6 +467,7 @@ class _Oracle:
             self._live.remove(ev)
             self._now = ev.fire_at
             self.trace.append(f"{ev.fire_at},{ev.seq},{ev.kind},")
+            ev.fire_at = None
             processed += 1
             if ev.fn is not None:
                 ev.fn()
@@ -394,9 +482,16 @@ VMS = ("a", "b", "c")
 DELTAS = st.one_of(st.just(0), st.integers(1, 60))
 # (delta, vm or None): one VM's stallable events, or every one
 POSTPONES = st.tuples(st.just("postpone"), DELTAS, st.one_of(st.none(), st.sampled_from(VMS)))
+# (event index, delay): re-arm that event, which is refused while it is
+# queued; a delay of None re-arms it at the time it was last queued for,
+# where a cancelled event's old heap entry may still sit, unless that time
+# is past
+RESCHEDULES = st.tuples(st.just("reschedule"), st.integers(0, 1_000),
+                        st.one_of(st.none(), st.integers(0, 80)))
 NESTED = st.one_of(
     POSTPONES,
     st.tuples(st.just("cancel"), st.integers(0, 1_000)),
+    RESCHEDULES,
     st.tuples(st.just("schedule"), st.integers(0, 80), st.one_of(st.none(), st.sampled_from(VMS)),
               st.booleans(), st.none()),
 )
@@ -406,17 +501,24 @@ OPS = st.lists(
                   st.booleans(), st.one_of(st.none(), NESTED)),
         POSTPONES,
         st.tuples(st.just("cancel"), st.integers(0, 1_000)),
+        RESCHEDULES,
         st.tuples(st.just("run"), st.integers(0, 60)),
     ),
     max_size=60,
 )
+# successful re-arms per replay: a handler that re-arms its own event would
+# otherwise keep the drain going forever
+REARMS = 20
 
 
 def _replay(eng, ops) -> list:
     """Apply ``ops`` to ``eng``; returns every result, from handlers too."""
     results, events = [], []
+    armed_at = []  # per event: the time it was last queued for
+    rearms = 0
 
     def apply(op):
+        nonlocal rearms
         name = op[0]
         if name == "schedule":
             _, delay, vm, stallable, action = op
@@ -424,15 +526,30 @@ def _replay(eng, ops) -> list:
             event = eng.schedule(eng.now() + delay, f"k{len(events)}", fn=fn, vm=vm,
                                  stallable=stallable)
             events.append(event)
+            armed_at.append(event.fire_at)
             results.append(("schedule", event.seq))
         elif name == "cancel":
             if events:
                 eng.cancel(events[op[1] % len(events)])
+        elif name == "reschedule":
+            if events and rearms < REARMS:
+                i = op[1] % len(events)
+                event = events[i]
+                at = max(eng.now(), armed_at[i]) if op[2] is None else eng.now() + op[2]
+                try:
+                    eng.reschedule(event, at)
+                    armed_at[i] = at
+                    rearms += 1
+                    results.append((name, event.seq))
+                except ValueError:  # still queued
+                    results.append((name, None))
         elif name == "postpone":
             results.append((name, eng.postpone_pending(op[1], vm=op[2])))
         else:
             results.append(("run", eng.run_until(eng.now() + op[1])))
         results.append([(ev.fire_at, ev.seq, ev.kind) for ev in eng.pending()])
+        if isinstance(eng, Engine):  # its count of stale heap entries is exact
+            assert eng._stale == len(eng._heap) - len(results[-1])
 
     for op in ops:
         apply(op)

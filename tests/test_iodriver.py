@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,6 +35,22 @@ def test_refused_submit_leaves_the_engine_untouched():
     # the refusal took no sequence number: the next event gets the one after
     # the accepted transfer's completion
     assert eng.schedule(0, "Probe").seq == before[-1][1] + 1 == 1
+
+
+def test_a_refused_stream_keeps_one_retry_event():
+    eng = Engine(0)
+    drv = IoDriver(eng, LinkModel(ring_capacity=1))
+    ring = drv.open_ring("a")
+    # every queueing of an event passes through reschedule, schedule's too
+    with mock.patch.object(eng, "reschedule", wraps=eng.reschedule) as arm:
+        drv.stream(ring, MIB, 2, 100_000)()  # holds the ring for ~10.4 ms
+        drv.stream(ring, 4 * KIB, 3, 100_000)()  # refused until then
+        eng.run()
+    retries = [call.args[0] for call in arm.call_args_list
+               if call.args[0].kind == "TransferRetry"]
+    assert len(retries) == drv.backpressured > 100
+    assert all(ev is retries[0] for ev in retries)
+    assert drv.completions == 5
 
 
 def test_single_vm_completion_time_matches_pipe_model():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +57,22 @@ def test_single_task_assigned_immediately():
     assert sch.assignments[0].task_id == "t0"
     assert sch.assignments[0].start == 0
     assert sch.finished["t0"] == 5 * TICK
+
+
+def test_the_scheduler_keeps_one_tick_event():
+    eng = Engine(seed=0)
+    sch = Scheduler(eng)
+    sch.add_vm("vm0", 1)
+    # every queueing of an event passes through reschedule, schedule's too
+    with mock.patch.object(eng, "reschedule", wraps=eng.reschedule) as arm:
+        for i in range(3):
+            sch.submit(TaskSpec(f"t{i}", 3 * TICK, 0.0, 0, None, arrival=i * TICK // 2))
+        eng.run()
+    ticks = [call.args[0] for call in arm.call_args_list
+             if call.args[0].kind == "SchedulerTick"]
+    assert len(ticks) == [line.split(",")[2] for line in eng.trace].count("SchedulerTick") > 3
+    assert all(ev is ticks[0] for ev in ticks)
+    assert len(sch.finished) == 3
 
 
 def test_realtime_assigned_before_batch_on_single_slot():
@@ -189,7 +206,6 @@ class _Rescanning(Scheduler):
         self._ensure_tick(at_now=True)
 
     def _on_tick(self):
-        self._tick_pending = False
         self.schedule_tick()
         self.rebalance_on_contention()
         if self.ready or self.running:
