@@ -21,16 +21,19 @@ from neurovirt.fabric import Fabric, InsufficientResources, ResourceVector
 from neurovirt.iodriver import GIB, IoDriver, LinkModel, effective_throughput
 from neurovirt.metrics import MetricsCollector, energy_for_accelerators, export_samples
 from neurovirt.sched import DEFAULT_TICK_PERIOD_NS, Scheduler, TaskSpec, exec_time, profile
-from neurovirt.scenario import Scenario, TaskDef, default_module_catalog
+from neurovirt.scenario import Scenario, TaskDef
 from neurovirt.snn import SpikingExecutor
 # make_core_state and step_core stay bound here, since perfbench/tracer.py
 # patches bench.make_core_state and bench.step_core by name
 from neurovirt.snn import make_core_state, step_core  # noqa: F401
-from neurovirt.virt import Hypervisor, ReconfigMode
+from neurovirt.virt import Hypervisor, ReconfigMode, default_module_catalog
 
+# each experiment's default arguments, which are also the CLI's defaults;
 # sizes from latency-dominated to saturated, powers of four
 DEFAULT_SIZES = tuple(4096 * 4**k for k in range(10))  # 4 KiB .. 1 GiB
 DEFAULT_VM_COUNTS = (1, 2, 4)
+DEFAULT_ACCELERATORS = 20
+DEFAULT_RECONFIG_VM_COUNTS = tuple(range(1, 17))
 
 WARMUP_TRANSFERS = 2
 MEASURED_TRANSFERS = 8
@@ -99,7 +102,7 @@ def _create_vms(hv: Hypervisor, request: ResourceVector, count: int, what: str) 
 REFERENCE_WORKLOAD = dict(steps=50, input_rate=4, fan_in=32, interval=1_000)
 
 
-def bench_energy(max_accelerators: int = 20) -> str:
+def bench_energy(max_accelerators: int = DEFAULT_ACCELERATORS) -> str:
     """Energy per provisioned accelerator count, 1..max.
 
     Each row runs an n-accelerator simulation of the fixed reference
@@ -119,14 +122,7 @@ def bench_energy(max_accelerators: int = 20) -> str:
         vm_ids = _create_vms(hv, fabric.total.scaled(1, 32), n, "accelerator count")
         for i, vm_id in enumerate(vm_ids):
             executor.launch(
-                task_id=f"ref{i}",
-                steps=REFERENCE_WORKLOAD["steps"],
-                input_rate=REFERENCE_WORKLOAD["input_rate"],
-                fan_in=REFERENCE_WORKLOAD["fan_in"],
-                interval=REFERENCE_WORKLOAD["interval"],
-                at=0,
-                vm=vm_id,
-                stream=f"accel/{i}",
+                task_id=f"ref{i}", **REFERENCE_WORKLOAD, at=0, vm=vm_id, stream=f"accel/{i}"
             )
         engine.run()
         energy = energy_for_accelerators(n)
@@ -135,15 +131,14 @@ def bench_energy(max_accelerators: int = 20) -> str:
 
 
 RECONFIG_SLOT_SHARE = 0.05
-RECONFIG_SWAP_KINDS = ("lif_core", "router", "pooling")
 
 
-def bench_reconfig(vm_counts=tuple(range(1, 17))) -> str:
+def bench_reconfig(vm_counts=DEFAULT_RECONFIG_VM_COUNTS) -> str:
     """Total reconfiguration time under full-only vs partial-only policies.
 
     For each VM count, every VM runs the identical module-exchange
-    schedule (one exchange per catalog kind); the two policies differ only
-    in reconfiguration mode.
+    schedule (each module of the default catalog, in catalog order); the
+    two policies differ only in reconfiguration mode.
     """
     for count in vm_counts:
         if count < 1:
@@ -161,8 +156,8 @@ def bench_reconfig(vm_counts=tuple(range(1, 17))) -> str:
                 hv, fabric.config.total.share(RECONFIG_SLOT_SHARE), count, "vm count"
             )
             for vm_id in vm_ids:
-                for kind in RECONFIG_SWAP_KINDS:
-                    hv.exchange_module(vm_id, catalog[kind], mode)
+                for module in catalog.values():
+                    hv.exchange_module(vm_id, module, mode)
             engine.run()
             totals[mode] = hv.reconfig_accum[mode]
         out.write(

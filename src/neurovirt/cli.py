@@ -35,6 +35,10 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
+def _join(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="neurovirt",
@@ -48,20 +52,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tp = sub.add_parser("bench-throughput", help="aggregate Gib/s vs transfer size")
     common(p_tp)
-    p_tp.add_argument("--vm-counts", default="1,2,4", help="comma list, e.g. 1,2,4")
-    p_tp.add_argument(
-        "--sizes",
-        default=",".join(str(s) for s in bench.DEFAULT_SIZES),
-        help="comma list of transfer sizes in bytes",
-    )
+    p_tp.add_argument("--vm-counts", default=_join(bench.DEFAULT_VM_COUNTS),
+                      help="comma list, e.g. 1,2,4")
+    p_tp.add_argument("--sizes", default=_join(bench.DEFAULT_SIZES),
+                      help="comma list of transfer sizes in bytes")
 
     p_en = sub.add_parser("bench-energy", help="energy vs accelerator count")
     common(p_en)
-    p_en.add_argument("--accelerators", type=int, default=20, help="run counts 1..N")
+    p_en.add_argument("--accelerators", type=int, default=bench.DEFAULT_ACCELERATORS,
+                      help="run counts 1..N")
 
     p_rc = sub.add_parser("bench-reconfig", help="full vs partial reconfiguration time")
     common(p_rc)
-    p_rc.add_argument("--vm-counts", default="1-16", help="comma list or ranges")
+    p_rc.add_argument("--vm-counts", default=_join(bench.DEFAULT_RECONFIG_VM_COUNTS),
+                      help="comma list or ranges")
 
     p_run = sub.add_parser("run", help="run a scenario file")
     common(p_run)

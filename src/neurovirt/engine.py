@@ -148,6 +148,11 @@ class SimEvent:
     stallable: bool = True
 
 
+def _live(entry: tuple[int, int, SimEvent]) -> bool:
+    """Whether a heap entry is live: its time and seq are its event's own."""
+    return entry[0] == entry[2].fire_at and entry[1] == entry[2].seq
+
+
 class Engine:
     """Single-threaded event loop over integer-nanosecond virtual time."""
 
@@ -241,7 +246,8 @@ class Engine:
         start = self._processed
         while heap and heap[0][0] <= t_end:
             fire_at, seq, event = pop(heap)
-            # moved, fired, cancelled or re-armed under a later seq
+            # _live() inlined for speed: the entry is stale once its event
+            # moved, fired, was cancelled or was re-armed under a later seq
             if fire_at != event.fire_at or seq != event.seq:
                 self._stale -= 1
                 continue
@@ -259,8 +265,8 @@ class Engine:
 
     def pending(self) -> list[SimEvent]:
         """Live queued events in processing order (diagnostic snapshot)."""
-        live = [ev for t, seq, ev in self._heap if t == ev.fire_at and seq == ev.seq]
-        return sorted(live, key=lambda ev: (ev.fire_at, ev.seq))
+        # live entries have distinct (fire_at, seq), so no event is compared
+        return [entry[2] for entry in sorted(filter(_live, self._heap))]
 
     def postpone_pending(self, delta: int, vm: str | None = None) -> int:
         """Shift queued stallable events ``delta`` ns into the future: those
@@ -293,8 +299,7 @@ class Engine:
         stale entries are more than half of it."""
         self._stale += entries
         if 2 * self._stale > len(self._heap):
-            live = [entry for entry in self._heap
-                    if entry[0] == entry[2].fire_at and entry[1] == entry[2].seq]
+            live = list(filter(_live, self._heap))
             heapq.heapify(live)
             self._heap[:] = live  # in place: a running loop holds this list
             self._stale = 0

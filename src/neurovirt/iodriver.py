@@ -167,7 +167,11 @@ class IoDriver:
         A stream has one such event: made at its first refusal, re-armed at
         each later one, and dropped when the stream ends. The stream ends
         early once its ring is closed.
+
+        Raises ValueError for a ``count`` or a ``retry_after`` below 1.
         """
+        if count < 1 or retry_after < 1:
+            raise ValueError(f"stream on {ring.vm}: count and retry_after must be >= 1")
         engine = self.engine
         remaining = count
         retry: SimEvent | None = None

@@ -1,4 +1,4 @@
-"""Energy model, utilization sampling, and reconfiguration accounting.
+"""Energy model and utilization sampling.
 
 The accelerator energy curve is exactly linear through its two calibrated
 anchors (25 mJ at one accelerator, 45 mJ at twenty); dynamic energy is

@@ -87,22 +87,13 @@ from neurovirt.sched import (
 )
 from neurovirt.virt import (
     DfxModule,
-    ModuleKind,
     ReconfigMode,
     ReconfigParams,
     bitstream_bytes_for,
-    module_from_share,
+    default_module_catalog,
 )
 
 SCHEMA_VERSION = 1
-
-# Default loadable-function catalog, as fabric shares. Sized so a 5% region
-# slot can hold any single module and sixteen such slots fit the fabric.
-DEFAULT_MODULE_SHARES = {
-    "lif_core": 0.04,
-    "router": 0.015,
-    "pooling": 0.025,
-}
 
 
 class ParseError(Exception):
@@ -170,15 +161,6 @@ class Scenario:
     tasks: list[TaskDef] = field(default_factory=list)
     transfers: list[TransferDef] = field(default_factory=list)
     reconfigs: list[ReconfigOp] = field(default_factory=list)
-
-
-def default_module_catalog(config: FabricConfig) -> dict[str, DfxModule]:
-    catalog = {}
-    for name, share in DEFAULT_MODULE_SHARES.items():
-        catalog[name] = module_from_share(
-            name, ModuleKind(name), share, config.total, config.bitstream_total_bytes
-        )
-    return catalog
 
 
 def _section(model, rules: dict, by_hand: tuple = ()):

@@ -121,6 +121,9 @@ class Scheduler:
         on_start: Callable[["_Running"], None] | None = None,
         on_migrate: Callable[["_Running"], None] | None = None,
     ):
+        # a zero period would re-arm the tick at one instant forever
+        if tick_period < 1 or core_rate <= 0 or migration_penalty < 0:
+            raise ValueError("tick_period must be >= 1, core_rate > 0, migration_penalty >= 0")
         self.engine = engine
         self.core_rate = core_rate
         self.tick_period = tick_period

@@ -191,9 +191,9 @@ class SpikingExecutor:
         stream: str | None = None,
     ) -> None:
         stream = stream if stream is not None else f"task/{task_id}"
-        if steps < 1 or fan_in < 1 or input_rate < 0:
+        if steps < 1 or fan_in < 1 or interval < 1 or input_rate < 0:
             raise ValueError(
-                f"task {task_id}: steps and fan_in must be >= 1, input_rate >= 0"
+                f"task {task_id}: steps, fan_in and interval must be >= 1, input_rate >= 0"
             )
         if task_id in self._tasks:
             raise ValueError(f"task {task_id} is already launched")

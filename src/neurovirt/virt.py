@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from neurovirt.engine import Engine, round_half_up, NS_PER_S
-from neurovirt.fabric import Fabric, ResourceVector
+from neurovirt.fabric import Fabric, FabricConfig, ResourceVector
 from neurovirt.iodriver import IoRing
 
 
@@ -65,7 +65,7 @@ class ReconfigParams:
 
 @dataclass
 class ReconfigRecord:
-    vm: str | None  # None marks a fabric-wide (full) reprogram
+    vm: str  # the requesting VM; a FULL mode reprograms the whole fabric
     mode: ReconfigMode
     started_at: int
     duration: int
@@ -107,6 +107,21 @@ def module_from_share(
     footprint = total.share(share)
     bitstream = bitstream_bytes_for(footprint, total, bitstream_total_bytes)
     return DfxModule(module_id, kind, footprint, bitstream)
+
+
+# Default loadable-function catalog, as fabric shares. Sized so a 5% region
+# slot can hold any single module and sixteen such slots fit the fabric.
+DEFAULT_MODULE_SHARES = {"lif_core": 0.04, "router": 0.015, "pooling": 0.025}
+
+
+def default_module_catalog(config: FabricConfig) -> dict[str, DfxModule]:
+    """One module per :data:`DEFAULT_MODULE_SHARES` entry, in its order."""
+    return {
+        name: module_from_share(
+            name, ModuleKind(name), share, config.total, config.bitstream_total_bytes
+        )
+        for name, share in DEFAULT_MODULE_SHARES.items()
+    }
 
 
 class Hypervisor:
@@ -202,13 +217,7 @@ class Hypervisor:
     ) -> ReconfigRecord:
         vm.loaded = None
         duration = self.reconfig_time(mode, module)
-        record = ReconfigRecord(
-            vm=None if mode is ReconfigMode.FULL else vm.id,
-            mode=mode,
-            started_at=self.engine.now(),
-            duration=duration,
-            module=module.id,
-        )
+        record = ReconfigRecord(vm.id, mode, self.engine.now(), duration, module.id)
         self.records.append(record)
         vm.inflight_module = module
         if mode is ReconfigMode.FULL:
@@ -220,25 +229,22 @@ class Hypervisor:
         self.engine.schedule(
             self.engine.now() + duration,
             "ReconfigDone",
-            fn=lambda: self._finish_reconfig(vm, module, mode, duration),
+            fn=lambda: self._finish_reconfig(vm, record),
             detail=f"vm={vm.id};module={module.id};mode={mode.value}",
             vm=vm.id,
         )
         return record
 
-    def _finish_reconfig(
-        self, vm: VirtualMachine, module: DfxModule, mode: ReconfigMode, duration: int
-    ) -> None:
-        self.reconfig_accum[mode] += duration
-        vm.loaded = module
+    def _finish_reconfig(self, vm: VirtualMachine, record: ReconfigRecord) -> None:
+        self.reconfig_accum[record.mode] += record.duration
+        vm.loaded = vm.inflight_module
         vm.inflight_module = None
-        if mode is ReconfigMode.FULL:
+        if record.mode is ReconfigMode.FULL:
             self._full_active = False
         # a full reconfiguration may have queued work on any VM, not just its own
         for queued_vm_id in sorted(self.vms):
             queued_vm = self.vms[queued_vm_id]
             if self._full_active:
                 break
-            if queued_vm.reconfiguring or not queued_vm.pending_reconfigs:
-                continue
-            self._start_reconfig(queued_vm, *queued_vm.pending_reconfigs.popleft())
+            if queued_vm.pending_reconfigs and not queued_vm.reconfiguring:
+                self._start_reconfig(queued_vm, *queued_vm.pending_reconfigs.popleft())

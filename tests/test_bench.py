@@ -12,6 +12,7 @@ from neurovirt.engine import Engine, RandomStreams
 from neurovirt.metrics import task_energy
 from neurovirt.scenario import load_scenario, scenario_from_dict
 from neurovirt.snn import LifParams, SpikingExecutor, make_core_state, step_core, workload_cost
+from neurovirt.virt import ReconfigMode
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -166,7 +167,8 @@ def _assert_retries_fire_one_tick_late(result, tick_period_ns):
         # stalls of the retry's VM, or of the whole fabric, that started
         # after it was queued and before it fired
         stalled = sum(r.duration for r, start_seq in zip(records, done_seqs)
-                      if start_seq > seq and r.vm in (vm, None) and r.started_at < fire_at)
+                      if start_seq > seq and r.started_at < fire_at
+                      and (r.vm == vm or r.mode is ReconfigMode.FULL))
         queued_at = fire_at - stalled - tick_period_ns
         assert first_transfer_seq.get((queued_at, vm), math.inf) < seq
 
@@ -376,11 +378,11 @@ def _launch_kwargs(**kwargs):
 
 
 @pytest.mark.parametrize("bad", [dict(steps=0), dict(steps=-1), dict(fan_in=0),
-                                 dict(input_rate=-1)])
+                                 dict(input_rate=-1), dict(interval=0), dict(interval=-5)])
 def test_launch_refuses_an_empty_task(bad):
     engine = Engine(1)
     executor = SpikingExecutor(engine)
-    with pytest.raises(ValueError, match="steps and fan_in must be >= 1"):
+    with pytest.raises(ValueError, match="must be >= 1"):
         executor.launch(**_launch_kwargs(**bad))
     assert (engine.pending(), executor.active, executor.output_spikes) == ([], {}, 0)
 

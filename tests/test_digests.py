@@ -14,6 +14,7 @@ from neurovirt.cli import main
 from neurovirt.engine import Engine
 from neurovirt.scenario import load_scenario
 from neurovirt.snn import LifParams, SpikingExecutor
+from neurovirt.virt import ReconfigMode
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -83,7 +84,7 @@ def test_stall_scenario_reaches_what_it_pins():
     spiking = {task.id for task in scenario.tasks if task.mode == "spiking"}
     result = run_scenario(scenario)
     migrated = [m.task_id for m in result.scheduler.migrations]
-    full = [r for r in result.hypervisor.records if r.vm is None]
+    full = [r for r in result.hypervisor.records if r.mode is ReconfigMode.FULL]
     assert (len(migrated), len(full), result.driver.backpressured) == (2, 5, 671)
     assert spiking.intersection(migrated)
 

@@ -1,10 +1,18 @@
+import dataclasses
+import io
+from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from neurovirt.bench import run_scenario
 from neurovirt.engine import Engine
 from neurovirt.iodriver import GIB, IoDriver, LinkModel, RingClosed, effective_throughput
+from neurovirt.scenario import load_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -51,6 +59,41 @@ def test_a_refused_stream_keeps_one_retry_event():
     assert len(retries) == drv.backpressured > 100
     assert all(ev is retries[0] for ev in retries)
     assert drv.completions == 5
+
+
+@pytest.mark.parametrize("count, retry_after", [(0, 100), (-3, 100), (2, 0), (2, -1)])
+def test_stream_refuses_a_bad_count_or_retry_delay(count, retry_after):
+    # a zero count still completed one transfer, and a zero delay behind a
+    # full ring re-armed its retry at one instant forever
+    eng = Engine(0)
+    drv = IoDriver(eng, LinkModel(ring_capacity=1))
+    ring = drv.open_ring("a")
+    with pytest.raises(ValueError, match="count and retry_after must be >= 1"):
+        drv.stream(ring, 4 * KIB, count, retry_after)
+    assert (eng.pending(), drv.submissions, drv.backpressured) == ([], 0, 0)
+
+
+def _run_bytes(scenario):
+    """(backpressured submits, metrics CSV, trace) of one run."""
+    result = run_scenario(scenario)
+    trace = io.StringIO()
+    result.engine.write_trace(trace)
+    return result.driver.backpressured, result.metrics_csv, trace.getvalue()
+
+
+@pytest.mark.parametrize("name, streams", [("demo.json", 1), ("stall.json", 3),
+                                           ("churn.json", 4)])
+def test_a_ring_with_a_slot_per_stream_refuses_nothing(name, streams):
+    # a stream has at most one transfer in flight, so a ring with as many
+    # slots as its VM has streams is never full, and more slots change no byte
+    runs = []
+    for extra in (0, 1000):
+        scenario = load_scenario(SCENARIOS / name)
+        assert max(Counter(t.vm for t in scenario.transfers).values()) == streams
+        scenario.link = dataclasses.replace(scenario.link, ring_capacity=streams + extra)
+        runs.append(_run_bytes(scenario))
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
 
 
 def test_single_vm_completion_time_matches_pipe_model():

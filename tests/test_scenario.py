@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from neurovirt import scenario as scenario_module
 from neurovirt.scenario import (
-    DEFAULT_MODULE_SHARES,
     TOP,
     ParseError,
     ValidationError,
@@ -17,6 +16,7 @@ from neurovirt.scenario import (
     load_scenario,
     scenario_from_dict,
 )
+from neurovirt.virt import DEFAULT_MODULE_SHARES
 
 
 def minimal():

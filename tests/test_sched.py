@@ -75,6 +75,17 @@ def test_the_scheduler_keeps_one_tick_event():
     assert len(sch.finished) == 3
 
 
+@pytest.mark.parametrize("bad", [dict(tick_period=0), dict(core_rate=0), dict(core_rate=-1),
+                                 dict(migration_penalty=-1)])
+def test_scheduler_refuses_a_period_rate_or_penalty_that_cannot_run(bad):
+    # at tick_period=0, two long tasks on a 1-core VM re-arm the tick at one
+    # instant forever; core_rate=0 divides by zero at the first assignment
+    eng = Engine(seed=0)
+    with pytest.raises(ValueError, match="tick_period must be >= 1, core_rate > 0"):
+        Scheduler(eng, **bad)
+    assert eng.pending() == []
+
+
 def test_realtime_assigned_before_batch_on_single_slot():
     rt = TaskSpec("rt", 5 * TICK, 0.0, 0, deadline=100 * TICK)
     batch = TaskSpec("batch", 5 * TICK, 0.0, 0, None)

@@ -264,6 +264,8 @@ def test_exchanges_fit_and_run_in_request_order(slot_divisors, ops):
             assert held is None or held.footprint.fits_within(slots[vm])
     eng.run()
 
+    # every record, full or partial, names the VM that requested it
+    assert all(r.vm == owner[r.module] for r in hv.records)
     for vm in vms:
         state = hv.vms[vm]
         assert not state.reconfiguring and not state.pending_reconfigs
@@ -288,6 +290,7 @@ def test_partial_requested_during_full_starts_when_full_ends():
                  fn=lambda: hv.exchange_module(other, _module(0.05, hv), ReconfigMode.PARTIAL))
     eng.run()
     partial = hv.records[1]
+    assert (full.vm, full.mode) == (owner, ReconfigMode.FULL)
     assert (partial.vm, partial.mode) == (other, ReconfigMode.PARTIAL)
     assert partial.started_at == full.started_at + full.duration
 
