@@ -9,6 +9,9 @@ energy from the simulation). None takes a seed:
 the only random draws, a spiking task's weights and input picks, reach no
 experiment's columns. A scenario run is a pure function of its scenario,
 seed included.
+
+The experiments' engines keep no trace, since no column reads one; only
+:func:`run_scenario`'s engine does, for ``run --trace-out``.
 """
 
 from __future__ import annotations
@@ -51,6 +54,10 @@ def bench_throughput(vm_counts=DEFAULT_VM_COUNTS, sizes=DEFAULT_SIZES) -> str:
     VM's post-warmup completion span, which converges to the pipe model's
     closed form as sizes grow.
     """
+    if not vm_counts:
+        raise ValueError("no vm counts")
+    if not sizes:
+        raise ValueError("no transfer sizes")
     link = LinkModel()
     for count in vm_counts:
         if count < 1:
@@ -140,6 +147,8 @@ def bench_reconfig(vm_counts=DEFAULT_RECONFIG_VM_COUNTS) -> str:
     schedule (each module of the default catalog, in catalog order); the
     two policies differ only in reconfiguration mode.
     """
+    if not vm_counts:
+        raise ValueError("no vm counts")
     for count in vm_counts:
         if count < 1:
             raise ValueError("vm counts must be >= 1")
@@ -179,7 +188,7 @@ class RunResult:
 
 def run_scenario(scenario: Scenario) -> RunResult:
     """Execute a full mixed scenario: VMs, tasks, transfers, reconfigs."""
-    engine = Engine(scenario.seed)
+    engine = Engine(scenario.seed, trace=True)
     fabric = Fabric(scenario.fabric)
     driver = IoDriver(engine, scenario.link)
     hv = Hypervisor(engine, fabric, driver, scenario.reconfig)

@@ -22,14 +22,14 @@ def _parse_int_list(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            lo, _, hi = part.partition("-")
-            lo, hi = int(lo), int(hi)
-            if lo > hi:
-                raise ValueError(f"descending range {part!r} in {text!r}")
-            values.extend(range(lo, hi + 1))
-        else:
-            values.append(int(part))
+        lo, dash, hi = part.partition("-")
+        try:
+            lo, hi = int(lo), int(hi if dash else lo)
+        except ValueError:
+            raise ValueError(f"cannot read {part!r} in {text!r}") from None
+        if lo > hi:
+            raise ValueError(f"descending range {part!r} in {text!r}")
+        values.extend(range(lo, hi + 1))
     if not values:
         raise ValueError(f"no counts in {text!r}")
     return values

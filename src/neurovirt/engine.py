@@ -23,10 +23,11 @@ reconfiguration stall walks only the events it shifts. Once stale entries
 make up more than half of the heap, the heap is compacted: they are dropped
 and the rest re-heapified.
 
-Each processed event is logged as one ``tick,seq,kind,detail`` line. The log
-is held as a few large text chunks of :data:`TRACE_WRITE_LINES` lines each,
-not one string per event, and :meth:`Engine.write_trace` hands it off once:
-each chunk is released as it is written.
+Each processed event is logged as one ``tick,seq,kind,detail`` line by an
+engine made with ``trace=True``; an engine made without it formats no line.
+The log is held as a few large text chunks of :data:`TRACE_WRITE_LINES`
+lines each, not one string per event, and :meth:`Engine.write_trace` hands
+it off once: each chunk is released as it is written.
 """
 
 from __future__ import annotations
@@ -109,7 +110,10 @@ class RandomStreams:
     def values(self, stream_id: str, n: int) -> np.ndarray:
         """The stream's next ``n`` uniforms, bit-identical to ``n`` calls of
         :meth:`next`: the same splitmix64 over a range of indices, in
-        wrapping ``uint64`` arithmetic."""
+        wrapping ``uint64`` arithmetic. Raises ValueError for ``n < 0``,
+        which would rewind the stream."""
+        if n < 0:
+            raise ValueError(f"cannot draw {n} values from stream {stream_id!r}")
         import numpy as np
 
         key = self._key(stream_id)
@@ -156,7 +160,7 @@ def _live(entry: tuple[int, int, SimEvent]) -> bool:
 class Engine:
     """Single-threaded event loop over integer-nanosecond virtual time."""
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int = 0, *, trace: bool = False):
         self._now = 0
         self._scheduled = 0  # events scheduled so far: the next event's seq
         self._heap: list[tuple[int, int, SimEvent]] = []
@@ -165,8 +169,10 @@ class Engine:
         self._stale = 0  # heap entries not live: not their event's (fire_at, seq)
         self._processed = 0
         self.rng = RandomStreams(seed)
-        self._lines: list[str] = []  # the open chunk: lines not yet joined
-        self._chunks: list[str] = []  # closed chunks, "\n"-terminated text
+        # the open chunk (lines not yet joined) and the closed chunks of
+        # "\n"-terminated text; both None when the engine keeps no trace
+        self._lines: list[str] | None = [] if trace else None
+        self._chunks: list[str] | None = [] if trace else None
 
     def now(self) -> int:
         return self._now
@@ -178,9 +184,15 @@ class Engine:
     @property
     def trace(self) -> list[str]:
         """The lines processed and not yet written, one per event: an O(n)
-        copy for diagnostics and tests."""
+        copy for diagnostics and tests. Raises ValueError on an engine made
+        without ``trace=True``."""
+        self._check_traced()
         # split on "\n" only: str.splitlines() also splits on "\r" and others
         return "".join(self._chunks).split("\n")[:-1] + self._lines
+
+    def _check_traced(self) -> None:
+        if self._lines is None:
+            raise ValueError("this engine keeps no trace: make it with Engine(..., trace=True)")
 
     def schedule(
         self,
@@ -242,7 +254,8 @@ class Engine:
         # locals stay valid for the whole loop: handlers only ever mutate the
         # heap, the index and the open chunk in place
         heap, by_vm, lines = self._heap, self._by_vm, self._lines
-        log, pop = lines.append, heapq.heappop
+        log = None if lines is None else lines.append
+        pop = heapq.heappop
         start = self._processed
         while heap and heap[0][0] <= t_end:
             fire_at, seq, event = pop(heap)
@@ -255,9 +268,10 @@ class Engine:
             if event.stallable:
                 del by_vm[event.vm][seq]
             self._now = fire_at
-            log(f"{fire_at},{seq},{event.kind},{event.detail}")
-            if len(lines) == TRACE_WRITE_LINES:
-                self._close_chunk()
+            if log is not None:
+                log(f"{fire_at},{seq},{event.kind},{event.detail}")
+                if len(lines) == TRACE_WRITE_LINES:
+                    self._close_chunk()
             self._processed += 1
             if event.fn is not None:
                 event.fn()
@@ -322,7 +336,9 @@ class Engine:
 
         The log is a stream handed off once: each chunk is dropped as it is
         written, so afterwards the engine holds no trace, and a second call
-        writes only the events processed since."""
+        writes only the events processed since. Raises ValueError on an
+        engine made without ``trace=True``."""
+        self._check_traced()
         self._close_chunk()
         chunks = self._chunks
         while chunks:

@@ -32,6 +32,17 @@ def test_throughput_rejects_counts_below_model_domain():
         bench_throughput(vm_counts=(0,), sizes=(4096,))
 
 
+@pytest.mark.parametrize("experiment, kwargs, message", [
+    (bench_throughput, dict(vm_counts=[]), "no vm counts"),
+    (bench_throughput, dict(sizes=[]), "no transfer sizes"),
+    (bench_reconfig, dict(vm_counts=[]), "no vm counts"),
+])
+def test_experiments_refuse_empty_input(experiment, kwargs, message):
+    # each used to return a header-only CSV
+    with pytest.raises(ValueError, match=message):
+        experiment(**kwargs)
+
+
 def test_energy_rows_run_real_reference_workload():
     rows = _rows(bench_energy(4))
     per_accel = workload_cost(50, 4, 32)  # the reference task shape
@@ -118,7 +129,7 @@ def test_migrating_spiking_task_still_completes_all_steps():
 
 
 def test_a_spiking_job_keeps_one_event_across_its_steps_and_a_move():
-    engine = Engine(1)
+    engine = Engine(1, trace=True)
     executor = SpikingExecutor(engine)
     # every queueing of an event passes through reschedule, schedule's too
     with mock.patch.object(engine, "reschedule", wraps=engine.reschedule) as arm:

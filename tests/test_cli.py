@@ -29,6 +29,19 @@ def test_parse_int_list_rejects_a_descending_range():
         _parse_int_list("3-1,2")
 
 
+@pytest.mark.parametrize("text, part", [("-1", "-1"), ("1,x", "x"), ("2-", "2-"),
+                                        ("1-y,4", "1-y")])
+def test_parse_int_list_names_the_part_it_cannot_read(text, part):
+    with pytest.raises(ValueError, match=f"cannot read '{part}'"):
+        _parse_int_list(text)
+
+
+def test_unreadable_vm_count_exits_2_naming_it(capsys):
+    # it used to say only: invalid literal for int() with base 10: ''
+    assert main(["bench-reconfig", "--vm-counts=-1"]) == 2
+    assert capsys.readouterr().err == "error: cannot read '-1' in '-1'\n"
+
+
 def test_bench_energy_cli(tmp_path, capsys):
     out = tmp_path / "energy.csv"
     assert main(["bench-energy", "--accelerators", "3", "--out", str(out)]) == 0

@@ -42,6 +42,14 @@ def _run_digests(tmp_path, name: str) -> tuple[str, str]:
     return _digest(metrics), _digest(trace)
 
 
+def _held_lines(engine: Engine) -> int | None:
+    """How many trace lines the engine holds, or None if it keeps no trace."""
+    try:
+        return len(engine.trace)
+    except ValueError:
+        return None
+
+
 @pytest.mark.parametrize("argv, events, engines", [
     (["bench-throughput"], 700, 30),
     (["bench-energy"], 10_500, 20),
@@ -49,7 +57,9 @@ def _run_digests(tmp_path, name: str) -> tuple[str, str]:
     (["run", "--scenario", str(SCENARIOS / "demo.json")], 144, 1),
 ])
 def test_cli_default_event_counts_are_pinned(tmp_path, monkeypatch, argv, events, engines):
-    # the four together process the 12,160 events perfbench pins for calibration
+    # the four together process the 12,160 events perfbench pins for calibration;
+    # the bench commands keep no trace, and run keeps one line per event
+    held = events if argv[0] == "run" else None
     created = []
     init = Engine.__init__
 
@@ -60,6 +70,7 @@ def test_cli_default_event_counts_are_pinned(tmp_path, monkeypatch, argv, events
     monkeypatch.setattr(Engine, "__init__", keep)
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
     assert (sum(e.processed_count for e in created), len(created)) == (events, engines)
+    assert [_held_lines(e) for e in created] == [held] * engines
 
 
 def test_demo_run_output_is_pinned(tmp_path):

@@ -97,7 +97,7 @@ def test_cancelled_events_do_not_fire():
 
 def test_identical_seed_and_schedule_give_identical_traces():
     def build():
-        eng = Engine(seed=42)
+        eng = Engine(seed=42, trace=True)
         for t, kind in ((5, "a"), (3, "b"), (5, "c")):
             eng.schedule(t, kind, detail=f"x={t}")
         eng.run_until(100)
@@ -137,6 +137,15 @@ def test_bulk_values_of_zero_is_empty_and_keeps_the_index():
     assert rs.next("fresh") == rs.value_at("fresh", 0)
     rs.values("fresh", 0)
     assert rs.next("fresh") == rs.value_at("fresh", 1)
+
+
+def test_bulk_values_refuse_a_negative_count_and_keep_the_index():
+    # a negative count used to rewind the stream, so later draws repeated
+    rs = RandomStreams(5)
+    rs.values("s", 3)
+    with pytest.raises(ValueError, match="-2"):
+        rs.values("s", -2)
+    assert rs.next("s") == rs.value_at("s", 3)
 
 
 @settings(max_examples=50, deadline=None)
@@ -185,10 +194,23 @@ def test_round_half_up():
 
 
 def test_trace_line_format():
-    eng = Engine(seed=1)
+    eng = Engine(seed=1, trace=True)
     eng.schedule(7, "TransferComplete", detail="vm=a;size=4096")
     eng.run_until(10)
     assert eng.trace == ["7,0,TransferComplete,vm=a;size=4096"]
+
+
+def test_an_engine_without_a_trace_refuses_to_hand_one_out():
+    # an empty list or an empty file would pass for a run that did nothing
+    eng = Engine(seed=1)
+    eng.schedule(7, "TransferComplete", detail="vm=a;size=4096")
+    assert eng.run() == 1
+    with pytest.raises(ValueError, match="keeps no trace"):
+        eng.trace
+    fh = io.StringIO()
+    with pytest.raises(ValueError, match="keeps no trace"):
+        eng.write_trace(fh)
+    assert fh.getvalue() == ""
 
 
 @pytest.mark.parametrize("events", [0, 1, TRACE_WRITE_LINES, TRACE_WRITE_LINES + 1,
@@ -197,7 +219,7 @@ def test_write_trace_writes_each_line_once_in_order(events):
     # lines are held and written in chunks; the pinned stall.json trace
     # (5,891 lines) crosses one chunk boundary, and these add an empty trace,
     # an exact multiple of a chunk and two boundaries
-    eng = Engine(seed=1)
+    eng = Engine(seed=1, trace=True)
     for t in range(events):
         eng.schedule(t, "Tick", detail=f"n={t}")
     eng.run()
@@ -216,7 +238,7 @@ def test_write_trace_writes_each_line_once_in_order(events):
 def test_held_trace_costs_under_twice_its_text():
     # one str per line held 3.4x the bytes of its text
     events = 20_000
-    eng = Engine(seed=1)
+    eng = Engine(seed=1, trace=True)
     for t in range(events):
         eng.schedule(t, "Tick", detail=f"n={t}")
     tracemalloc.start()
@@ -244,7 +266,7 @@ def _tickers(eng: Engine) -> None:
 def test_split_runs_write_the_same_bytes_as_one_run(splits):
     # 9,169 events to t=5,000: chunks close inside a call and between calls
     end = 5_000
-    whole, split = Engine(seed=1), Engine(seed=1)
+    whole, split = Engine(seed=1, trace=True), Engine(seed=1, trace=True)
     _tickers(whole)
     _tickers(split)
     whole.run_until(end)
@@ -325,7 +347,7 @@ def test_cancelling_a_fired_or_cancelled_event_is_a_no_op():
 
 
 def test_repeated_vm_postpones_compact_the_heap():
-    eng = Engine(seed=1)
+    eng = Engine(seed=1, trace=True)
     for i in range(50):
         eng.schedule(100 + i, "A", vm="v")
         eng.schedule(100 + i, "B", vm="w")
@@ -370,7 +392,7 @@ def test_compaction_drops_the_old_entry_of_a_rearmed_event():
 
 
 def test_rearmed_event_takes_the_next_seq_like_a_fresh_schedule():
-    eng = Engine(seed=1)
+    eng = Engine(seed=1, trace=True)
     event = eng.schedule(5, "A", detail="x=1", vm="v")
     eng.run_until(5)
     other = eng.schedule(7, "B")
@@ -398,7 +420,7 @@ def test_rescheduling_into_the_past_is_refused():
 
 
 def test_rearmed_stallable_event_is_postponed_with_its_own_vm_only():
-    eng = Engine(seed=1)
+    eng = Engine(seed=1, trace=True)
     event = eng.schedule(5, "A", vm="v")
     eng.run_until(5)
     eng.reschedule(event, 10)
@@ -560,7 +582,12 @@ def _replay(eng, ops) -> list:
 @settings(max_examples=300, deadline=None)
 @given(OPS)
 def test_engine_matches_sorted_list_oracle(ops):
-    eng, oracle = Engine(seed=0), _Oracle()
-    assert _replay(eng, ops) == _replay(oracle, ops)
+    eng, bare, oracle = Engine(seed=0, trace=True), Engine(seed=0), _Oracle()
+    expected = _replay(oracle, ops)
+    assert _replay(eng, ops) == expected
     assert eng.trace == oracle.trace
     assert eng.pending() == []
+    # an engine without a trace gives every other result alike
+    assert _replay(bare, ops) == expected
+    assert (bare.processed_count, bare.now(), bare.pending()) == (
+        eng.processed_count, eng.now(), [])

@@ -60,7 +60,7 @@ def test_single_task_assigned_immediately():
 
 
 def test_the_scheduler_keeps_one_tick_event():
-    eng = Engine(seed=0)
+    eng = Engine(seed=0, trace=True)
     sch = Scheduler(eng)
     sch.add_vm("vm0", 1)
     # every queueing of an event passes through reschedule, schedule's too
@@ -279,7 +279,7 @@ class _Rescanning(Scheduler):
 
 def _outcome(cls, tasks, vms, penalty):
     """Everything a run decides."""
-    eng = Engine(seed=0)
+    eng = Engine(seed=0, trace=True)
     sch = cls(eng, migration_penalty=penalty)
     for vm_id, cores in vms:
         sch.add_vm(vm_id, cores)

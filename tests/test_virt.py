@@ -364,7 +364,7 @@ def test_full_reconfig_shifts_inflight_completions_exactly():
 
 
 def test_zero_length_partial_fires_each_of_its_vms_events_once():
-    eng, fab = Engine(seed=0), Fabric()
+    eng, fab = Engine(seed=0, trace=True), Fabric()
     hv = Hypervisor(eng, fab, params=ReconfigParams(partial_setup_overhead_ns=0))
     vm = hv.create_vm(fab.total.scaled(1, 4))
     blank = DfxModule("blank", ModuleKind.ROUTER, fab.total.scaled(1, 100), 0)
