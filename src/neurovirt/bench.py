@@ -54,6 +54,8 @@ def bench_throughput(vm_counts=DEFAULT_VM_COUNTS, sizes=DEFAULT_SIZES) -> str:
     VM's post-warmup completion span, which converges to the pipe model's
     closed form as sizes grow.
     """
+    # read once: an iterator would be used up by the checks below
+    vm_counts, sizes = tuple(vm_counts), tuple(sizes)
     if not vm_counts:
         raise ValueError("no vm counts")
     if not sizes:
@@ -147,6 +149,7 @@ def bench_reconfig(vm_counts=DEFAULT_RECONFIG_VM_COUNTS) -> str:
     schedule (each module of the default catalog, in catalog order); the
     two policies differ only in reconfiguration mode.
     """
+    vm_counts = tuple(vm_counts)  # read once: the checks below would use up an iterator
     if not vm_counts:
         raise ValueError("no vm counts")
     for count in vm_counts:

@@ -15,6 +15,14 @@ from neurovirt import bench
 from neurovirt.scenario import ParseError, ValidationError, load_scenario
 
 
+def _read_int(part: str, text: str) -> int:
+    """``int(part)``; a ValueError names ``part`` and the ``text`` it came from."""
+    try:
+        return int(part)
+    except ValueError:
+        raise ValueError(f"cannot read {part!r} in {text!r}") from None
+
+
 def _parse_int_list(text: str) -> list[int]:
     """Comma list with ranges: '1,2,4' or '1-16' or '1-4,8,16'."""
     values: list[int] = []
@@ -92,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "bench-throughput":
-            sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+            sizes = [_read_int(s, args.sizes) for s in map(str.strip, args.sizes.split(",")) if s]
             if not sizes:
                 raise ValueError(f"no sizes in {args.sizes!r}")
             csv = bench.bench_throughput(

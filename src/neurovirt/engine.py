@@ -19,9 +19,9 @@ seq even when the new time equals an old one. ``schedule`` builds the
 event and hands it to ``reschedule``, the one method that pushes a new
 event onto the heap. Every queued
 stallable event is indexed by its VM (untagged ones under None), so a
-reconfiguration stall walks only the events it shifts. Once stale entries
-make up more than half of the heap, the heap is compacted: they are dropped
-and the rest re-heapified.
+reconfiguration stall walks only the events it shifts. Each stale entry
+is the old entry of one cancel or one shifted event, so the heap holds no
+more stale entries than the run's own cancels and shifts.
 
 Each processed event is logged as one ``tick,seq,kind,detail`` line by an
 engine made with ``trace=True``; an engine made without it formats no line.
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -42,7 +43,6 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:
     import numpy as np
 
-NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
 
@@ -110,8 +110,10 @@ class RandomStreams:
     def values(self, stream_id: str, n: int) -> np.ndarray:
         """The stream's next ``n`` uniforms, bit-identical to ``n`` calls of
         :meth:`next`: the same splitmix64 over a range of indices, in
-        wrapping ``uint64`` arithmetic. Raises ValueError for ``n < 0``,
-        which would rewind the stream."""
+        wrapping ``uint64`` arithmetic. Raises TypeError for an ``n`` that
+        is not an integer, which would put a float in the stream's index,
+        and ValueError for ``n < 0``, which would rewind the stream."""
+        n = operator.index(n)
         if n < 0:
             raise ValueError(f"cannot draw {n} values from stream {stream_id!r}")
         import numpy as np
@@ -166,7 +168,6 @@ class Engine:
         self._heap: list[tuple[int, int, SimEvent]] = []
         # queued stallable events of each VM (None: untagged), seq -> event
         self._by_vm: dict[str | None, dict[int, SimEvent]] = {}
-        self._stale = 0  # heap entries not live: not their event's (fire_at, seq)
         self._processed = 0
         self.rng = RandomStreams(seed)
         # the open chunk (lines not yet joined) and the closed chunks of
@@ -235,7 +236,6 @@ class Engine:
         event.fire_at = None
         if event.stallable:
             del self._by_vm[event.vm][event.seq]
-        self._add_stale(1)
 
     def run_until(self, t_end: int) -> int:
         """Process every event with fire_at <= t_end; clock ends at t_end."""
@@ -262,7 +262,6 @@ class Engine:
             # _live() inlined for speed: the entry is stale once its event
             # moved, fired, was cancelled or was re-armed under a later seq
             if fire_at != event.fire_at or seq != event.seq:
-                self._stale -= 1
                 continue
             event.fire_at = None
             if event.stallable:
@@ -288,10 +287,11 @@ class Engine:
 
         Each shifted event gets a fresh heap entry and its old one goes
         stale. A ``delta`` of 0 changes nothing, since a fresh entry would
-        equal the old one and fire the event twice, but still counts the
-        events it selects. Relative order among shifted events is preserved
-        because they all move by the same amount and keep their sequence
-        numbers. Used to model reconfiguration stalls.
+        equal the old one and both would be live (:meth:`pending` would
+        list the event twice), but still counts the events it selects.
+        Relative order among shifted events is preserved because they all
+        move by the same amount and keep their sequence numbers. Used to
+        model reconfiguration stalls.
         """
         if delta < 0:
             raise ValueError("delta must be non-negative")
@@ -304,19 +304,7 @@ class Engine:
                 for event in index.values():
                     event.fire_at += delta
                     push(heap, (event.fire_at, event.seq, event))
-        if delta:
-            self._add_stale(shifted)
         return shifted
-
-    def _add_stale(self, entries: int) -> None:
-        """Count ``entries`` newly stale heap entries; compact the heap once
-        stale entries are more than half of it."""
-        self._stale += entries
-        if 2 * self._stale > len(self._heap):
-            live = list(filter(_live, self._heap))
-            heapq.heapify(live)
-            self._heap[:] = live  # in place: a running loop holds this list
-            self._stale = 0
 
     def _close_chunk(self) -> None:
         """Join the open chunk's lines into one closed chunk."""

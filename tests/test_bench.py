@@ -43,6 +43,18 @@ def test_experiments_refuse_empty_input(experiment, kwargs, message):
         experiment(**kwargs)
 
 
+@pytest.mark.parametrize("experiment, kwargs, once", [
+    (bench_throughput, dict(vm_counts=[1], sizes=[4096]), ["vm_counts"]),
+    (bench_throughput, dict(vm_counts=[1, 2], sizes=[4096]), ["sizes"]),
+    (bench_reconfig, dict(vm_counts=[1]), ["vm_counts"]),
+])
+def test_experiments_read_each_sequence_argument_once(experiment, kwargs, once):
+    # an iterator used to be used up before the rows were made: only the
+    # header came out, or bench_throughput dropped the 2-VM row
+    iterators = {name: (v for v in kwargs[name]) for name in once}
+    assert experiment(**{**kwargs, **iterators}) == experiment(**kwargs)
+
+
 def test_energy_rows_run_real_reference_workload():
     rows = _rows(bench_energy(4))
     per_accel = workload_cost(50, 4, 32)  # the reference task shape

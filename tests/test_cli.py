@@ -193,12 +193,15 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
     (["bench-throughput", "--sizes", ",", "--out", "{tmp}/tp.csv"], "error: no sizes in ','"),
     (["bench-reconfig", "--vm-counts", "3-1,2", "--out", "{tmp}/rc.csv"],
      "error: descending range '3-1' in '3-1,2'"),
+    # this one used to say only: invalid literal for int() with base 10: 'x'
+    (["bench-throughput", "--sizes", "4096, x", "--out", "{tmp}/tp.csv"],
+     "error: cannot read 'x' in '4096, x'"),
     # this one used to load, then die at its first transfer and leave an empty --out
     (["run", "--scenario", "{peak2}", "--out", "{tmp}/m.csv"],
      "$.link.peak_gibps: peak table must start at 1 VM"),
 ], ids=["energy-fabric-full", "reconfig-slots-full", "no-scenario", "scenario-is-dir",
         "no-out-dir", "no-trace-dir", "same-out-and-trace", "no-sizes", "descending-range",
-        "peak-table-from-2-vms"])
+        "unreadable-size", "peak-table-from-2-vms"])
 def test_unrunnable_request_exits_2_with_one_error_line(
     tmp_path, tmp_path_factory, capsys, argv, message
 ):

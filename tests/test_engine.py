@@ -148,6 +148,17 @@ def test_bulk_values_refuse_a_negative_count_and_keep_the_index():
     assert rs.next("s") == rs.value_at("s", 3)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0])
+def test_bulk_values_refuse_a_count_that_is_not_an_integer(n):
+    # 2.5 used to return 3 draws and leave the float 2.5 as the stream's index
+    rs = RandomStreams(5)
+    rs.values("s", 1)
+    with pytest.raises(TypeError):
+        rs.values("s", n)
+    assert rs.values("s", np.int64(2)).tolist() == [rs.value_at("s", i) for i in (1, 2)]
+    assert rs.next("s") == rs.value_at("s", 3)
+
+
 @settings(max_examples=50, deadline=None)
 @given(SEEDS, st.lists(st.one_of(st.none(), st.integers(0, 300)), max_size=20))
 def test_mixed_next_and_values_share_one_index(seed, ops):
@@ -346,16 +357,14 @@ def test_cancelling_a_fired_or_cancelled_event_is_a_no_op():
     assert eng.now() == 11
 
 
-def test_repeated_vm_postpones_compact_the_heap():
+def test_repeated_vm_postpones_keep_order_and_leave_no_entry():
     eng = Engine(seed=1, trace=True)
     for i in range(50):
         eng.schedule(100 + i, "A", vm="v")
         eng.schedule(100 + i, "B", vm="w")
     for _ in range(1_000):
         assert eng.postpone_pending(1, vm="v") == 50
-        live = len(eng.pending())
-        assert live == 100
-        assert len(eng._heap) <= 2 * live + 1
+        assert len(eng.pending()) == 100
     assert eng.run() == 100
     fired = [line.split(",") for line in eng.trace]
     assert [int(t) for t, _, kind, _ in fired if kind == "A"] == list(range(1_100, 1_150))
@@ -363,9 +372,8 @@ def test_repeated_vm_postpones_compact_the_heap():
 
 
 def test_cancelled_event_rearmed_at_its_old_time_fires_once():
-    # its old entry matches the new fire time and differs only in seq; with
-    # ten other events queued the heap is not compacted, so the old entry
-    # is still there when the loop reaches it
+    # its old entry matches the new fire time and differs only in seq, and
+    # it is still in the heap when the loop reaches it
     eng = Engine(seed=1)
     fired = []
     for t in range(10):
@@ -380,15 +388,15 @@ def test_cancelled_event_rearmed_at_its_old_time_fires_once():
     assert eng.pending() == []
 
 
-def test_compaction_drops_the_old_entry_of_a_rearmed_event():
+def test_rearmed_event_fires_once_past_its_old_and_a_cancelled_entry():
     eng = Engine(seed=1)
     event = eng.schedule(10, "A")
     other = eng.schedule(20, "B")
     eng.cancel(event)
     eng.reschedule(event, 10)
-    eng.cancel(other)  # two stale entries of three: the heap is compacted
-    assert eng._heap == [(10, 2, event)]
+    eng.cancel(other)  # two stale entries of three
     assert eng.run() == 1
+    assert eng._heap == []
 
 
 def test_rearmed_event_takes_the_next_seq_like_a_fresh_schedule():
@@ -538,9 +546,10 @@ def _replay(eng, ops) -> list:
     results, events = [], []
     armed_at = []  # per event: the time it was last queued for
     rearms = 0
+    retired = 0  # cancels of queued events plus events shifted by a non-zero delta
 
     def apply(op):
-        nonlocal rearms
+        nonlocal rearms, retired
         name = op[0]
         if name == "schedule":
             _, delay, vm, stallable, action = op
@@ -552,7 +561,9 @@ def _replay(eng, ops) -> list:
             results.append(("schedule", event.seq))
         elif name == "cancel":
             if events:
-                eng.cancel(events[op[1] % len(events)])
+                event = events[op[1] % len(events)]
+                retired += event.fire_at is not None
+                eng.cancel(event)
         elif name == "reschedule":
             if events and rearms < REARMS:
                 i = op[1] % len(events)
@@ -566,12 +577,14 @@ def _replay(eng, ops) -> list:
                 except ValueError:  # still queued
                     results.append((name, None))
         elif name == "postpone":
-            results.append((name, eng.postpone_pending(op[1], vm=op[2])))
+            shifted = eng.postpone_pending(op[1], vm=op[2])
+            retired += shifted if op[1] else 0
+            results.append((name, shifted))
         else:
             results.append(("run", eng.run_until(eng.now() + op[1])))
         results.append([(ev.fire_at, ev.seq, ev.kind) for ev in eng.pending()])
-        if isinstance(eng, Engine):  # its count of stale heap entries is exact
-            assert eng._stale == len(eng._heap) - len(results[-1])
+        if isinstance(eng, Engine):  # each stale heap entry is one retired entry
+            assert len(eng._heap) - len(results[-1]) <= retired
 
     for op in ops:
         apply(op)
