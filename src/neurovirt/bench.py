@@ -245,7 +245,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     )
 
     for vmdef in scenario.vms:
-        hv.create_vm(vmdef.request, vmdef.cores, vmdef.id)
+        hv.create_vm(scenario.fabric.total.share(vmdef.share), vmdef.cores, vmdef.id)
         scheduler.add_vm(vmdef.id, hv.vms[vmdef.id].cores)
 
     for tdef in scenario.tasks:

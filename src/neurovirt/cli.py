@@ -117,9 +117,14 @@ def main(argv: list[str] | None = None) -> int:
             scenario = load_scenario(args.scenario)
             if args.seed is not None:
                 scenario.seed = args.seed
+            # opening an output truncates it: it must not be the scenario, and
             # two handles on one file would interleave the metrics and the trace
-            paths = [p for p in (args.out, args.trace_out) if p is not None]
-            if len({os.path.realpath(p) for p in paths}) < len(paths):
+            outputs = {"--out": args.out, "--trace-out": args.trace_out}
+            real = {flag: os.path.realpath(p) for flag, p in outputs.items() if p is not None}
+            for flag, path in real.items():
+                if path == os.path.realpath(args.scenario):
+                    raise ValueError(f"{flag} is the scenario file: {outputs[flag]}")
+            if len(set(real.values())) < len(real):
                 raise ValueError(f"--out and --trace-out are the same file: {args.out}")
             # open both outputs first: a bad path then fails before the run,
             # not after a finished-looking metrics file is written

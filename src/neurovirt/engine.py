@@ -212,7 +212,10 @@ class Engine:
         under the next seq, exactly as a fresh :meth:`schedule` of its kind,
         detail, fn, VM and stallable flag would be; returns it.
 
-        Raises ValueError while the event is still queued."""
+        Raises TypeError for an ``at`` that is not an integer, which would
+        put a fractional tick on the clock, and ValueError while the event
+        is still queued."""
+        at = operator.index(at)
         if event.fire_at is not None:
             raise ValueError(f"{event.kind} event {event.seq} is still queued")
         if at < self._now:
@@ -238,7 +241,9 @@ class Engine:
             del self._by_vm[event.vm][event.seq]
 
     def run_until(self, t_end: int) -> int:
-        """Process every event with fire_at <= t_end; clock ends at t_end."""
+        """Process every event with fire_at <= t_end; clock ends at t_end.
+        Raises TypeError for a ``t_end`` that is not an integer."""
+        t_end = operator.index(t_end)
         processed = self._drain(t_end)
         if t_end > self._now:
             self._now = t_end
@@ -291,8 +296,10 @@ class Engine:
         list the event twice), but still counts the events it selects.
         Relative order among shifted events is preserved because they all
         move by the same amount and keep their sequence numbers. Used to
-        model reconfiguration stalls.
+        model reconfiguration stalls. Raises TypeError for a ``delta`` that
+        is not an integer.
         """
+        delta = operator.index(delta)
         if delta < 0:
             raise ValueError("delta must be non-negative")
         indexes = self._by_vm.values() if vm is None else [self._by_vm.get(vm, {})]

@@ -39,7 +39,8 @@ no scenario and no seed; each is a pure function of its arguments.
 A module's ``kind`` and a task's ``data_size`` are labels that no model
 reads: reconfiguration time depends only on bitstream bytes, and a task's
 duration only on its steps, input rate and fan-in. They stay in the schema
-because the benchmark's generated scenarios write them.
+because the benchmark's generated scenarios write them; the loader checks
+``kind`` and drops it, so no model object holds it.
 
 The rule tables below (``TOP`` to ``RECONFIG_OP``) are the field
 reference. Each section is read against the dataclass it builds: that
@@ -49,8 +50,7 @@ and the table gives each field's range (positive, non-negative, a share in
 magnitude. A null value means the default. Any other key is rejected as
 ``$.path.key: unknown field``.
 
-VM ``share``/module ``share`` are fabric fractions; explicit ``resources``
-/ ``footprint`` objects are accepted instead, but not both. A module's
+A VM's or module's ``share`` is its fraction of the fabric. A module's
 ``bitstream_bytes`` defaults to its lut share of the full bitstream. A VM,
 module or task id is non-empty and holds no whitespace, ``,``, ``;`` or
 ``=``, since it is written into ``tick,seq,kind,detail`` trace lines as a
@@ -89,8 +89,8 @@ from neurovirt.virt import (
     DfxModule,
     ReconfigMode,
     ReconfigParams,
-    bitstream_bytes_for,
     default_module_catalog,
+    module_from_share,
 )
 
 SCHEMA_VERSION = 1
@@ -110,9 +110,17 @@ class ValidationError(Exception):
 
 
 @dataclass(frozen=True)
+class ModuleDef:
+    id: str
+    kind: typing.Literal["lif_core", "router", "pooling"]
+    share: float
+    bitstream_bytes: int | None = None  # None: the size module_from_share gives
+
+
+@dataclass(frozen=True)
 class VmDef:
     id: str
-    request: ResourceVector
+    share: float
     cores: int | None = None
 
 
@@ -205,7 +213,7 @@ SHARE = (_LEAST_POSITIVE, 1.0, "must be in (0, 1]")
 # The field reference. Each section is read against the dataclass it builds:
 # its fields are the section's keys, with their types and defaults, and the
 # table gives each loaded field's range rule. The keys after a table are
-# documented alternatives, read by hand in scenario_from_dict.
+# read by hand in scenario_from_dict.
 TOP = _section(
     Scenario,
     {"seed": None, "duration_ns": POSITIVE, "sample_period_ns": POSITIVE},
@@ -230,9 +238,9 @@ RECONFIG = _section(
     ReconfigParams, {"config_port_bw": POSITIVE, "partial_setup_overhead_ns": NON_NEGATIVE}
 )
 MODULE = _section(
-    DfxModule, {"id": None, "kind": None}, ("share", "footprint", "bitstream_bytes")
+    ModuleDef, {"id": None, "kind": None, "share": SHARE, "bitstream_bytes": NON_NEGATIVE}
 )
-VM = _section(VmDef, {"id": None, "cores": POSITIVE}, ("share", "resources"))
+VM = _section(VmDef, {"id": None, "cores": POSITIVE, "share": SHARE})
 TASK = _section(
     TaskDef,
     {"id": None, "steps": POSITIVE, "input_rate": POSITIVE, "fan_in": POSITIVE,
@@ -331,24 +339,14 @@ def _rows(data: dict, key: str) -> list:
     return [] if rows is None else _check(rows, list, None, "$", key)
 
 
-def _share_or(row: dict, path: str, key: str, total: ResourceVector) -> ResourceVector:
-    """A row's resources: a fabric ``share``, or a resource object at ``key``."""
-    if row.get(key) is None:
-        return total.share(_check(row.get("share"), float, SHARE, path, "share"))
-    if row.get("share") is not None:
-        raise ValidationError(f"{path}.share", f"give share or {key}, not both")
-    return _check(row[key], ResourceVector, None, path, key)
-
-
 def _peak_table(peaks) -> tuple[tuple[int, float], ...]:
     path = "$.link.peak_gibps"
     entries = []
     for key, value in _check(peaks, dict, None, "$.link", "peak_gibps").items():
-        try:
-            count = int(key)
-        except ValueError:
-            raise ValidationError(f"{path}.{key}", "keys must be VM counts") from None
-        entries.append((count, _check(value, float, ANY, path, key)))
+        # plain decimal only: int() also reads "1_0", " 4 ", "+2" and "٤"
+        if not (key.isascii() and key.isdigit()):
+            raise ValidationError(f"{path}.{key}", "keys must be VM counts")
+        entries.append((int(key), _check(value, float, ANY, path, key)))
     return tuple(sorted(entries))
 
 
@@ -389,16 +387,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         scenario.modules = default_module_catalog(fabric)
     for i, row in enumerate(_rows(data, "modules")):
         path = f"$.modules[{i}]"
-        values = _load(row, path, MODULE)
-        footprint = _share_or(row, path, "footprint", total)
-        bitstream = row.get("bitstream_bytes")
-        if bitstream is None:
-            bitstream = bitstream_bytes_for(footprint, total, fabric.bitstream_total_bytes)
-        module = DfxModule(
-            footprint=footprint,
-            bitstream_bytes=_check(bitstream, int, NON_NEGATIVE, path, "bitstream_bytes"),
-            **values,
-        )
+        mdef = ModuleDef(**_load(row, path, MODULE))
+        module = module_from_share(mdef.id, mdef.share, total, fabric.bitstream_total_bytes)
+        if mdef.bitstream_bytes is not None:
+            module = dataclasses.replace(module, bitstream_bytes=mdef.bitstream_bytes)
         if module.id in scenario.modules:
             raise ValidationError(f"{path}.id", f"duplicate module id {module.id!r}")
         scenario.modules[module.id] = module
@@ -410,15 +402,15 @@ def scenario_from_dict(data: dict) -> Scenario:
     vm_requests: dict[str, ResourceVector] = {}
     for i, row in enumerate(_rows(data, "vms")):
         path = f"$.vms[{i}]"
-        values = _load(row, path, VM)
-        vm = VmDef(request=_share_or(row, path, "resources", total), **values)
+        vm = VmDef(**_load(row, path, VM))
         if vm.id in vm_requests:
             raise ValidationError(f"{path}.id", f"duplicate vm id {vm.id!r}")
+        request = total.share(vm.share)
         try:
-            scratch.allocate(vm.request)
+            scratch.allocate(request)
         except (InsufficientResources, ValueError) as exc:
             raise ValidationError(path, str(exc)) from None
-        vm_requests[vm.id] = vm.request
+        vm_requests[vm.id] = request
         scenario.vms.append(vm)
     _check_ids(list(vm_requests), "$.vms")
 

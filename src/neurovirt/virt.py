@@ -36,12 +36,6 @@ class FootprintOverflow(Exception):
     pass
 
 
-class ModuleKind(enum.Enum):
-    LIF_CORE = "lif_core"
-    ROUTER = "router"
-    POOLING = "pooling"
-
-
 class ReconfigMode(enum.Enum):
     FULL = "full"
     PARTIAL = "partial"
@@ -52,7 +46,6 @@ class DfxModule:
     """Loadable hardware function; bitstream size drives reconfiguration time."""
 
     id: str
-    kind: ModuleKind
     footprint: ResourceVector
     bitstream_bytes: int
 
@@ -87,26 +80,15 @@ class VirtualMachine:
         return self.inflight_module is not None
 
 
-def bitstream_bytes_for(
-    footprint: ResourceVector, total: ResourceVector, bitstream_total_bytes: int
-) -> int:
-    """The single proportionality rule for a module's bitstream size:
-    bitstream_total * (footprint.lut / total.lut), rounded half up."""
-    return round_half_up(bitstream_total_bytes * footprint.lut / total.lut)
-
-
 def module_from_share(
-    module_id: str,
-    kind: ModuleKind,
-    share: float,
-    total: ResourceVector,
-    bitstream_total_bytes: int,
+    module_id: str, share: float, total: ResourceVector, bitstream_total_bytes: int
 ) -> DfxModule:
-    """Module whose footprint is a fabric share and whose bitstream size
-    follows :func:`bitstream_bytes_for`."""
+    """Module whose footprint is a fabric share. The one rule for its
+    bitstream size: bitstream_total * (footprint.lut / total.lut), rounded
+    half up."""
     footprint = total.share(share)
-    bitstream = bitstream_bytes_for(footprint, total, bitstream_total_bytes)
-    return DfxModule(module_id, kind, footprint, bitstream)
+    bitstream = round_half_up(bitstream_total_bytes * footprint.lut / total.lut)
+    return DfxModule(module_id, footprint, bitstream)
 
 
 # Default loadable-function catalog, as fabric shares. Sized so a 5% region
@@ -117,9 +99,7 @@ DEFAULT_MODULE_SHARES = {"lif_core": 0.04, "router": 0.015, "pooling": 0.025}
 def default_module_catalog(config: FabricConfig) -> dict[str, DfxModule]:
     """One module per :data:`DEFAULT_MODULE_SHARES` entry, in its order."""
     return {
-        name: module_from_share(
-            name, ModuleKind(name), share, config.total, config.bitstream_total_bytes
-        )
+        name: module_from_share(name, share, config.total, config.bitstream_total_bytes)
         for name, share in DEFAULT_MODULE_SHARES.items()
     }
 

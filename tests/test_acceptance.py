@@ -17,7 +17,6 @@ from neurovirt.snn import LifParams, make_core_state, step_core
 from neurovirt.virt import (
     FootprintOverflow,
     Hypervisor,
-    ModuleKind,
     ReconfigMode,
     VmBusy,
     module_from_share,
@@ -131,13 +130,9 @@ def test_criterion_5_conservation_property_suite():
         raw_slots: list[int] = []
         catalog = [
             module_from_share(
-                f"mod{i}", kind, share, fabric.config.total,
-                fabric.config.bitstream_total_bytes,
+                f"mod{i}", share, fabric.config.total, fabric.config.bitstream_total_bytes
             )
-            for i, (kind, share) in enumerate(
-                [(ModuleKind.LIF_CORE, 0.03), (ModuleKind.ROUTER, 0.01),
-                 (ModuleKind.POOLING, 0.02)]
-            )
+            for i, share in enumerate([0.03, 0.01, 0.02])
         ]
         for _ in range(ops_per_seed):
             choice = rng.random()
@@ -204,8 +199,7 @@ def _isolation_run(seed, streams, reconfig=None):
     if reconfig is not None:
         mode, at, share = reconfig
         module = module_from_share(
-            "swap", ModuleKind.LIF_CORE, share, fabric.config.total,
-            fabric.config.bitstream_total_bytes,
+            "swap", share, fabric.config.total, fabric.config.bitstream_total_bytes
         )
         duration = hv.reconfig_time(mode, module)
         engine.schedule(

@@ -199,20 +199,27 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
     # this one used to load, then die at its first transfer and leave an empty --out
     (["run", "--scenario", "{peak2}", "--out", "{tmp}/m.csv"],
      "$.link.peak_gibps: peak table must start at 1 VM"),
+    # these used to run and write over the scenario
+    (["run", "--scenario", "{scn}", "--out", "{scn}"], "error: --out is the scenario file: {scn}"),
+    (["run", "--scenario", "{scn}", "--out", "{tmp}/m.csv", "--trace-out", "{scn}"],
+     "error: --trace-out is the scenario file: {scn}"),
 ], ids=["energy-fabric-full", "reconfig-slots-full", "no-scenario", "scenario-is-dir",
         "no-out-dir", "no-trace-dir", "same-out-and-trace", "no-sizes", "descending-range",
-        "unreadable-size", "peak-table-from-2-vms"])
+        "unreadable-size", "peak-table-from-2-vms", "out-is-scenario", "trace-out-is-scenario"])
 def test_unrunnable_request_exits_2_with_one_error_line(
     tmp_path, tmp_path_factory, capsys, argv, message
 ):
     tmp = str(tmp_path)
-    # an input scenario whose peak table has no entry for 1 VM; it lives
-    # outside tmp_path, which must hold no output afterwards
+    # input scenarios live outside tmp_path, which must hold no output
+    # afterwards: a runnable one, and one whose peak table has no entry for 1 VM
+    scn = _scenario_file(tmp_path_factory.mktemp("in"))
     peak2 = _scenario_file(tmp_path_factory.mktemp("in"), link={"peak_gibps": {"2": 2.9}})
-    assert main([arg.format(tmp=tmp, peak2=peak2) for arg in argv]) == 2
-    assert capsys.readouterr().err == message.format(tmp=tmp) + "\n"
-    # nothing that looks like output is left behind
+    scn_bytes = scn.read_bytes()
+    assert main([arg.format(tmp=tmp, peak2=peak2, scn=scn) for arg in argv]) == 2
+    assert capsys.readouterr().err == message.format(tmp=tmp, scn=scn) + "\n"
+    # nothing that looks like output is left behind, and no input is written over
     assert [p for p in tmp_path.rglob("*") if p.is_file() and p.stat().st_size] == []
+    assert scn.read_bytes() == scn_bytes
 
 
 def _src_env() -> dict:
@@ -288,7 +295,7 @@ _BAD_ID = "must be non-empty, without whitespace, ',', ';' or '='"
     ({"link": {"ring_capacity": 0}}, "$.link.ring_capacity: must be positive"),
     ({"vms": [{"id": "vmA", "share": 0.25, "cores": 0}, {"id": "vmB", "share": 0.25}]},
      "$.vms[0].cores: must be positive"),
-    ({"vms": [{"id": "vmA", "resources": {}}, {"id": "vmB", "share": 0.25}]},
+    ({"vms": [{"id": "vmA", "share": 1e-9}, {"id": "vmB", "share": 0.25}]},
      "$.vms[0]: allocation request must be positive in some class"),
     # the fabric's lut runs out at the third VM
     ({"vms": [{"id": "vmA", "share": 0.25}, {"id": "vmB", "share": 0.5},
@@ -334,6 +341,27 @@ _BAD_ID = "must be non-empty, without whitespace, ',', ';' or '='"
      f"$.modules[0].id: {_BAD_ID}"),
     ({"fabric": {"total": {"lut": 504_000, "memory_bytes": 38_000_000, "io_pins": 464}}},
      "$.fabric: total must be positive in every class"),
+    # a peak table key is a plain decimal VM count: int() would read each of these
+    ({"link": {"peak_gibps": {"1": 1.5, "1_0": 9.0}}},
+     "$.link.peak_gibps.1_0: keys must be VM counts"),
+    ({"link": {"peak_gibps": {"1": 1.5, " 4 ": 5.1}}},
+     "$.link.peak_gibps. 4 : keys must be VM counts"),
+    ({"link": {"peak_gibps": {"1": 1.5, "+2": 2.9}}},
+     "$.link.peak_gibps.+2: keys must be VM counts"),
+    ({"link": {"peak_gibps": {"1": 1.5, "\u0664": 5.1}}},
+     "$.link.peak_gibps.\u0664: keys must be VM counts"),
+    # a module row is sized by its share and labelled by its kind
+    ({"modules": [{"id": "m", "share": 0.04}]}, "$.modules[0].kind: missing required field"),
+    ({"modules": [{"id": "m", "kind": "lif", "share": 0.04}]},
+     "$.modules[0].kind: unknown value 'lif'; expected one of ['lif_core', 'router', 'pooling']"),
+    ({"modules": [{"id": "m", "kind": "router"}]}, "$.modules[0].share: missing required field"),
+    ({"vms": [{"id": "vmA", "cores": 2}, {"id": "vmB", "share": 0.25}]},
+     "$.vms[0].share: missing required field"),
+    # a share is the one way to size a VM or a module
+    ({"vms": [{"id": "vmA", "resources": {"lut": 5}}, {"id": "vmB", "share": 0.25}]},
+     "$.vms[0].resources: unknown field"),
+    ({"modules": [{"id": "m", "kind": "router", "footprint": {"lut": 5}}]},
+     "$.modules[0].footprint: unknown field"),
 ])
 def test_degenerate_field_exits_2_naming_it(tmp_path, override, message):
     path = _scenario_file(tmp_path, **override)

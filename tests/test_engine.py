@@ -427,6 +427,28 @@ def test_rescheduling_into_the_past_is_refused():
     assert event.fire_at is None and eng.pending() == []
 
 
+def test_a_time_that_is_not_an_integer_is_refused():
+    # each used to put a fractional tick on the clock or into the trace
+    eng = Engine(seed=1, trace=True)
+    with pytest.raises(TypeError):
+        eng.run_until(2.5)
+    assert eng.now() == 0
+    with pytest.raises(TypeError):
+        eng.schedule(3.25, "B")
+    event = eng.schedule(5, "A", vm="v")
+    with pytest.raises(TypeError):
+        eng.postpone_pending(0.5)
+    with pytest.raises(TypeError):
+        eng.postpone_pending(1.0, vm="v")
+    assert eng.pending() == [event] and event.fire_at == 5
+    # numpy integers are integers
+    eng.schedule(np.int64(7), "C")
+    assert eng.postpone_pending(np.int64(1), vm="v") == 1
+    eng.run_until(np.int64(10))
+    assert eng.trace == ["6,0,A,", "7,1,C,"]
+    assert type(eng.now()) is int
+
+
 def test_rearmed_stallable_event_is_postponed_with_its_own_vm_only():
     eng = Engine(seed=1, trace=True)
     event = eng.schedule(5, "A", vm="v")

@@ -13,7 +13,7 @@ from neurovirt.metrics import (
     export_samples,
     task_energy,
 )
-from neurovirt.virt import Hypervisor, ModuleKind, ReconfigMode, module_from_share
+from neurovirt.virt import Hypervisor, ReconfigMode, module_from_share
 
 
 class _Executor:
@@ -103,9 +103,9 @@ def test_reconfig_accumulators_partial_below_full_for_same_swaps():
         fab = Fabric()
         hv = Hypervisor(eng, fab)
         vm = hv.create_vm(fab.total.scaled(1, 4))
-        for i, kind in enumerate(ModuleKind):
+        for i in range(3):
             module = module_from_share(
-                f"m{i}", kind, 0.05, fab.config.total, fab.config.bitstream_total_bytes
+                f"m{i}", 0.05, fab.config.total, fab.config.bitstream_total_bytes
             )
             hv.exchange_module(vm, module, mode)
         eng.run()
@@ -122,9 +122,7 @@ def test_accumulators_non_decreasing_over_samples():
     hv = Hypervisor(eng, fab)
     collector = _collector(eng, fab, hv)
     vm = hv.create_vm(fab.total.scaled(1, 4))
-    module = module_from_share(
-        "m", ModuleKind.LIF_CORE, 0.1, fab.config.total, fab.config.bitstream_total_bytes
-    )
+    module = module_from_share("m", 0.1, fab.config.total, fab.config.bitstream_total_bytes)
     hv.exchange_module(vm, module, ReconfigMode.PARTIAL)
     collector.start_sampling(1_000_000, 20_000_000)
     eng.run_until(20_000_000)

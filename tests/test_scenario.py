@@ -16,7 +16,8 @@ from neurovirt.scenario import (
     load_scenario,
     scenario_from_dict,
 )
-from neurovirt.virt import DEFAULT_MODULE_SHARES
+from neurovirt.fabric import FabricConfig
+from neurovirt.virt import DEFAULT_MODULE_SHARES, default_module_catalog, module_from_share
 
 
 def minimal():
@@ -36,9 +37,12 @@ def test_docstring_example_loads_and_shows_every_top_level_key():
     # the module docstring's JSON example is the schema's field reference
     block = scenario_module.__doc__.split(".. code-block:: json")[1].split("\n\n")[1]
     example = json.loads(block)
-    scenario_from_dict(example)
+    sc = scenario_from_dict(example)
     allowed, _ = TOP
     assert set(example) == allowed
+    total, bitstream = sc.fabric.total, sc.fabric.bitstream_total_bytes
+    assert sc.modules == {"lif0": module_from_share("lif0", 0.04, total, bitstream)}
+    assert [(vm.id, vm.share, vm.cores) for vm in sc.vms] == [("vmA", 0.125, 2)]
 
 
 def test_missing_seed_rejected():
@@ -164,41 +168,37 @@ def test_deadline_must_exceed_arrival():
     assert err.value.field == "$.tasks[0].deadline_ns"
 
 
-def test_custom_module_by_footprint():
+def test_custom_module_bitstream_follows_its_share():
     data = minimal()
     data["modules"] = [
-        {"id": "x", "kind": "router",
-         "footprint": {"lut": 50_400, "memory_bytes": 1_000, "io_pins": 4, "dsp": 8}}
+        {"id": "x", "kind": "router", "share": 0.1},
+        {"id": "y", "kind": "router", "share": 0.1, "bitstream_bytes": 7},
     ]
-    data["modules"].append({"id": "y", "kind": "router", "share": 0.1, "bitstream_bytes": 7})
     sc = scenario_from_dict(data)
     # bitstream follows the lut-share proportionality rule: 10% of 30 MiB
     assert sc.modules["x"].bitstream_bytes == round(30 * 1024 * 1024 * 0.1)
     assert sc.modules["y"].bitstream_bytes == 7  # an explicit size wins
+    assert sc.modules["y"].footprint == sc.modules["x"].footprint
 
 
-@pytest.mark.parametrize("section, row", [
-    ("vms", {"id": "a", "share": 0.1, "resources": {"lut": 5}}),
-    ("modules", {"id": "a", "kind": "router", "share": 0.1, "footprint": {"lut": 5}}),
-])
-def test_share_and_explicit_resources_are_exclusive(section, row):
-    data = minimal()
-    data[section] = [row]
-    with pytest.raises(ValidationError) as err:
-        scenario_from_dict(data)
-    assert err.value.field == f"$.{section}[0].share"
-
-
-def test_footprint_and_share_modules_round_bitstream_alike():
+def test_share_module_bitstream_rounds_half_up():
     # 5 bytes x 252000 / 504000 lut = 2.5 bytes, which rounds half up to 3
     data = minimal()
     data["fabric"] = {"bitstream_total_bytes": 5}
-    data["modules"] = [
-        {"id": "fp", "kind": "router", "footprint": {"lut": 252_000}},
-        {"id": "half", "kind": "router", "share": 0.5},
-    ]
+    data["modules"] = [{"id": "half", "kind": "router", "share": 0.5}]
     sc = scenario_from_dict(data)
-    assert sc.modules["fp"].bitstream_bytes == sc.modules["half"].bitstream_bytes == 3
+    assert sc.modules["half"].footprint.lut == 252_000
+    assert sc.modules["half"].bitstream_bytes == 3
+
+
+def test_spelled_out_default_catalog_loads_as_the_default():
+    # the loader sizes a module row by the rule the default catalog uses
+    data = minimal()
+    data["modules"] = [
+        {"id": name, "kind": name, "share": share}
+        for name, share in DEFAULT_MODULE_SHARES.items()
+    ]
+    assert scenario_from_dict(data).modules == default_module_catalog(FabricConfig())
 
 
 DEMO = json.loads(
@@ -227,7 +227,7 @@ OBJECT_PATHS = [()] + [p for p in VALUE_PATHS if isinstance(_at(DEMO, p), dict)]
 KEYS = st.sampled_from([
     "fabric", "link", "energy", "reconfig", "scheduler", "modules", "total",
     "bitstream_total_bytes", "neurocore_count", "peak_gibps", "1", "lut", "share",
-    "resources", "footprint", "bitstream_bytes", "cores", "deadline_ns", "kind",
+    "bitstream_bytes", "cores", "deadline_ns", "kind",
 ]) | st.text(max_size=6)
 SCALARS = (
     st.none() | st.booleans() | st.integers(-(2**63), 2**63) | st.floats()

@@ -8,7 +8,6 @@ from neurovirt.virt import (
     DfxModule,
     FootprintOverflow,
     Hypervisor,
-    ModuleKind,
     ReconfigMode,
     ReconfigParams,
     VmBusy,
@@ -26,11 +25,9 @@ def _hypervisor(driver=False, seed=0):
     return eng, fab, Hypervisor(eng, fab, drv)
 
 
-def _module(share, hv, kind=ModuleKind.LIF_CORE, name=None):
+def _module(share, hv, name=None):
     cfg = hv.fabric.config
-    return module_from_share(
-        name or f"m{share}", kind, share, cfg.total, cfg.bitstream_total_bytes
-    )
+    return module_from_share(name or f"m{share}", share, cfg.total, cfg.bitstream_total_bytes)
 
 
 def test_four_equal_vms_reach_half_utilization():
@@ -88,10 +85,8 @@ def test_partial_beats_full_up_to_ninety_percent_share():
 def test_partial_faster_whenever_bitstream_small_enough(bitstream_bytes):
     eng, fab, hv = _hypervisor()
     params = hv.params
-    module = module_from_share(
-        "m", ModuleKind.ROUTER, 0.5, fab.config.total, fab.config.bitstream_total_bytes
-    )
-    module = type(module)("m", ModuleKind.ROUTER, module.footprint, bitstream_bytes)
+    module = module_from_share("m", 0.5, fab.config.total, fab.config.bitstream_total_bytes)
+    module = type(module)("m", module.footprint, bitstream_bytes)
     threshold = (
         fab.config.bitstream_total_bytes
         - params.partial_setup_overhead_ns * params.config_port_bw // 10**9
@@ -134,8 +129,8 @@ def test_loaded_footprint_never_exceeds_slot():
     vm = hv.create_vm(fab.total.scaled(1, 4))
     slot = fab.slot(hv.vms[vm].slot_id)
     a = _module(0.02, hv, name="a")
-    b = _module(0.20, hv, kind=ModuleKind.ROUTER, name="b")
-    c = _module(0.10, hv, kind=ModuleKind.POOLING, name="c")
+    b = _module(0.20, hv, name="b")
+    c = _module(0.10, hv, name="c")
     for module in (a, b, c):
         hv.exchange_module(vm, module, ReconfigMode.PARTIAL)
         assert _held(hv.vms[vm]).footprint.fits_within(slot)
@@ -214,7 +209,7 @@ def test_destroy_ends_the_vms_transfer_streams():
 def test_per_vm_reconfigs_serialize():
     eng, fab, hv = _hypervisor()
     vm = hv.create_vm(fab.total.scaled(1, 4))
-    b = _module(0.05, hv, kind=ModuleKind.ROUTER, name="b")
+    b = _module(0.05, hv, name="b")
     first = hv.exchange_module(vm, _module(0.05, hv, name="a"), ReconfigMode.PARTIAL)
     queued = hv.exchange_module(vm, b, ReconfigMode.PARTIAL)
     assert first is not None and queued is None
@@ -298,7 +293,7 @@ def test_partial_requested_during_full_starts_when_full_ends():
 def test_exchange_replaces_slot_contents():
     eng, fab, hv = _hypervisor()
     vm = hv.create_vm(fab.total.scaled(1, 4))
-    b = _module(0.12, hv, kind=ModuleKind.ROUTER, name="b")
+    b = _module(0.12, hv, name="b")
     hv.exchange_module(vm, _module(0.10, hv, name="a"), ReconfigMode.PARTIAL)
     eng.run()
     hv.exchange_module(vm, b, ReconfigMode.PARTIAL)
@@ -330,8 +325,7 @@ def _stream_setup(seed, reconfig_mode=None, reconfig_at=None, share=0.1):
     duration = None
     if reconfig_mode is not None:
         module = module_from_share(
-            "mod", ModuleKind.LIF_CORE, share, fab.config.total,
-            fab.config.bitstream_total_bytes,
+            "mod", share, fab.config.total, fab.config.bitstream_total_bytes
         )
         duration = hv.reconfig_time(reconfig_mode, module)
         eng.schedule(
@@ -367,7 +361,7 @@ def test_zero_length_partial_fires_each_of_its_vms_events_once():
     eng, fab = Engine(seed=0, trace=True), Fabric()
     hv = Hypervisor(eng, fab, params=ReconfigParams(partial_setup_overhead_ns=0))
     vm = hv.create_vm(fab.total.scaled(1, 4))
-    blank = DfxModule("blank", ModuleKind.ROUTER, fab.total.scaled(1, 100), 0)
+    blank = DfxModule("blank", fab.total.scaled(1, 100), 0)
     for t in (0, 5, 5, 10):
         eng.schedule(t, "Work", vm=vm)
     eng.schedule(1, "ReconfigRequest", stallable=False,
