@@ -19,12 +19,12 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from neurovirt.engine import Engine, round_half_up
+from neurovirt.engine import Engine
 from neurovirt.fabric import Fabric, InsufficientResources, ResourceVector
 from neurovirt.iodriver import GIB, IoDriver, LinkModel, effective_throughput
 from neurovirt.metrics import MetricsCollector, energy_for_accelerators, export_samples
-from neurovirt.sched import DEFAULT_TICK_PERIOD_NS, Scheduler, TaskSpec, exec_time, profile
-from neurovirt.scenario import Scenario, TaskDef
+from neurovirt.sched import DEFAULT_TICK_PERIOD_NS, Scheduler, profile
+from neurovirt.scenario import Scenario
 from neurovirt.snn import SpikingExecutor
 # make_core_state and step_core stay bound here, since perfbench/tracer.py
 # patches bench.make_core_state and bench.step_core by name
@@ -190,77 +190,27 @@ class RunResult:
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
-    """Execute a full mixed scenario: VMs, tasks, transfers, reconfigs."""
+    """Execute a full mixed scenario: wire its VMs, tasks, transfers and
+    reconfigurations to the models, then run the engine to its end."""
     engine = Engine(scenario.seed, trace=True)
     fabric = Fabric(scenario.fabric)
     driver = IoDriver(engine, scenario.link)
     hv = Hypervisor(engine, fabric, driver, scenario.reconfig)
-    executor = SpikingExecutor(engine)
+    scheduler = Scheduler(engine, core_rate=scenario.core_rate,
+                          tick_period=scenario.tick_period_ns,
+                          migration_penalty=scenario.migration_penalty_ns)
+    executor = scheduler.executor
     metrics = MetricsCollector(engine, fabric, driver, hv, scenario.energy, executor)
-
-    spiking_defs: dict[str, TaskDef] = {
-        t.id: t for t in scenario.tasks if t.mode == "spiking"
-    }
-
-    def duration_fn(task: TaskSpec, cores: int) -> int:
-        base = exec_time(task, cores, scenario.core_rate)
-        tdef = spiking_defs.get(task.id)
-        if tdef is None:
-            return base
-        interval = max(1, round_half_up(base / tdef.steps))
-        return tdef.steps * interval
-
-    def on_start(run) -> None:
-        tdef = spiking_defs.get(run.task.id)
-        if tdef is None:
-            return
-        interval = run.duration // tdef.steps
-        executor.launch(
-            task_id=run.task.id,
-            steps=tdef.steps,
-            input_rate=tdef.input_rate,
-            fan_in=tdef.fan_in,
-            interval=interval,
-            at=run.start,
-            vm=run.vm_id,
-        )
-
-    def on_migrate(run) -> None:
-        job = executor.active.get(run.task.id)
-        if job is None:
-            return
-        # re-pace the remaining steps into the post-penalty window
-        resume = engine.now() + scenario.migration_penalty_ns
-        span = max(run.finish - resume, job.remaining)
-        executor.move(job, run.vm_id, resume, span // job.remaining)
-
-    scheduler = Scheduler(
-        engine,
-        core_rate=scenario.core_rate,
-        tick_period=scenario.tick_period_ns,
-        migration_penalty=scenario.migration_penalty_ns,
-        duration_fn=duration_fn,
-        on_start=on_start,
-        on_migrate=on_migrate,
-    )
 
     for vmdef in scenario.vms:
         hv.create_vm(scenario.fabric.total.share(vmdef.share), vmdef.cores, vmdef.id)
         scheduler.add_vm(vmdef.id, hv.vms[vmdef.id].cores)
 
     for tdef in scenario.tasks:
-        deadline = tdef.deadline_ns
-        spec = profile(
-            tdef.id,
-            tdef.steps,
-            tdef.input_rate,
-            tdef.fan_in,
-            tdef.data_size,
-            scenario.fabric.neurons_per_core,
-            deadline=deadline,
-            arrival=tdef.arrival_ns,
-        )
-        scheduler.submit(spec)
+        scheduler.submit(profile(
+            tdef.id, tdef.steps, tdef.input_rate, tdef.fan_in, scenario.fabric.neurons_per_core,
+            deadline=tdef.deadline_ns, arrival=tdef.arrival_ns, spiking=tdef.mode == "spiking",
+        ))
 
     for tr in scenario.transfers:
         engine.schedule(

@@ -87,6 +87,16 @@ def _open_out(path: str):
     return open(path, "w", encoding="utf-8", newline="")
 
 
+def _identity(path: str):
+    """The file ``path`` names: its device and inode when it exists, so a
+    hard link matches its target, else its resolved path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -120,11 +130,11 @@ def main(argv: list[str] | None = None) -> int:
             # opening an output truncates it: it must not be the scenario, and
             # two handles on one file would interleave the metrics and the trace
             outputs = {"--out": args.out, "--trace-out": args.trace_out}
-            real = {flag: os.path.realpath(p) for flag, p in outputs.items() if p is not None}
-            for flag, path in real.items():
-                if path == os.path.realpath(args.scenario):
+            files = {flag: _identity(p) for flag, p in outputs.items() if p is not None}
+            for flag, file in files.items():
+                if file == _identity(args.scenario):
                     raise ValueError(f"{flag} is the scenario file: {outputs[flag]}")
-            if len(set(real.values())) < len(real):
+            if len(set(files.values())) < len(files):
                 raise ValueError(f"--out and --trace-out are the same file: {args.out}")
             # open both outputs first: a bad path then fails before the run,
             # not after a finished-looking metrics file is written

@@ -39,8 +39,9 @@ no scenario and no seed; each is a pure function of its arguments.
 A module's ``kind`` and a task's ``data_size`` are labels that no model
 reads: reconfiguration time depends only on bitstream bytes, and a task's
 duration only on its steps, input rate and fan-in. They stay in the schema
-because the benchmark's generated scenarios write them; the loader checks
-``kind`` and drops it, so no model object holds it.
+because the benchmark's generated scenarios write them. The loader checks
+both; they stay on ``ModuleDef`` and ``TaskDef``, and no model object
+(``DfxModule``, ``TaskSpec``) holds either.
 
 The rule tables below (``TOP`` to ``RECONFIG_OP``) are the field
 reference. Each section is read against the dataclass it builds: that

@@ -6,6 +6,11 @@ onto the lowest-id VM that has a free core.
 When a running real-time task is projected to miss its deadline and some
 other VM has idle cores that would make the deadline feasible again, the
 task migrates there once (a fixed penalty models state transfer).
+A spiking task also runs its steps, on the scheduler's own executor and on
+the VM it is placed on, every ``max(1, round_half_up(ticks / steps))`` ns,
+where ``ticks`` is its Amdahl time rounded up. A migration re-paces the
+remaining steps to ``window // remaining`` ns, at least 1, where ``window``
+runs from the end of the penalty to the new finish.
 """
 
 from __future__ import annotations
@@ -13,10 +18,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from neurovirt.engine import Engine, SimEvent, round_half_up
-from neurovirt.snn import workload_cost
+from neurovirt.snn import SpikingExecutor, workload_cost
 
 DEFAULT_TICK_PERIOD_NS = 100_000  # 100 us simulated
 DEFAULT_MIGRATION_PENALTY_NS = 1_000_000  # 1 ms of state transfer
@@ -28,9 +32,9 @@ class TaskSpec:
     id: str
     compute_demand: int  # synaptic ops
     parallelizability: float  # fraction in [0, 1]
-    data_size: int
     deadline: int | None  # absolute ns; None = batch
     arrival: int = 0
+    spiking: tuple[int, int, int] | None = None  # (steps, input_rate, fan_in)
 
     @property
     def is_realtime(self) -> bool:
@@ -58,25 +62,31 @@ def profile(
     steps: int,
     input_rate: int,
     fan_in: int,
-    data_size: int,
     neurons_per_core: int,
     deadline: int | None = None,
     arrival: int = 0,
+    spiking: bool = False,
 ) -> TaskSpec:
     """Assess a raw task description: compute demand plus how much of it
-    can spread across cores (tasks wider than one core parallelize)."""
+    can spread across cores (tasks wider than one core parallelize). A
+    ``spiking`` task keeps its shape, so the scheduler can run its steps."""
     demand = workload_cost(steps, input_rate, fan_in)
     parallelizability = min(1.0, fan_in / neurons_per_core)
-    return TaskSpec(task_id, demand, parallelizability, data_size, deadline, arrival)
+    shape = (steps, input_rate, fan_in) if spiking else None
+    return TaskSpec(task_id, demand, parallelizability, deadline, arrival, shape)
 
 
 def exec_time(task: TaskSpec, cores: int, core_rate: int) -> int:
-    """Amdahl-style execution time in ticks, rounded up."""
+    """Amdahl-style execution time in ticks, rounded up; a spiking task's
+    is then rounded to a whole number of equal steps."""
     if cores < 1:
         raise ValueError("cores must be >= 1")
     p = task.parallelizability
-    span = task.compute_demand * ((1.0 - p) + p / cores) / core_rate
-    return math.ceil(span)
+    ticks = math.ceil(task.compute_demand * ((1.0 - p) + p / cores) / core_rate)
+    if task.spiking is None:
+        return ticks
+    steps = task.spiking[0]
+    return steps * max(1, round_half_up(ticks / steps))
 
 
 @dataclass
@@ -91,7 +101,6 @@ class _Running:
     task: TaskSpec
     vm_id: str
     cores: int
-    start: int
     finish: int
     duration: int
     done_event: SimEvent | None = None
@@ -101,9 +110,10 @@ class _Running:
 class Scheduler:
     """Tick-driven list scheduler over a set of VMs.
 
-    ``duration_fn(task, cores) -> ticks`` defaults to the Amdahl model;
-    scenario executors substitute a spiking-aware duration. ``on_start`` /
-    ``on_migrate`` hooks let an executor attach real work to assignments.
+    A spiking task launches on ``self.executor`` when placed and steps
+    every ``duration // steps`` ns, which :func:`exec_time` makes exact; a
+    migration resumes its remaining steps after the penalty, every
+    ``(new finish - resume) // remaining`` ns, at least 1.
 
     A tick costs O(placed · log backlog): ready tasks wait in two heaps
     (real-time by deadline, batch by arrival), the VMs are kept sorted by
@@ -117,9 +127,6 @@ class Scheduler:
         core_rate: int = DEFAULT_CORE_RATE,
         tick_period: int = DEFAULT_TICK_PERIOD_NS,
         migration_penalty: int = DEFAULT_MIGRATION_PENALTY_NS,
-        duration_fn: Callable[[TaskSpec, int], int] | None = None,
-        on_start: Callable[["_Running"], None] | None = None,
-        on_migrate: Callable[["_Running"], None] | None = None,
     ):
         # a zero period would re-arm the tick at one instant forever
         if tick_period < 1 or core_rate <= 0 or migration_penalty < 0:
@@ -128,11 +135,7 @@ class Scheduler:
         self.core_rate = core_rate
         self.tick_period = tick_period
         self.migration_penalty = migration_penalty
-        self.duration_fn = duration_fn or (
-            lambda task, cores: exec_time(task, cores, self.core_rate)
-        )
-        self.on_start = on_start
-        self.on_migrate = on_migrate
+        self.executor = SpikingExecutor(engine)
         self.vms: dict[str, SchedVm] = {}
         self._vm_order: list[SchedVm] = []  # self.vms sorted by id
         # ready heaps: (deadline, arrival, id, task) and (arrival, id, task);
@@ -202,7 +205,7 @@ class Scheduler:
         """Assign ready tasks to VMs; unplaceable tasks stay buffered."""
         now = self.engine.now()
         # cores_free only falls within a tick (TaskDone is an event and
-        # on_start frees nothing), so the first VM with a free core only
+        # a launch frees nothing), so the first VM with a free core only
         # moves forward in id order and the tick ends when none is left
         vms = self._vm_order
         at = 0
@@ -214,18 +217,19 @@ class Scheduler:
             vm = vms[at]
             task = heapq.heappop(self._ready_rt or self._ready_batch)[-1]
             cores = self._grant(task, vm)
-            duration = self.duration_fn(task, cores)
+            duration = exec_time(task, cores, self.core_rate)
             finish = now + duration
             vm.cores_free -= cores
-            run = _Running(task, vm.id, cores, now, finish, duration)
+            run = _Running(task, vm.id, cores, finish, duration)
             self._schedule_done(run)
+            if task.spiking is not None:
+                interval = duration // task.spiking[0]
+                self.executor.launch(task.id, *task.spiking, interval, at=now, vm=vm.id)
             self.running[task.id] = run
             # a task's lateness is fixed here and only migration changes it
             if task.is_realtime and finish > task.deadline:
                 self._late.add(task.id)
             self.assignments.append(Assignment(task.id, vm.id, cores, now))
-            if self.on_start is not None:
-                self.on_start(run)
 
     def _schedule_done(self, run: _Running) -> None:
         task_id = run.task.id
@@ -265,7 +269,7 @@ class Scheduler:
                 remaining = run.finish - now
                 fraction = remaining / run.duration
                 new_remaining = (
-                    round_half_up(fraction * self.duration_fn(task, cores))
+                    round_half_up(fraction * exec_time(task, cores, self.core_rate))
                     + self.migration_penalty
                 )
                 new_finish = now + new_remaining
@@ -287,8 +291,10 @@ class Scheduler:
             run.migrated = True
             self._late.discard(task_id)
             self._schedule_done(run)
-            if self.on_migrate is not None:
-                self.on_migrate(run)
+            job = self.executor.active.get(task_id)
+            if job is not None:
+                resume = now + self.migration_penalty
+                self.executor.move(job, to_vm, resume, (new_finish - resume) // job.remaining)
 
     def makespan(self) -> int:
         return max(self.finished.values(), default=0)

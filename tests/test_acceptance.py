@@ -276,7 +276,7 @@ def test_criterion_7_scheduler_oracle():
             deadline = (
                 arrival + rng.randint(5, 40) * tick if rng.random() < 0.4 else None
             )
-            tasks.append(TaskSpec(f"t{i}", demand, 0.0, 0, deadline, arrival))
+            tasks.append(TaskSpec(f"t{i}", demand, 0.0, deadline, arrival))
 
         engine = Engine(0)
         scheduler = Scheduler(engine)

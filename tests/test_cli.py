@@ -203,9 +203,14 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
     (["run", "--scenario", "{scn}", "--out", "{scn}"], "error: --out is the scenario file: {scn}"),
     (["run", "--scenario", "{scn}", "--out", "{tmp}/m.csv", "--trace-out", "{scn}"],
      "error: --trace-out is the scenario file: {scn}"),
+    # these used to run: a hard link has its own path but is the same file
+    (["run", "--scenario", "{scn}", "--out", "{hard}"], "error: --out is the scenario file: {hard}"),
+    (["run", "--scenario", "{scn}", "--out", "{tmp}/o.csv", "--trace-out", "{tmp}/hard.csv"],
+     "error: --out and --trace-out are the same file: {tmp}/o.csv"),
 ], ids=["energy-fabric-full", "reconfig-slots-full", "no-scenario", "scenario-is-dir",
         "no-out-dir", "no-trace-dir", "same-out-and-trace", "no-sizes", "descending-range",
-        "unreadable-size", "peak-table-from-2-vms", "out-is-scenario", "trace-out-is-scenario"])
+        "unreadable-size", "peak-table-from-2-vms", "out-is-scenario", "trace-out-is-scenario",
+        "out-is-a-hard-link-to-scenario", "trace-out-is-a-hard-link-to-out"])
 def test_unrunnable_request_exits_2_with_one_error_line(
     tmp_path, tmp_path_factory, capsys, argv, message
 ):
@@ -215,8 +220,13 @@ def test_unrunnable_request_exits_2_with_one_error_line(
     scn = _scenario_file(tmp_path_factory.mktemp("in"))
     peak2 = _scenario_file(tmp_path_factory.mktemp("in"), link={"peak_gibps": {"2": 2.9}})
     scn_bytes = scn.read_bytes()
-    assert main([arg.format(tmp=tmp, peak2=peak2, scn=scn) for arg in argv]) == 2
-    assert capsys.readouterr().err == message.format(tmp=tmp, scn=scn) + "\n"
+    # hard links: a second name for the scenario, and two names for one empty output
+    hard = scn.with_name("hard.json")
+    os.link(scn, hard)
+    (tmp_path / "o.csv").touch()
+    os.link(tmp_path / "o.csv", tmp_path / "hard.csv")
+    assert main([arg.format(tmp=tmp, peak2=peak2, scn=scn, hard=hard) for arg in argv]) == 2
+    assert capsys.readouterr().err == message.format(tmp=tmp, scn=scn, hard=hard) + "\n"
     # nothing that looks like output is left behind, and no input is written over
     assert [p for p in tmp_path.rglob("*") if p.is_file() and p.stat().st_size] == []
     assert scn.read_bytes() == scn_bytes

@@ -16,26 +16,32 @@ from neurovirt.sched import (
     exec_time,
     profile,
 )
+from neurovirt.snn import workload_cost
 
 TICK = DEFAULT_TICK_PERIOD_NS
 
 
 def test_profile_examples():
-    spec = profile("t", steps=100, input_rate=8, fan_in=256, data_size=0,
-                   neurons_per_core=256)
+    spec = profile("t", steps=100, input_rate=8, fan_in=256, neurons_per_core=256)
     assert spec.compute_demand == 204_800
     assert spec.parallelizability == 1.0
-    assert profile("t", 1, 1, 64, 0, 256).parallelizability == 0.25
-    assert profile("t", 1, 1, 1, 0, 256).compute_demand == 1
+    assert profile("t", 1, 1, 64, 256).parallelizability == 0.25
+    assert profile("t", 1, 1, 1, 256).compute_demand == 1
 
 
 def test_exec_time_examples():
-    serial = TaskSpec("s", 1000, 0.0, 0, None)
+    serial = TaskSpec("s", 1000, 0.0, None)
     assert exec_time(serial, 1, 1) == exec_time(serial, 8, 1) == 1000
-    parallel = TaskSpec("p", 1000, 1.0, 0, None)
+    parallel = TaskSpec("p", 1000, 1.0, None)
     assert exec_time(parallel, 4, 1) == 250
-    half = TaskSpec("h", 1000, 0.5, 0, None)
+    half = TaskSpec("h", 1000, 0.5, None)
     assert exec_time(half, 4, 1) == 625
+    # a spiking task's time is a whole number of equal steps, each >= 1 ns:
+    # 1000 ticks over 3 steps round down, over 400 half up, over 3000 to 1
+    for steps, p, cores, want in ((8, 0.0, 1, 1000), (3, 0.0, 1, 999), (400, 0.0, 1, 1200),
+                                  (3000, 0.0, 1, 3000), (3, 1.0, 4, 249)):
+        spiking = TaskSpec("k", 1000, p, None, spiking=(steps, 1, 1))
+        assert exec_time(spiking, cores, 1) == want and want % steps == 0
     with pytest.raises(ValueError):
         exec_time(serial, 0, 1)
 
@@ -51,8 +57,58 @@ def _run(tasks, vm_cores, seed=0):
     return sch
 
 
+def _spike_ticks(eng):
+    return [int(line.split(",")[0]) for line in eng.trace if line.split(",")[2] == "SpikeStep"]
+
+
+def test_a_spiking_task_runs_its_steps_where_it_is_placed():
+    # no runner: the scheduler launches the steps on its own executor
+    eng = Engine(seed=0, trace=True)
+    sch = Scheduler(eng)
+    sch.add_vm("vm0", 2)
+    spec = profile("s", steps=50, input_rate=4, fan_in=32, neurons_per_core=256,
+                   arrival=TICK, spiking=True)
+    sch.submit(spec)
+    sch.submit(profile("a", steps=50, input_rate=4, fan_in=32, neurons_per_core=256))
+    eng.run()
+    placed = {a.task_id: a for a in sch.assignments}["s"]
+    duration = sch.finished["s"] - placed.start
+    assert duration == exec_time(spec, placed.cores, sch.core_rate)
+    # the analytic twin launches nothing, so every step is the spiking task's
+    assert sch.executor.total_synops == workload_cost(50, 4, 32)
+    ticks = _spike_ticks(eng)
+    interval = duration // 50
+    assert ticks == [placed.start + k * interval for k in range(50)]
+    assert interval * 50 == duration
+    assert sch.executor.active == {}
+
+
+def test_a_migrated_spiking_task_whose_window_is_short_steps_every_ns():
+    # s (1000 steps, 4 ns each on vm0's one core, 1 ns on vm1's four) is
+    # placed late on vm0 while b holds vm1; vm0 then stalls, so at t=200,
+    # when b is done, 962 steps remain but the scheduler's stale finish
+    # gives them a post-penalty window of only 950 ns
+    eng = Engine(seed=0, trace=True)
+    sch = Scheduler(eng, tick_period=100, migration_penalty=100)
+    sch.add_vm("vm0", 1)
+    sch.add_vm("vm1", 4)
+    sch.submit(profile("s", steps=1000, input_rate=1, fan_in=4, neurons_per_core=4,
+                       deadline=2000, spiking=True))
+    sch.submit(TaskSpec("b", 800, 1.0, None))
+    eng.run_until(150)
+    assert sch.migrations == [] and sch.executor.active["s"].remaining == 962
+    eng.postpone_pending(1000, vm="vm0")
+    eng.run()
+    assert sch.migrations == [Migration("s", "vm0", "vm1", 200)]
+    assert sch.finished["s"] == 200 + 950 + 100
+    ticks = _spike_ticks(eng)
+    assert ticks[:38] == list(range(0, 150, 4))
+    assert ticks[38:] == list(range(300, 300 + 962))
+    assert sch.executor.total_synops == workload_cost(1000, 1, 4)
+
+
 def test_single_task_assigned_immediately():
-    task = TaskSpec("t0", 5 * TICK, 0.0, 0, None, arrival=0)
+    task = TaskSpec("t0", 5 * TICK, 0.0, None, arrival=0)
     sch = _run([task], [1])
     assert sch.assignments[0].task_id == "t0"
     assert sch.assignments[0].start == 0
@@ -66,7 +122,7 @@ def test_the_scheduler_keeps_one_tick_event():
     # every queueing of an event passes through reschedule, schedule's too
     with mock.patch.object(eng, "reschedule", wraps=eng.reschedule) as arm:
         for i in range(3):
-            sch.submit(TaskSpec(f"t{i}", 3 * TICK, 0.0, 0, None, arrival=i * TICK // 2))
+            sch.submit(TaskSpec(f"t{i}", 3 * TICK, 0.0, None, arrival=i * TICK // 2))
         eng.run()
     ticks = [call.args[0] for call in arm.call_args_list
              if call.args[0].kind == "SchedulerTick"]
@@ -87,8 +143,8 @@ def test_scheduler_refuses_a_period_rate_or_penalty_that_cannot_run(bad):
 
 
 def test_realtime_assigned_before_batch_on_single_slot():
-    rt = TaskSpec("rt", 5 * TICK, 0.0, 0, deadline=100 * TICK)
-    batch = TaskSpec("batch", 5 * TICK, 0.0, 0, None)
+    rt = TaskSpec("rt", 5 * TICK, 0.0, deadline=100 * TICK)
+    batch = TaskSpec("batch", 5 * TICK, 0.0, None)
     sch = _run([batch, rt], [1])
     first, second = sch.assignments
     assert first.task_id == "rt"
@@ -98,9 +154,9 @@ def test_realtime_assigned_before_batch_on_single_slot():
 
 def test_no_batch_starts_before_feasible_realtime_at_same_tick():
     tasks = [
-        TaskSpec("b1", 3 * TICK, 0.0, 0, None),
-        TaskSpec("b2", 3 * TICK, 0.0, 0, None),
-        TaskSpec("r1", 3 * TICK, 0.0, 0, deadline=50 * TICK),
+        TaskSpec("b1", 3 * TICK, 0.0, None),
+        TaskSpec("b2", 3 * TICK, 0.0, None),
+        TaskSpec("r1", 3 * TICK, 0.0, deadline=50 * TICK),
     ]
     sch = _run(tasks, [1, 1])
     start_of = {a.task_id: a.start for a in sch.assignments}
@@ -108,7 +164,7 @@ def test_no_batch_starts_before_feasible_realtime_at_same_tick():
 
 
 def test_cores_granted_never_exceed_owned():
-    tasks = [TaskSpec(f"t{i}", 4 * TICK, 1.0, 0, None) for i in range(6)]
+    tasks = [TaskSpec(f"t{i}", 4 * TICK, 1.0, None) for i in range(6)]
     sch = _run(tasks, [2, 3])
     for a in sch.assignments:
         assert 1 <= a.cores <= sch.vms[a.vm_id].cores_total
@@ -116,7 +172,7 @@ def test_cores_granted_never_exceed_owned():
 
 def test_scheduler_output_deterministic():
     tasks = [
-        TaskSpec(f"t{i}", (i + 1) * TICK, 0.5, 0, None, arrival=(i % 3) * TICK)
+        TaskSpec(f"t{i}", (i + 1) * TICK, 0.5, None, arrival=(i % 3) * TICK)
         for i in range(5)
     ]
     a = _run(list(tasks), [1, 2]).assignments
@@ -127,7 +183,7 @@ def test_scheduler_output_deterministic():
 def test_migration_moves_late_rt_task_to_capable_idle_vm():
     # vm0 owns one core, vm1 owns four; a fully parallel RT task lands on
     # vm0 first and is projected late there but feasible on vm1
-    task = TaskSpec("rt", 4_000_000, 1.0, 0, deadline=2_500_000)
+    task = TaskSpec("rt", 4_000_000, 1.0, deadline=2_500_000)
     sch = _run([task], [1, 4])
     assert len(sch.migrations) == 1
     mig = sch.migrations[0]
@@ -136,14 +192,14 @@ def test_migration_moves_late_rt_task_to_capable_idle_vm():
 
 
 def test_no_migration_when_deadline_safe():
-    task = TaskSpec("rt", 4 * TICK, 1.0, 0, deadline=1_000 * TICK)
+    task = TaskSpec("rt", 4 * TICK, 1.0, deadline=1_000 * TICK)
     sch = _run([task], [1, 4])
     assert sch.migrations == []
 
 
 def test_no_migration_when_nothing_would_help():
     # the only other VM is identical, so moving strictly loses the penalty
-    task = TaskSpec("rt", 4_000_000, 1.0, 0, deadline=2_500_000)
+    task = TaskSpec("rt", 4_000_000, 1.0, deadline=2_500_000)
     sch = _run([task], [1, 1])
     assert sch.migrations == []
     # late tasks surface via finish time, not errors
@@ -151,7 +207,7 @@ def test_no_migration_when_nothing_would_help():
 
 
 def test_at_most_one_migration_per_task():
-    task = TaskSpec("rt", 8_000_000, 1.0, 0, deadline=2_000_000)
+    task = TaskSpec("rt", 8_000_000, 1.0, deadline=2_000_000)
     sch = _run([task], [1, 2, 4])
     assert len(sch.migrations) <= 1
 
@@ -188,7 +244,7 @@ def _random_instance(rng):
             deadline = arrival + rng.randint(5, 40) * TICK
         else:
             deadline = None
-        tasks.append(TaskSpec(f"t{i}", demand, 0.0, 0, deadline, arrival))
+        tasks.append(TaskSpec(f"t{i}", demand, 0.0, deadline, arrival))
     return tasks, n_vms
 
 
@@ -234,13 +290,13 @@ class _Rescanning(Scheduler):
                 continue
             vm = hosts[0]
             cores = self._grant(task, vm)
-            finish = now + self.duration_fn(task, cores)
+            finish = now + exec_time(task, cores, self.core_rate)
             vm.cores_free -= cores
             done = self.engine.schedule(
                 finish, "TaskDone", fn=lambda tid=task.id: self._task_done(tid),
                 detail=f"task={task.id};vm={vm.id}", vm=vm.id)
-            self.running[task.id] = _Running(task, vm.id, cores, now, finish,
-                                             finish - now, done)
+            self.running[task.id] = _Running(task, vm.id, cores, finish, finish - now,
+                                             done)
             self.ready.remove(task)
             self.assignments.append(Assignment(task.id, vm.id, cores, now))
 
@@ -258,7 +314,7 @@ class _Rescanning(Scheduler):
                 cores = self._grant(task, vm)
                 fraction = (run.finish - now) / run.duration
                 new_finish = now + self.migration_penalty + round_half_up(
-                    fraction * self.duration_fn(task, cores))
+                    fraction * exec_time(task, cores, self.core_rate))
                 if new_finish > task.deadline or new_finish >= run.finish:
                     continue
                 if best is None or (new_finish, vm_id) < best[:2]:
@@ -291,7 +347,7 @@ def _outcome(cls, tasks, vms, penalty):
 
 _TASK = st.builds(
     lambda n, demand, p, arrival, slack: TaskSpec(
-        f"t{n}", demand * TICK, p, 0,
+        f"t{n}", demand * TICK, p,
         None if slack is None else arrival * TICK + slack * TICK, arrival * TICK),
     n=st.integers(0, 40),
     demand=st.sampled_from([1, 2, 5, 10, 20, 40]),
@@ -319,9 +375,9 @@ def test_late_tasks_migrate_as_in_the_rescanning_oracle():
     # vm10 and vm11 sort first and own one core each, so both parallel RT
     # tasks start late there, and each moves once to an idle 4-core VM
     tasks = [
-        TaskSpec("rt1", 4_000_000, 1.0, 0, deadline=2_500_000),
-        TaskSpec("rt0", 4_000_000, 1.0, 0, deadline=2_600_000),
-        TaskSpec("b", 2 * TICK, 0.0, 0, None, arrival=TICK),
+        TaskSpec("rt1", 4_000_000, 1.0, deadline=2_500_000),
+        TaskSpec("rt0", 4_000_000, 1.0, deadline=2_600_000),
+        TaskSpec("b", 2 * TICK, 0.0, None, arrival=TICK),
     ]
     for vms in ([("vm2", 4), ("vm3", 4), ("vm10", 1), ("vm11", 1)],
                 [("vm11", 1), ("vm3", 4), ("vm10", 1), ("vm2", 4)]):
@@ -335,8 +391,8 @@ def test_a_task_migrates_once_even_when_a_faster_vm_frees_up():
     # rt starts late on vm10 and moves to vm2's two cores; one tick later
     # the batch task leaves vm11's four cores idle, which would be faster
     tasks = [
-        TaskSpec("rt", 4_000_000, 1.0, 0, deadline=3_000_000),
-        TaskSpec("b", 4 * TICK, 1.0, 0, None),
+        TaskSpec("rt", 4_000_000, 1.0, deadline=3_000_000),
+        TaskSpec("b", 4 * TICK, 1.0, None),
     ]
     vms = [("vm2", 2), ("vm11", 4), ("vm10", 1)]
     got = _outcome(Scheduler, tasks, vms, TICK)
@@ -348,17 +404,17 @@ def test_a_live_id_is_rejected_and_a_finished_one_accepted():
     eng = Engine(seed=0)
     sch = Scheduler(eng)
     sch.add_vm("vm0", 1)
-    sch.submit(TaskSpec("u", 4 * TICK, 0.0, 0, None))
-    sch.submit(TaskSpec("t", 3 * TICK, 0.0, 0, None, arrival=TICK))
+    sch.submit(TaskSpec("u", 4 * TICK, 0.0, None))
+    sch.submit(TaskSpec("t", 3 * TICK, 0.0, None, arrival=TICK))
     # t before it arrives, then ready behind u, then running
     for until, running in ((0, False), (2 * TICK, False), (5 * TICK, True)):
         eng.run_until(until)
         assert ("t" in sch.running) is running
         with pytest.raises(ValueError, match="task id t is already submitted"):
-            sch.submit(TaskSpec("t", 2 * TICK, 0.0, 0, None, arrival=until))
+            sch.submit(TaskSpec("t", 2 * TICK, 0.0, None, arrival=until))
     eng.run()
     assert sch.finished == {"u": 4 * TICK, "t": 7 * TICK}
-    sch.submit(TaskSpec("t", 2 * TICK, 0.0, 0, None, arrival=eng.now()))
+    sch.submit(TaskSpec("t", 2 * TICK, 0.0, None, arrival=eng.now()))
     eng.run()
     assert sch.finished["t"] == 9 * TICK
     assert [a.task_id for a in sch.assignments] == ["u", "t", "t"]
