@@ -160,10 +160,13 @@ class Scheduler:
     def submit(self, task: TaskSpec) -> None:
         """Enqueue a task; arrival in the future is honored via an event.
 
-        Raises ValueError for an id that was submitted and has not finished.
+        Raises ValueError for an id that was submitted and has not finished,
+        and for a spiking task that its executor would not launch.
         """
         if task.id in self._live:
             raise ValueError(f"task id {task.id} is already submitted")
+        if task.spiking is not None:  # refused now, before it takes a core
+            self.executor.check_launch(task.id, *task.spiking)
         self._live.add(task.id)
         if task.arrival > self.engine.now():
             self.engine.schedule(

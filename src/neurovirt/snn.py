@@ -190,17 +190,7 @@ class SpikingExecutor:
         vm: str | None = None,
         stream: str | None = None,
     ) -> None:
-        stream = stream if stream is not None else f"task/{task_id}"
-        if steps < 1 or fan_in < 1 or interval < 1 or input_rate < 0:
-            raise ValueError(
-                f"task {task_id}: steps, fan_in and interval must be >= 1, input_rate >= 0"
-            )
-        if task_id in self._tasks:
-            raise ValueError(f"task {task_id} is already launched")
-        # a replay runs each task's steps in one go, so two tasks that
-        # shared a stream could not get the values their steps interleaved on it
-        if stream in self._streams:
-            raise ValueError(f"stream {stream} is already used")
+        stream = self.check_launch(task_id, steps, input_rate, fan_in, interval, stream)
         job = _SpikingTask(
             task_id=task_id,
             stream=stream,
@@ -219,6 +209,23 @@ class SpikingExecutor:
         job.next_event = self.engine.schedule(
             at, "SpikeStep", fn=lambda: self._step(job), detail=f"task={task_id}", vm=vm
         )
+
+    def check_launch(self, task_id: str, steps: int, input_rate: int, fan_in: int,
+                     interval: int = 1, stream: str | None = None) -> str:
+        """Raise the ValueError that :meth:`launch` would raise, launching
+        nothing; else return the task's stream."""
+        stream = stream if stream is not None else f"task/{task_id}"
+        if steps < 1 or fan_in < 1 or interval < 1 or input_rate < 0:
+            raise ValueError(
+                f"task {task_id}: steps, fan_in and interval must be >= 1, input_rate >= 0"
+            )
+        if task_id in self._tasks:
+            raise ValueError(f"task {task_id} is already launched")
+        # a replay runs each task's steps in one go, so two tasks that
+        # shared a stream could not get the values their steps interleaved on it
+        if stream in self._streams:
+            raise ValueError(f"stream {stream} is already used")
+        return stream
 
     @property
     def output_spikes(self) -> int:

@@ -205,8 +205,9 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
      "error: --trace-out is the scenario file: {scn}"),
     # these used to run: a hard link has its own path but is the same file
     (["run", "--scenario", "{scn}", "--out", "{hard}"], "error: --out is the scenario file: {hard}"),
-    (["run", "--scenario", "{scn}", "--out", "{tmp}/o.csv", "--trace-out", "{tmp}/hard.csv"],
-     "error: --out and --trace-out are the same file: {tmp}/o.csv"),
+    (["run", "--scenario", "{scn}", "--out", "{tmp}/lnk.csv",
+      "--trace-out", "{tmp}/lnk-hard.csv"],
+     "error: --out and --trace-out are the same file: {tmp}/lnk.csv"),
 ], ids=["energy-fabric-full", "reconfig-slots-full", "no-scenario", "scenario-is-dir",
         "no-out-dir", "no-trace-dir", "same-out-and-trace", "no-sizes", "descending-range",
         "unreadable-size", "peak-table-from-2-vms", "out-is-scenario", "trace-out-is-scenario",
@@ -220,11 +221,13 @@ def test_unrunnable_request_exits_2_with_one_error_line(
     scn = _scenario_file(tmp_path_factory.mktemp("in"))
     peak2 = _scenario_file(tmp_path_factory.mktemp("in"), link={"peak_gibps": {"2": 2.9}})
     scn_bytes = scn.read_bytes()
-    # hard links: a second name for the scenario, and two names for one empty output
+    # hard links: a second name for the scenario, and two names for one
+    # empty output, which only the hard-link cases name (same-out-and-trace
+    # checks two names for an output that does not exist yet)
     hard = scn.with_name("hard.json")
     os.link(scn, hard)
-    (tmp_path / "o.csv").touch()
-    os.link(tmp_path / "o.csv", tmp_path / "hard.csv")
+    (tmp_path / "lnk.csv").touch()
+    os.link(tmp_path / "lnk.csv", tmp_path / "lnk-hard.csv")
     assert main([arg.format(tmp=tmp, peak2=peak2, scn=scn, hard=hard) for arg in argv]) == 2
     assert capsys.readouterr().err == message.format(tmp=tmp, scn=scn, hard=hard) + "\n"
     # nothing that looks like output is left behind, and no input is written over

@@ -107,6 +107,32 @@ def test_a_migrated_spiking_task_whose_window_is_short_steps_every_ns():
     assert sch.executor.total_synops == workload_cost(1000, 1, 4)
 
 
+@pytest.mark.parametrize("spec, message", [
+    # a finished spiking id: its steps and stream are already taken
+    (profile("t", 5, 1, 4, 4, arrival=1, spiking=True), "task t is already launched"),
+    # shapes the executor cannot step, including one profile accepts
+    (profile("u", 5, 1, 0, 4, spiking=True), "must be >= 1"),
+    (TaskSpec("u", 0, 0.0, None, spiking=(0, 1, 4)), "must be >= 1"),
+    (TaskSpec("u", 0, 0.0, None, spiking=(5, -1, 4)), "input_rate >= 0"),
+], ids=["finished-spiking-id", "profiled-fan-in-0", "no-steps", "negative-rate"])
+def test_a_spiking_task_the_executor_would_refuse_is_refused_at_submit(spec, message):
+    eng = Engine(seed=0)
+    sch = Scheduler(eng)
+    sch.add_vm("vm0", 1)
+    sch.submit(profile("t", 5, 1, 4, 4, spiking=True))
+    eng.run()
+    with pytest.raises(ValueError, match=message):
+        sch.submit(spec)
+    # nothing was queued, and the VM keeps its core
+    eng.run()
+    assert sch.vms["vm0"].cores_free == 1
+    assert [a.task_id for a in sch.assignments] == ["t"]
+    # the id is not left live: an analytic task may take it
+    sch.submit(TaskSpec(spec.id, 4, 0.0, None, arrival=eng.now()))
+    eng.run()
+    assert [a.task_id for a in sch.assignments] == ["t", spec.id]
+
+
 def test_single_task_assigned_immediately():
     task = TaskSpec("t0", 5 * TICK, 0.0, None, arrival=0)
     sch = _run([task], [1])
