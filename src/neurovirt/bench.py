@@ -17,12 +17,12 @@ The experiments' engines keep no trace, since no column reads one; only
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 
 from neurovirt.engine import Engine
 from neurovirt.fabric import Fabric, InsufficientResources, ResourceVector
 from neurovirt.iodriver import GIB, IoDriver, LinkModel, effective_throughput
 from neurovirt.metrics import MetricsCollector, energy_for_accelerators, export_samples
+from neurovirt.record import Record
 from neurovirt.sched import DEFAULT_TICK_PERIOD_NS, Scheduler, profile
 from neurovirt.scenario import Scenario
 from neurovirt.snn import SpikingExecutor
@@ -178,15 +178,20 @@ def bench_reconfig(vm_counts=DEFAULT_RECONFIG_VM_COUNTS) -> str:
     return out.getvalue()
 
 
-@dataclass
-class RunResult:
-    metrics_csv: str
-    engine: Engine
-    scheduler: Scheduler
-    metrics: MetricsCollector
-    driver: IoDriver
-    hypervisor: Hypervisor
-    executor: SpikingExecutor
+class RunResult(Record):
+    __slots__ = ("metrics_csv", "engine", "scheduler", "metrics", "driver", "hypervisor",
+                 "executor")
+
+    def __init__(self, metrics_csv: str, engine: Engine, scheduler: Scheduler,
+                 metrics: MetricsCollector, driver: IoDriver, hypervisor: Hypervisor,
+                 executor: SpikingExecutor):
+        self.metrics_csv = metrics_csv
+        self.engine = engine
+        self.scheduler = scheduler
+        self.metrics = metrics
+        self.driver = driver
+        self.hypervisor = hypervisor
+        self.executor = executor
 
 
 def run_scenario(scenario: Scenario) -> RunResult:

@@ -35,8 +35,9 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
+
+from neurovirt.record import Record
 
 # numpy is imported by RandomStreams.values, the one method that uses it,
 # so runs without a spiking task never load it
@@ -133,8 +134,7 @@ class RandomStreams:
         return z.astype(np.float64) / float(1 << 53)
 
 
-@dataclass(eq=False, slots=True)
-class SimEvent:
+class SimEvent(Record):
     """A queued simulation event, and the handle :meth:`Engine.schedule`
     returns for it.
 
@@ -143,15 +143,30 @@ class SimEvent:
     and :meth:`Engine.reschedule` queues it again under a fresh seq.
     ``vm`` tags events that belong to one virtual machine so
     reconfiguration stalls can postpone exactly that machine's progress.
+    Two events are equal only if they are the same event.
     """
 
-    fire_at: int | None
-    seq: int
-    kind: str
-    detail: str = ""
-    fn: Callable[[], None] | None = None
-    vm: str | None = None
-    stallable: bool = True
+    __slots__ = ("fire_at", "seq", "kind", "detail", "fn", "vm", "stallable")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        fire_at: int | None,
+        seq: int,
+        kind: str,
+        detail: str = "",
+        fn: Callable[[], None] | None = None,
+        vm: str | None = None,
+        stallable: bool = True,
+    ):
+        self.fire_at = fire_at
+        self.seq = seq
+        self.kind = kind
+        self.detail = detail
+        self.fn = fn
+        self.vm = vm
+        self.stallable = stallable
 
 
 def _live(entry: tuple[int, int, SimEvent]) -> bool:

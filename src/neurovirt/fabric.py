@@ -8,7 +8,7 @@ placement or fragmentation model. Conservation holds at all times:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from neurovirt.record import FrozenRecord
 
 RESOURCE_CLASSES = ("lut", "memory_bytes", "io_pins", "dsp")
 
@@ -27,16 +27,17 @@ class UnknownSlot(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ResourceVector:
+class ResourceVector(FrozenRecord):
     """Counted capacity/footprint across the four resource classes."""
 
-    lut: int = 0
-    memory_bytes: int = 0
-    io_pins: int = 0
-    dsp: int = 0
+    __slots__ = RESOURCE_CLASSES
 
-    def __post_init__(self):
+    def __init__(self, lut: int = 0, memory_bytes: int = 0, io_pins: int = 0, dsp: int = 0):
+        setattr_ = object.__setattr__
+        setattr_(self, "lut", lut)
+        setattr_(self, "memory_bytes", memory_bytes)
+        setattr_(self, "io_pins", io_pins)
+        setattr_(self, "dsp", dsp)
         for name in RESOURCE_CLASSES:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -91,14 +92,21 @@ DEFAULT_TOTAL = ResourceVector(lut=504_000, memory_bytes=38_000_000, io_pins=464
 DEFAULT_BITSTREAM_BYTES = 30 * 1024 * 1024  # full-fabric configuration image
 
 
-@dataclass(frozen=True)
-class FabricConfig:
-    total: ResourceVector = DEFAULT_TOTAL
-    neurocore_count: int = 16
-    neurons_per_core: int = 256
-    bitstream_total_bytes: int = DEFAULT_BITSTREAM_BYTES
+class FabricConfig(FrozenRecord):
+    __slots__ = ("total", "neurocore_count", "neurons_per_core", "bitstream_total_bytes")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        total: ResourceVector = DEFAULT_TOTAL,
+        neurocore_count: int = 16,
+        neurons_per_core: int = 256,
+        bitstream_total_bytes: int = DEFAULT_BITSTREAM_BYTES,
+    ):
+        setattr_ = object.__setattr__
+        setattr_(self, "total", total)
+        setattr_(self, "neurocore_count", neurocore_count)
+        setattr_(self, "neurons_per_core", neurons_per_core)
+        setattr_(self, "bitstream_total_bytes", bitstream_total_bytes)
         if self.neurocore_count <= 0:
             raise ValueError("neurocore_count must be positive")
         if self.neurons_per_core <= 0:

@@ -11,9 +11,9 @@ saturates at the per-VM-count peak.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from neurovirt.engine import Engine, SimEvent, round_half_up, NS_PER_S
+from neurovirt.record import FrozenRecord, Record
 
 GIB = 2**30  # Gib/s means 2^30 bits per second throughout
 
@@ -22,18 +22,20 @@ class RingClosed(Exception):
     pass
 
 
-@dataclass
-class IoRing:
+class IoRing(Record):
     """One VM's descriptor ring; ``inflight`` maps a submission number to
-    its transfer's completion event."""
+    its transfer's completion event (a new dict when None)."""
 
-    vm: str
-    closed: bool = False
-    inflight: dict[int, SimEvent] = field(default_factory=dict)
+    __slots__ = ("vm", "closed", "inflight")
+
+    def __init__(self, vm: str, closed: bool = False,
+                 inflight: dict[int, SimEvent] | None = None):
+        self.vm = vm
+        self.closed = closed
+        self.inflight = {} if inflight is None else inflight
 
 
-@dataclass(frozen=True)
-class LinkModel:
+class LinkModel(FrozenRecord):
     """Per-transfer latency plus a peak-bandwidth table keyed by VM count.
 
     Only the 4-VM asymptote is an externally calibrated anchor; the 1- and
@@ -41,11 +43,18 @@ class LinkModel:
     and scenario-overridable.
     """
 
-    latency_ns: int = 10_000
-    peak_gibps: tuple[tuple[int, float], ...] = ((1, 1.5), (2, 2.9), (4, 5.1))
-    ring_capacity: int = 256
+    __slots__ = ("latency_ns", "peak_gibps", "ring_capacity")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        latency_ns: int = 10_000,
+        peak_gibps: tuple[tuple[int, float], ...] = ((1, 1.5), (2, 2.9), (4, 5.1)),
+        ring_capacity: int = 256,
+    ):
+        setattr_ = object.__setattr__
+        setattr_(self, "latency_ns", latency_ns)
+        setattr_(self, "peak_gibps", peak_gibps)
+        setattr_(self, "ring_capacity", ring_capacity)
         if self.latency_ns < 0:
             raise ValueError("latency_ns must be non-negative")
         if self.ring_capacity < 1:
@@ -168,10 +177,11 @@ class IoDriver:
         each later one, and dropped when the stream ends. The stream ends
         early once its ring is closed.
 
-        Raises ValueError for a ``count`` or a ``retry_after`` below 1.
+        Raises ValueError for a ``size``, a ``count`` or a ``retry_after``
+        below 1.
         """
-        if count < 1 or retry_after < 1:
-            raise ValueError(f"stream on {ring.vm}: count and retry_after must be >= 1")
+        if size < 1 or count < 1 or retry_after < 1:
+            raise ValueError(f"stream on {ring.vm}: size, count and retry_after must be >= 1")
         engine = self.engine
         remaining = count
         retry: SimEvent | None = None

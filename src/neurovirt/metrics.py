@@ -7,10 +7,9 @@ attributed per synaptic op.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from neurovirt.fabric import Fabric
 from neurovirt.iodriver import GIB, IoDriver
+from neurovirt.record import FrozenRecord
 from neurovirt.virt import Hypervisor, ReconfigMode
 
 MJ_PER_NJ = 1e-6
@@ -19,9 +18,11 @@ BASE_MJ = 25.0  # at one accelerator
 SLOPE_MJ = 20.0 / 19.0  # per additional accelerator
 
 
-@dataclass(frozen=True)
-class EnergyModel:
-    dyn_nj_per_synop: float = 1.0
+class EnergyModel(FrozenRecord):
+    __slots__ = ("dyn_nj_per_synop",)
+
+    def __init__(self, dyn_nj_per_synop: float = 1.0):
+        object.__setattr__(self, "dyn_nj_per_synop", dyn_nj_per_synop)
 
 
 def energy_for_accelerators(n: int) -> float:
@@ -39,17 +40,32 @@ def task_energy(ops: int, model: EnergyModel | None = None) -> float:
     return ops * model.dyn_nj_per_synop * MJ_PER_NJ
 
 
-@dataclass(frozen=True)
-class MetricSample:
-    at: int
-    lut_pct: float
-    mem_pct: float
-    io_pct: float
-    dsp_pct: float
-    throughput_gibs: float
-    energy_mj: float
-    reconfig_full_ns: int
-    reconfig_partial_ns: int
+class MetricSample(FrozenRecord):
+    __slots__ = ("at", "lut_pct", "mem_pct", "io_pct", "dsp_pct", "throughput_gibs",
+                 "energy_mj", "reconfig_full_ns", "reconfig_partial_ns")
+
+    def __init__(
+        self,
+        at: int,
+        lut_pct: float,
+        mem_pct: float,
+        io_pct: float,
+        dsp_pct: float,
+        throughput_gibs: float,
+        energy_mj: float,
+        reconfig_full_ns: int,
+        reconfig_partial_ns: int,
+    ):
+        setattr_ = object.__setattr__
+        setattr_(self, "at", at)
+        setattr_(self, "lut_pct", lut_pct)
+        setattr_(self, "mem_pct", mem_pct)
+        setattr_(self, "io_pct", io_pct)
+        setattr_(self, "dsp_pct", dsp_pct)
+        setattr_(self, "throughput_gibs", throughput_gibs)
+        setattr_(self, "energy_mj", energy_mj)
+        setattr_(self, "reconfig_full_ns", reconfig_full_ns)
+        setattr_(self, "reconfig_partial_ns", reconfig_partial_ns)
 
 
 SAMPLE_CSV_HEADER = (

@@ -44,12 +44,12 @@ both; they stay on ``ModuleDef`` and ``TaskDef``, and no model object
 (``DfxModule``, ``TaskSpec``) holds either.
 
 The rule tables below (``TOP`` to ``RECONFIG_OP``) are the field
-reference. Each section is read against the dataclass it builds: that
-dataclass's fields are the section's keys, with their types and defaults,
-and the table gives each field's range (positive, non-negative, a share in
-(0, 1], or none). Every number must also be finite and below 2**63 in
-magnitude. A null value means the default. Any other key is rejected as
-``$.path.key: unknown field``.
+reference. Each lists its section's keys: for each, the kind of value it
+takes (a JSON type, or a set of choices), whether it is required, and its
+range (positive, non-negative, a share in (0, 1], or none). A key the
+section leaves out takes the default of the model it builds. Every number
+must also be finite and below 2**63 in magnitude. A null value means the
+default. Any other key is rejected as ``$.path.key: unknown field``.
 
 A VM's or module's ``share`` is its fraction of the fabric. A module's
 ``bitstream_bytes`` defaults to its lut share of the full bitstream. A VM,
@@ -64,13 +64,8 @@ VM count grows.
 
 from __future__ import annotations
 
-import dataclasses
-import enum
 import json
 import math
-import types
-import typing
-from dataclasses import dataclass, field
 
 from neurovirt.fabric import (
     Fabric,
@@ -81,6 +76,7 @@ from neurovirt.fabric import (
 )
 from neurovirt.iodriver import LinkModel
 from neurovirt.metrics import EnergyModel
+from neurovirt.record import FrozenRecord, Record
 from neurovirt.sched import (
     DEFAULT_CORE_RATE,
     DEFAULT_MIGRATION_PENALTY_NS,
@@ -110,95 +106,142 @@ class ValidationError(Exception):
         super().__init__(f"{fieldpath}: {message}")
 
 
-@dataclass(frozen=True)
-class ModuleDef:
-    id: str
-    kind: typing.Literal["lif_core", "router", "pooling"]
-    share: float
-    bitstream_bytes: int | None = None  # None: the size module_from_share gives
+class ModuleDef(FrozenRecord):
+    __slots__ = ("id", "kind", "share", "bitstream_bytes")
+
+    def __init__(self, id: str, kind: str, share: float, bitstream_bytes: int | None = None):
+        setattr_ = object.__setattr__
+        setattr_(self, "id", id)
+        setattr_(self, "kind", kind)  # one of MODULE_KINDS
+        setattr_(self, "share", share)
+        # None: the size module_from_share gives
+        setattr_(self, "bitstream_bytes", bitstream_bytes)
 
 
-@dataclass(frozen=True)
-class VmDef:
-    id: str
-    share: float
-    cores: int | None = None
+class VmDef(FrozenRecord):
+    __slots__ = ("id", "share", "cores")
+
+    def __init__(self, id: str, share: float, cores: int | None = None):
+        setattr_ = object.__setattr__
+        setattr_(self, "id", id)
+        setattr_(self, "share", share)
+        setattr_(self, "cores", cores)
 
 
-@dataclass(frozen=True)
-class TaskDef:
-    id: str
-    steps: int
-    input_rate: int
-    fan_in: int
-    data_size: int = 0
-    deadline_ns: int | None = None
-    arrival_ns: int = 0
-    mode: typing.Literal["analytic", "spiking"] = "analytic"
+class TaskDef(FrozenRecord):
+    __slots__ = ("id", "steps", "input_rate", "fan_in", "data_size", "deadline_ns",
+                 "arrival_ns", "mode")
+
+    def __init__(
+        self,
+        id: str,
+        steps: int,
+        input_rate: int,
+        fan_in: int,
+        data_size: int = 0,
+        deadline_ns: int | None = None,
+        arrival_ns: int = 0,
+        mode: str = "analytic",  # one of TASK_MODES
+    ):
+        setattr_ = object.__setattr__
+        setattr_(self, "id", id)
+        setattr_(self, "steps", steps)
+        setattr_(self, "input_rate", input_rate)
+        setattr_(self, "fan_in", fan_in)
+        setattr_(self, "data_size", data_size)
+        setattr_(self, "deadline_ns", deadline_ns)
+        setattr_(self, "arrival_ns", arrival_ns)
+        setattr_(self, "mode", mode)
 
 
-@dataclass(frozen=True)
-class TransferDef:
-    vm: str
-    size_bytes: int
-    start_ns: int = 0
-    count: int = 1
+class TransferDef(FrozenRecord):
+    __slots__ = ("vm", "size_bytes", "start_ns", "count")
+
+    def __init__(self, vm: str, size_bytes: int, start_ns: int = 0, count: int = 1):
+        setattr_ = object.__setattr__
+        setattr_(self, "vm", vm)
+        setattr_(self, "size_bytes", size_bytes)
+        setattr_(self, "start_ns", start_ns)
+        setattr_(self, "count", count)
 
 
-@dataclass(frozen=True)
-class ReconfigOp:
-    vm: str
-    module: str
-    mode: ReconfigMode = ReconfigMode.PARTIAL
-    at_ns: int = 0
+class ReconfigOp(FrozenRecord):
+    __slots__ = ("vm", "module", "mode", "at_ns")
+
+    def __init__(self, vm: str, module: str, mode: ReconfigMode = ReconfigMode.PARTIAL,
+                 at_ns: int = 0):
+        setattr_ = object.__setattr__
+        setattr_(self, "vm", vm)
+        setattr_(self, "module", module)
+        setattr_(self, "mode", mode)
+        setattr_(self, "at_ns", at_ns)
 
 
-@dataclass
-class Scenario:
-    seed: int
-    duration_ns: int = 10_000_000
-    sample_period_ns: int = 1_000_000
-    fabric: FabricConfig = field(default_factory=FabricConfig)
-    link: LinkModel = field(default_factory=LinkModel)
-    energy: EnergyModel = field(default_factory=EnergyModel)
-    reconfig: ReconfigParams = field(default_factory=ReconfigParams)
-    core_rate: int = DEFAULT_CORE_RATE
-    tick_period_ns: int = DEFAULT_TICK_PERIOD_NS
-    migration_penalty_ns: int = DEFAULT_MIGRATION_PENALTY_NS
-    modules: dict[str, DfxModule] = field(default_factory=dict)
-    vms: list[VmDef] = field(default_factory=list)
-    tasks: list[TaskDef] = field(default_factory=list)
-    transfers: list[TransferDef] = field(default_factory=list)
-    reconfigs: list[ReconfigOp] = field(default_factory=list)
+class Scenario(Record):
+    """A whole simulation. A model or collection left as None is a new default."""
+
+    __slots__ = ("seed", "duration_ns", "sample_period_ns", "fabric", "link", "energy",
+                 "reconfig", "core_rate", "tick_period_ns", "migration_penalty_ns", "modules",
+                 "vms", "tasks", "transfers", "reconfigs")
+
+    def __init__(
+        self,
+        seed: int,
+        duration_ns: int = 10_000_000,
+        sample_period_ns: int = 1_000_000,
+        fabric: FabricConfig | None = None,
+        link: LinkModel | None = None,
+        energy: EnergyModel | None = None,
+        reconfig: ReconfigParams | None = None,
+        core_rate: int = DEFAULT_CORE_RATE,
+        tick_period_ns: int = DEFAULT_TICK_PERIOD_NS,
+        migration_penalty_ns: int = DEFAULT_MIGRATION_PENALTY_NS,
+        modules: dict[str, DfxModule] | None = None,
+        vms: list[VmDef] | None = None,
+        tasks: list[TaskDef] | None = None,
+        transfers: list[TransferDef] | None = None,
+        reconfigs: list[ReconfigOp] | None = None,
+    ):
+        self.seed = seed
+        self.duration_ns = duration_ns
+        self.sample_period_ns = sample_period_ns
+        self.fabric = FabricConfig() if fabric is None else fabric
+        self.link = LinkModel() if link is None else link
+        self.energy = EnergyModel() if energy is None else energy
+        self.reconfig = ReconfigParams() if reconfig is None else reconfig
+        self.core_rate = core_rate
+        self.tick_period_ns = tick_period_ns
+        self.migration_penalty_ns = migration_penalty_ns
+        self.modules = {} if modules is None else modules
+        self.vms = [] if vms is None else vms
+        self.tasks = [] if tasks is None else tasks
+        self.transfers = [] if transfers is None else transfers
+        self.reconfigs = [] if reconfigs is None else reconfigs
 
 
-def _section(model, rules: dict, by_hand: tuple = ()):
-    """Compile one section of the schema: the keys it allows, and for each
-    ruled field of ``model`` its (key, kind, required, rule). A number
-    field without a range rule gets :data:`ANY`."""
-    hints = typing.get_type_hints(model)
-    fields = {f.name: f for f in dataclasses.fields(model)}
+def _section(fields: dict, required: tuple = (), by_hand: tuple = ()):
+    """Compile one section of the schema from ``fields``, which maps each
+    ruled key to its (kind, range rule): the keys the section allows, and
+    for each ruled key its (key, kind, required, rule). A kind is what
+    :func:`_check` tests a value against: a type, or a dict from each
+    allowed value to what it loads as. A number field without a range rule
+    gets :data:`ANY`."""
     entries = []
-    for key, rule in rules.items():
-        kind = _kind(hints[key])
+    for key, (kind, rule) in fields.items():
         if rule is None and kind in (int, float):
             rule = ANY
-        required = (fields[key].default is dataclasses.MISSING
-                    and fields[key].default_factory is dataclasses.MISSING)
-        entries.append((key, kind, required, rule))
-    return frozenset(rules).union(by_hand), tuple(entries)
+        entries.append((key, kind, key in required, rule))
+    return frozenset(fields).union(by_hand), tuple(entries)
 
 
-def _kind(hint):
-    """What :func:`_check` tests a value against: a type, or a dict from
-    the allowed values of an enum or ``Literal`` to what each loads as."""
-    if typing.get_origin(hint) is typing.Literal:
-        return {value: value for value in typing.get_args(hint)}
-    if isinstance(hint, types.UnionType):  # X | None: null means the default
-        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
-    if isinstance(hint, enum.EnumMeta):
-        return {member.value: member for member in hint}
-    return hint
+def _choices(*values: str) -> dict:
+    """The kind of a field that takes one of ``values``, each as itself."""
+    return {value: value for value in values}
+
+
+MODULE_KINDS = _choices("lif_core", "router", "pooling")
+TASK_MODES = _choices("analytic", "spiking")
+RECONFIG_MODES = {mode.value: mode for mode in ReconfigMode}
 
 
 # Range rules: (lowest, highest, message), both ends allowed. Every number
@@ -211,49 +254,57 @@ POSITIVE = (_LEAST_POSITIVE, _MAX, "must be positive")
 NON_NEGATIVE = (0, _MAX, "must be non-negative")
 SHARE = (_LEAST_POSITIVE, 1.0, "must be in (0, 1]")
 
-# The field reference. Each section is read against the dataclass it builds:
-# its fields are the section's keys, with their types and defaults, and the
-# table gives each loaded field's range rule. The keys after a table are
-# read by hand in scenario_from_dict.
+# The field reference: each table's keys, each with its kind and range rule,
+# and which keys are required. An absent optional key takes the default of
+# the model the section builds. The keys after a table are read by hand in
+# scenario_from_dict.
 TOP = _section(
-    Scenario,
-    {"seed": None, "duration_ns": POSITIVE, "sample_period_ns": POSITIVE},
-    ("schema_version", "fabric", "link", "energy", "reconfig", "scheduler",
-     "modules", "vms", "tasks", "transfers", "reconfigs"),
+    {"seed": (int, None), "duration_ns": (int, POSITIVE), "sample_period_ns": (int, POSITIVE)},
+    required=("seed",),
+    by_hand=("schema_version", "fabric", "link", "energy", "reconfig", "scheduler",
+             "modules", "vms", "tasks", "transfers", "reconfigs"),
 )
 SCHEDULER = _section(
-    Scenario,
-    {"core_rate": POSITIVE, "tick_period_ns": POSITIVE, "migration_penalty_ns": NON_NEGATIVE},
+    {"core_rate": (int, POSITIVE), "tick_period_ns": (int, POSITIVE),
+     "migration_penalty_ns": (int, NON_NEGATIVE)},
 )
 FABRIC = _section(
-    FabricConfig,
-    {"total": None, "neurocore_count": POSITIVE, "neurons_per_core": POSITIVE,
-     "bitstream_total_bytes": POSITIVE},
+    {"total": (ResourceVector, None), "neurocore_count": (int, POSITIVE),
+     "neurons_per_core": (int, POSITIVE), "bitstream_total_bytes": (int, POSITIVE)},
 )
-RESOURCES = _section(ResourceVector, {name: NON_NEGATIVE for name in RESOURCE_CLASSES})
+RESOURCES = _section({name: (int, NON_NEGATIVE) for name in RESOURCE_CLASSES})
 LINK = _section(
-    LinkModel, {"latency_ns": NON_NEGATIVE, "ring_capacity": POSITIVE}, ("peak_gibps",)
+    {"latency_ns": (int, NON_NEGATIVE), "ring_capacity": (int, POSITIVE)},
+    by_hand=("peak_gibps",),
 )
-ENERGY = _section(EnergyModel, {"dyn_nj_per_synop": NON_NEGATIVE})
+ENERGY = _section({"dyn_nj_per_synop": (float, NON_NEGATIVE)})
 RECONFIG = _section(
-    ReconfigParams, {"config_port_bw": POSITIVE, "partial_setup_overhead_ns": NON_NEGATIVE}
+    {"config_port_bw": (int, POSITIVE), "partial_setup_overhead_ns": (int, NON_NEGATIVE)}
 )
 MODULE = _section(
-    ModuleDef, {"id": None, "kind": None, "share": SHARE, "bitstream_bytes": NON_NEGATIVE}
+    {"id": (str, None), "kind": (MODULE_KINDS, None), "share": (float, SHARE),
+     "bitstream_bytes": (int, NON_NEGATIVE)},
+    required=("id", "kind", "share"),
 )
-VM = _section(VmDef, {"id": None, "cores": POSITIVE, "share": SHARE})
+VM = _section(
+    {"id": (str, None), "cores": (int, POSITIVE), "share": (float, SHARE)},
+    required=("id", "share"),
+)
 TASK = _section(
-    TaskDef,
-    {"id": None, "steps": POSITIVE, "input_rate": POSITIVE, "fan_in": POSITIVE,
-     "data_size": NON_NEGATIVE, "deadline_ns": None, "arrival_ns": NON_NEGATIVE,
-     "mode": None},
+    {"id": (str, None), "steps": (int, POSITIVE), "input_rate": (int, POSITIVE),
+     "fan_in": (int, POSITIVE), "data_size": (int, NON_NEGATIVE), "deadline_ns": (int, None),
+     "arrival_ns": (int, NON_NEGATIVE), "mode": (TASK_MODES, None)},
+    required=("id", "steps", "input_rate", "fan_in"),
 )
 TRANSFER = _section(
-    TransferDef,
-    {"vm": None, "size_bytes": POSITIVE, "start_ns": NON_NEGATIVE, "count": POSITIVE},
+    {"vm": (str, None), "size_bytes": (int, POSITIVE), "start_ns": (int, NON_NEGATIVE),
+     "count": (int, POSITIVE)},
+    required=("vm", "size_bytes"),
 )
 RECONFIG_OP = _section(
-    ReconfigOp, {"vm": None, "module": None, "mode": None, "at_ns": NON_NEGATIVE}
+    {"vm": (str, None), "module": (str, None), "mode": (RECONFIG_MODES, None),
+     "at_ns": (int, NON_NEGATIVE)},
+    required=("vm", "module"),
 )
 
 _JSON_TYPES = {
@@ -391,7 +442,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         mdef = ModuleDef(**_load(row, path, MODULE))
         module = module_from_share(mdef.id, mdef.share, total, fabric.bitstream_total_bytes)
         if mdef.bitstream_bytes is not None:
-            module = dataclasses.replace(module, bitstream_bytes=mdef.bitstream_bytes)
+            module = DfxModule(module.id, module.footprint, mdef.bitstream_bytes)
         if module.id in scenario.modules:
             raise ValidationError(f"{path}.id", f"duplicate module id {module.id!r}")
         scenario.modules[module.id] = module

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 from neurovirt.engine import Engine, SimEvent, round_half_up
+from neurovirt.record import FrozenRecord, Record
 from neurovirt.snn import SpikingExecutor, workload_cost
 
 DEFAULT_TICK_PERIOD_NS = 100_000  # 100 us simulated
@@ -27,34 +27,51 @@ DEFAULT_MIGRATION_PENALTY_NS = 1_000_000  # 1 ms of state transfer
 DEFAULT_CORE_RATE = 1  # synaptic ops per tick per core
 
 
-@dataclass(frozen=True)
-class TaskSpec:
-    id: str
-    compute_demand: int  # synaptic ops
-    parallelizability: float  # fraction in [0, 1]
-    deadline: int | None  # absolute ns; None = batch
-    arrival: int = 0
-    spiking: tuple[int, int, int] | None = None  # (steps, input_rate, fan_in)
+class TaskSpec(FrozenRecord):
+    __slots__ = ("id", "compute_demand", "parallelizability", "deadline", "arrival", "spiking")
+
+    def __init__(
+        self,
+        id: str,
+        compute_demand: int,  # synaptic ops
+        parallelizability: float,  # fraction in [0, 1]
+        deadline: int | None,  # absolute ns; None = batch
+        arrival: int = 0,
+        spiking: tuple[int, int, int] | None = None,  # (steps, input_rate, fan_in)
+    ):
+        setattr_ = object.__setattr__
+        setattr_(self, "id", id)
+        setattr_(self, "compute_demand", compute_demand)
+        setattr_(self, "parallelizability", parallelizability)
+        setattr_(self, "deadline", deadline)
+        setattr_(self, "arrival", arrival)
+        setattr_(self, "spiking", spiking)
 
     @property
     def is_realtime(self) -> bool:
         return self.deadline is not None
 
 
-@dataclass(frozen=True)
-class Assignment:
-    task_id: str
-    vm_id: str
-    cores: int
-    start: int
+class Assignment(FrozenRecord):
+    __slots__ = ("task_id", "vm_id", "cores", "start")
+
+    def __init__(self, task_id: str, vm_id: str, cores: int, start: int):
+        setattr_ = object.__setattr__
+        setattr_(self, "task_id", task_id)
+        setattr_(self, "vm_id", vm_id)
+        setattr_(self, "cores", cores)
+        setattr_(self, "start", start)
 
 
-@dataclass(frozen=True)
-class Migration:
-    task_id: str
-    from_vm: str
-    to_vm: str
-    at: int
+class Migration(FrozenRecord):
+    __slots__ = ("task_id", "from_vm", "to_vm", "at")
+
+    def __init__(self, task_id: str, from_vm: str, to_vm: str, at: int):
+        setattr_ = object.__setattr__
+        setattr_(self, "task_id", task_id)
+        setattr_(self, "from_vm", from_vm)
+        setattr_(self, "to_vm", to_vm)
+        setattr_(self, "at", at)
 
 
 def profile(
@@ -89,22 +106,27 @@ def exec_time(task: TaskSpec, cores: int, core_rate: int) -> int:
     return steps * max(1, round_half_up(ticks / steps))
 
 
-@dataclass
-class SchedVm:
-    id: str
-    cores_total: int
-    cores_free: int
+class SchedVm(Record):
+    __slots__ = ("id", "cores_total", "cores_free")
+
+    def __init__(self, id: str, cores_total: int, cores_free: int):
+        self.id = id
+        self.cores_total = cores_total
+        self.cores_free = cores_free
 
 
-@dataclass
-class _Running:
-    task: TaskSpec
-    vm_id: str
-    cores: int
-    finish: int
-    duration: int
-    done_event: SimEvent | None = None
-    migrated: bool = False
+class _Running(Record):
+    __slots__ = ("task", "vm_id", "cores", "finish", "duration", "done_event", "migrated")
+
+    def __init__(self, task: TaskSpec, vm_id: str, cores: int, finish: int, duration: int,
+                 done_event: SimEvent | None = None, migrated: bool = False):
+        self.task = task
+        self.vm_id = vm_id
+        self.cores = cores
+        self.finish = finish
+        self.duration = duration
+        self.done_event = done_event
+        self.migrated = migrated
 
 
 class Scheduler:

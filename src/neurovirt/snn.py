@@ -28,8 +28,9 @@ spikes nobody reads never loads numpy.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from neurovirt.record import FrozenRecord, Record
 
 # numpy is imported by the functions that use it, so runs without a
 # spiking task never load it
@@ -43,25 +44,28 @@ class DimensionMismatch(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class LifParams:
-    v_thresh: float = 1.0
-    v_reset: float = 0.0
-    leak: float = 1.0  # decay factor in (0, 1]
+class LifParams(FrozenRecord):
+    __slots__ = ("v_thresh", "v_reset", "leak")
 
-    def __post_init__(self):
+    def __init__(self, v_thresh: float = 1.0, v_reset: float = 0.0, leak: float = 1.0):
+        setattr_ = object.__setattr__
+        setattr_(self, "v_thresh", v_thresh)
+        setattr_(self, "v_reset", v_reset)
+        setattr_(self, "leak", leak)  # decay factor in (0, 1]
         if not (self.v_reset < self.v_thresh):
             raise ValueError("v_reset must be below v_thresh")
         if not (0.0 < self.leak <= 1.0):
             raise ValueError("leak must be in (0, 1]")
 
 
-@dataclass
-class CoreState:
+class CoreState(Record):
     """Membrane potentials plus the dense input-to-neuron weight matrix."""
 
-    potentials: np.ndarray  # float64[n_neurons]
-    weights: np.ndarray  # float64[n_inputs, n_neurons]
+    __slots__ = ("potentials", "weights")
+
+    def __init__(self, potentials: np.ndarray, weights: np.ndarray):
+        self.potentials = potentials  # float64[n_neurons]
+        self.weights = weights  # float64[n_inputs, n_neurons]
 
     @property
     def n_neurons(self) -> int:
@@ -143,27 +147,45 @@ def workload_cost(steps: int, input_rate: int, fan_in: int) -> int:
     return steps * input_rate * fan_in
 
 
-@dataclass
-class _SpikingTask:
+class _SpikingTask(Record):
     """One spiking workload: its steps on the engine, and the LIF kernel
     that runs behind them as far as a read of spikes or potentials asks."""
 
-    task_id: str
-    stream: str  # weights come from "<stream>/weights", inputs from "<stream>/inputs"
-    n_inputs: int
-    n_neurons: int
-    rate: int
-    steps: int
-    remaining: int  # steps the engine has not processed yet
-    interval: int
-    # the SpikeStep event of every step, which carries the job's VM; None
-    # after the last step
-    next_event: SimEvent | None = None
-    replayed: int = 0  # steps the kernel has run
-    # the kernel's state from the first replay until the last step is
-    # replayed; its potentials stay readable after that
-    state: CoreState | None = None
-    potentials: np.ndarray | None = None
+    __slots__ = ("task_id", "stream", "n_inputs", "n_neurons", "rate", "steps", "remaining",
+                 "interval", "next_event", "replayed", "state", "potentials")
+
+    def __init__(
+        self,
+        task_id: str,
+        stream: str,
+        n_inputs: int,
+        n_neurons: int,
+        rate: int,
+        steps: int,
+        remaining: int,
+        interval: int,
+        next_event: SimEvent | None = None,
+        replayed: int = 0,
+        state: CoreState | None = None,
+        potentials: np.ndarray | None = None,
+    ):
+        self.task_id = task_id
+        # weights come from "<stream>/weights", inputs from "<stream>/inputs"
+        self.stream = stream
+        self.n_inputs = n_inputs
+        self.n_neurons = n_neurons
+        self.rate = rate
+        self.steps = steps
+        self.remaining = remaining  # steps the engine has not processed yet
+        self.interval = interval
+        # the SpikeStep event of every step, which carries the job's VM;
+        # None after the last step
+        self.next_event = next_event
+        self.replayed = replayed  # steps the kernel has run
+        # the kernel's state from the first replay until the last step is
+        # replayed; its potentials stay readable after that
+        self.state = state
+        self.potentials = potentials
 
 
 class SpikingExecutor:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
 
 from neurovirt.engine import Engine, round_half_up, NS_PER_S
 from neurovirt.fabric import Fabric, FabricConfig, ResourceVector
 from neurovirt.iodriver import IoRing
+from neurovirt.record import FrozenRecord, Record
 
 
 class VmUnknown(Exception):
@@ -41,39 +41,64 @@ class ReconfigMode(enum.Enum):
     PARTIAL = "partial"
 
 
-@dataclass(frozen=True)
-class DfxModule:
+class DfxModule(FrozenRecord):
     """Loadable hardware function; bitstream size drives reconfiguration time."""
 
-    id: str
-    footprint: ResourceVector
-    bitstream_bytes: int
+    __slots__ = ("id", "footprint", "bitstream_bytes")
+
+    def __init__(self, id: str, footprint: ResourceVector, bitstream_bytes: int):
+        setattr_ = object.__setattr__
+        setattr_(self, "id", id)
+        setattr_(self, "footprint", footprint)
+        setattr_(self, "bitstream_bytes", bitstream_bytes)
 
 
-@dataclass(frozen=True)
-class ReconfigParams:
-    config_port_bw: int = 400 * 1024 * 1024  # bytes/s, ICAP-class port
-    partial_setup_overhead_ns: int = 100_000
+class ReconfigParams(FrozenRecord):
+    __slots__ = ("config_port_bw", "partial_setup_overhead_ns")
+
+    def __init__(
+        self,
+        config_port_bw: int = 400 * 1024 * 1024,  # bytes/s, ICAP-class port
+        partial_setup_overhead_ns: int = 100_000,
+    ):
+        object.__setattr__(self, "config_port_bw", config_port_bw)
+        object.__setattr__(self, "partial_setup_overhead_ns", partial_setup_overhead_ns)
 
 
-@dataclass
-class ReconfigRecord:
-    vm: str  # the requesting VM; a FULL mode reprograms the whole fabric
-    mode: ReconfigMode
-    started_at: int
-    duration: int
-    module: str
+class ReconfigRecord(Record):
+    __slots__ = ("vm", "mode", "started_at", "duration", "module")
+
+    def __init__(self, vm: str, mode: ReconfigMode, started_at: int, duration: int,
+                 module: str):
+        self.vm = vm  # the requesting VM; a FULL mode reprograms the whole fabric
+        self.mode = mode
+        self.started_at = started_at
+        self.duration = duration
+        self.module = module
 
 
-@dataclass
-class VirtualMachine:
-    id: str
-    slot_id: int
-    cores: int
-    loaded: DfxModule | None = None  # the module the region holds, if any
-    ring: IoRing | None = None  # its one I/O ring, when the hypervisor has a driver
-    inflight_module: DfxModule | None = None  # the module being programmed, if any
-    pending_reconfigs: deque = field(default_factory=deque)
+class VirtualMachine(Record):
+    __slots__ = ("id", "slot_id", "cores", "loaded", "ring", "inflight_module",
+                 "pending_reconfigs")
+
+    def __init__(
+        self,
+        id: str,
+        slot_id: int,
+        cores: int,
+        loaded: DfxModule | None = None,
+        ring: IoRing | None = None,
+        inflight_module: DfxModule | None = None,
+        pending_reconfigs: deque | None = None,
+    ):
+        self.id = id
+        self.slot_id = slot_id
+        self.cores = cores
+        self.loaded = loaded  # the module the region holds, if any
+        self.ring = ring  # its one I/O ring, when the hypervisor has a driver
+        self.inflight_module = inflight_module  # the module being programmed, if any
+        # (module, mode) requests queued behind the one in flight
+        self.pending_reconfigs = deque() if pending_reconfigs is None else pending_reconfigs
 
     @property
     def reconfiguring(self) -> bool:
@@ -130,7 +155,11 @@ class Hypervisor:
         cores: int | None = None,
         vm_id: str | None = None,
     ) -> str:
-        """Allocate a region slot and, given a driver, open the VM's one I/O ring."""
+        """Allocate a region slot and, given a driver, open the VM's one I/O ring.
+
+        Raises ValueError for ``cores`` below 1, before allocating anything."""
+        if cores is not None and cores < 1:
+            raise ValueError(f"cores must be >= 1, got {cores}")
         if vm_id is None:
             vm_id = f"vm{self._next_vm}"
             self._next_vm += 1

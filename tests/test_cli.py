@@ -295,6 +295,35 @@ def test_cold_start_loads_numpy_only_for_spiking_runs(tmp_path, calls, read, loa
         assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest, path.name
 
 
+# notes the modules a bare interpreter holds, then loads the demo scenario
+# and runs each argv through cli.main; prints the exit codes and which of
+# the class generator and its inspect dependency were loaded since
+_NO_CLASS_GENERATOR = """
+import sys
+held = set(sys.modules)
+import neurovirt.cli
+from neurovirt.scenario import load_scenario
+import json
+load_scenario(sys.argv[1])
+codes = [neurovirt.cli.main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps([codes, sorted({"dataclasses", "inspect"} & set(sys.modules) - held)]))
+"""
+
+
+def test_cold_start_loads_no_class_generator(tmp_path):
+    # importing dataclasses pulled in inspect, ast, dis and tokenize, and
+    # making the package's classes with it cost more than most CLI runs
+    argvs = [["bench-throughput"], ["bench-reconfig"],
+             ["run", "--scenario", str(SCENARIOS / "churn.json")]]
+    argvs = [argv + ["--out", str(tmp_path / f"{i}.csv")] for i, argv in enumerate(argvs)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_CLASS_GENERATOR, str(DEMO), json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120, env=_src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0], []]
+
+
 _BAD_ID = "must be non-empty, without whitespace, ',', ';' or '='"
 
 

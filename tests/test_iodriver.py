@@ -1,4 +1,3 @@
-import dataclasses
 import io
 from collections import Counter
 from pathlib import Path
@@ -61,15 +60,19 @@ def test_a_refused_stream_keeps_one_retry_event():
     assert drv.completions == 5
 
 
-@pytest.mark.parametrize("count, retry_after", [(0, 100), (-3, 100), (2, 0), (2, -1)])
-def test_stream_refuses_a_bad_count_or_retry_delay(count, retry_after):
-    # a zero count still completed one transfer, and a zero delay behind a
-    # full ring re-armed its retry at one instant forever
+@pytest.mark.parametrize("size, count, retry_after", [
+    (4 * KIB, 0, 100), (4 * KIB, -3, 100), (4 * KIB, 2, 0), (4 * KIB, 2, -1),
+    (0, 2, 100), (-4, 2, 100),
+], ids=["0-100", "-3-100", "2-0", "2--1", "size-0", "size--4"])
+def test_stream_refuses_a_bad_count_or_retry_delay(size, count, retry_after):
+    # a zero count still completed one transfer, a zero delay behind a full
+    # ring re-armed its retry at one instant forever, and a bad size was
+    # refused only when the first submit fired, mid-run
     eng = Engine(0)
     drv = IoDriver(eng, LinkModel(ring_capacity=1))
     ring = drv.open_ring("a")
-    with pytest.raises(ValueError, match="count and retry_after must be >= 1"):
-        drv.stream(ring, 4 * KIB, count, retry_after)
+    with pytest.raises(ValueError, match="size, count and retry_after must be >= 1"):
+        drv.stream(ring, size, count, retry_after)
     assert (eng.pending(), drv.submissions, drv.backpressured) == ([], 0, 0)
 
 
@@ -90,7 +93,8 @@ def test_a_ring_with_a_slot_per_stream_refuses_nothing(name, streams):
     for extra in (0, 1000):
         scenario = load_scenario(SCENARIOS / name)
         assert max(Counter(t.vm for t in scenario.transfers).values()) == streams
-        scenario.link = dataclasses.replace(scenario.link, ring_capacity=streams + extra)
+        link = scenario.link
+        scenario.link = LinkModel(link.latency_ns, link.peak_gibps, streams + extra)
         runs.append(_run_bytes(scenario))
     assert runs[0][0] == 0
     assert runs[0] == runs[1]

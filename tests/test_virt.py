@@ -52,6 +52,16 @@ def test_create_vm_insufficient_resources():
         hv.create_vm(ResourceVector(lut=600_000))
 
 
+@pytest.mark.parametrize("cores", [0, -3])
+def test_create_vm_refuses_cores_below_one_before_allocating(cores):
+    # the loader refuses such a VM; the API held a fabric slot for it
+    eng, fab, hv = _hypervisor(driver=True)
+    with pytest.raises(ValueError, match="cores must be >= 1"):
+        hv.create_vm(fab.total.scaled(1, 8), cores=cores)
+    assert (fab.free, fab.slots, hv.vms) == (fab.total, {}, {})
+    assert hv.create_vm(fab.total.scaled(1, 8), cores=1) == "vm0"
+
+
 def test_create_destroy_round_trip():
     eng, fab, hv = _hypervisor(driver=True)
     before = fab.free
