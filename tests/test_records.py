@@ -14,6 +14,7 @@ import pytest
 
 from neurovirt import bench, engine, fabric, iodriver, metrics, scenario, sched, snn, virt
 from neurovirt.fabric import ResourceVector
+from neurovirt.record import FrozenRecord, Record
 from neurovirt.virt import ReconfigMode
 
 REQUIRED = inspect.Parameter.empty
@@ -109,9 +110,17 @@ def _samples(cls, n):
     return SAMPLES.get(cls, (tuple(range(1, n + 1)), tuple(range(2, n + 2))))
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
 def test_every_record_is_listed():
-    # 26 records; one more needs a row above
-    assert len(RECORDS) == len({cls for cls, _, _ in RECORDS}) == 26
+    # a new record needs a row above
+    listed = [cls for cls, _, _ in RECORDS]
+    assert len(listed) == 26
+    assert set(_subclasses(Record)) - {FrozenRecord} == set(listed)
 
 
 @pytest.mark.parametrize("cls, frozen, fields", RECORDS,
