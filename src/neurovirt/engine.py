@@ -5,8 +5,8 @@ clock, a totally ordered event queue, and a family of seeded random
 streams. Events with equal fire times are processed in insertion order,
 so a run is a pure function of (seed, schedule calls).
 
-The queue is a binary heap of ``(fire_at, seq, event)`` entries with one
-liveness rule: an entry is live iff its time equals ``event.fire_at`` and
+The queue is a binary heap of ``(fire_at, seq, event)`` entries, plus
+one entry held out of it (below), with one liveness rule: an entry is live iff its time equals ``event.fire_at`` and
 its seq equals ``event.seq``. :meth:`Engine.schedule` returns the event
 itself as its handle. Postponing an event moves its ``fire_at`` and pushes
 a fresh entry; cancelling it, or firing it, sets ``fire_at`` to None.
@@ -16,12 +16,22 @@ cancelled, is a no-op. :meth:`Engine.reschedule` queues a fired or
 cancelled event again under the next seq, so an owner that queues its own
 successor keeps one event for its lifetime; its old entries stay stale by
 seq even when the new time equals an old one. ``schedule`` builds the
-event and hands it to ``reschedule``, the one method that pushes a new
-event onto the heap. Every queued
+event and hands it to ``reschedule``. Every queued
 stallable event is indexed by its VM (untagged ones under None), so a
 reconfiguration stall walks only the events it shifts. Each stale entry
-is the old entry of one cancel or one shifted event, so the heap holds no
+is the old entry of one cancel or one shifted event, so the queue holds no
 more stale entries than the run's own cancels and shifts.
+
+``reschedule`` does not push the entry it makes. It holds it in one slot,
+and first pushes the entry held there before. The loop takes its next
+entry with ``heapq.heappushpop(heap, held)``, which hands the held entry
+back in O(1) when it precedes the heap's top and otherwise swaps it in
+with one sift; only with nothing held does it call ``heappop``. So a
+handler that re-arms its own event as the next to fire costs no heap
+operation: the "hold" of the event-set literature (Jones, CACM 1986). The
+held entry is queued like any other: the liveness rule holds for it,
+:meth:`Engine.pending` lists it, and it stays held past a handler that
+raises and between runs.
 
 Each processed event is logged as one ``tick,seq,kind,detail`` line by an
 engine made with ``trace=True``; an engine made without it formats no line.
@@ -35,10 +45,13 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from typing import TYPE_CHECKING, Callable
+from collections.abc import Callable
 
 from neurovirt.record import Record
 
+# not typing's, so that importing the package loads no typing; mypy and
+# pyright read a TYPE_CHECKING of their own as true
+TYPE_CHECKING = False
 # numpy is imported by RandomStreams.values, the one method that uses it,
 # so runs without a spiking task never load it
 if TYPE_CHECKING:
@@ -170,7 +183,7 @@ class SimEvent(Record):
 
 
 def _live(entry: tuple[int, int, SimEvent]) -> bool:
-    """Whether a heap entry is live: its time and seq are its event's own."""
+    """Whether a queued entry is live: its time and seq are its event's own."""
     return entry[0] == entry[2].fire_at and entry[1] == entry[2].seq
 
 
@@ -181,6 +194,8 @@ class Engine:
         self._now = 0
         self._scheduled = 0  # events scheduled so far: the next event's seq
         self._heap: list[tuple[int, int, SimEvent]] = []
+        # the entry reschedule made last: queued, but not in the heap
+        self._held: tuple[int, int, SimEvent] | None = None
         # queued stallable events of each VM (None: untagged), seq -> event
         self._by_vm: dict[str | None, dict[int, SimEvent]] = {}
         self._processed = 0
@@ -239,7 +254,10 @@ class Engine:
         self._scheduled = seq + 1
         event.fire_at = at
         event.seq = seq
-        heapq.heappush(self._heap, (at, seq, event))
+        held = self._held
+        if held is not None:
+            heapq.heappush(self._heap, held)
+        self._held = (at, seq, event)
         if event.stallable:
             index = self._by_vm.get(event.vm)
             if index is None:
@@ -272,13 +290,24 @@ class Engine:
         """Process events in (fire_at, seq) order while the next one fires at
         or before ``t_end``; returns how many were processed."""
         # locals stay valid for the whole loop: handlers only ever mutate the
-        # heap, the index and the open chunk in place
+        # heap, the index and the open chunk in place. The held slot is read
+        # afresh: a handler, or a run_until nested in one, fills or takes it
         heap, by_vm, lines = self._heap, self._by_vm, self._lines
         log = None if lines is None else lines.append
-        pop = heapq.heappop
+        pop, pushpop = heapq.heappop, heapq.heappushpop
         start = self._processed
-        while heap and heap[0][0] <= t_end:
-            fire_at, seq, event = pop(heap)
+        while True:
+            held = self._held
+            if held is None:
+                if not heap or heap[0][0] > t_end:
+                    break
+                fire_at, seq, event = pop(heap)
+            else:
+                self._held = None
+                fire_at, seq, event = entry = pushpop(heap, held)
+                if fire_at > t_end:
+                    self._held = entry
+                    break
             # _live() inlined for speed: the entry is stale once its event
             # moved, fired, was cancelled or was re-armed under a later seq
             if fire_at != event.fire_at or seq != event.seq:
@@ -298,8 +327,9 @@ class Engine:
 
     def pending(self) -> list[SimEvent]:
         """Live queued events in processing order (diagnostic snapshot)."""
+        entries = self._heap if self._held is None else [*self._heap, self._held]
         # live entries have distinct (fire_at, seq), so no event is compared
-        return [entry[2] for entry in sorted(filter(_live, self._heap))]
+        return [entry[2] for entry in sorted(filter(_live, entries))]
 
     def postpone_pending(self, delta: int, vm: str | None = None) -> int:
         """Shift queued stallable events ``delta`` ns into the future: those

@@ -10,6 +10,7 @@ saturates at the per-VM-count peak.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
 
 from neurovirt.engine import Engine, SimEvent, round_half_up, NS_PER_S
@@ -138,7 +139,8 @@ class IoDriver:
         A full ring refuses the transfer: ``submit`` returns None, counts
         the refusal in ``backpressured`` and schedules nothing, so retrying
         is the caller's choice. The completion time is fixed at submission
-        from the current contention level.
+        from the current contention level. Raises TypeError for a ``size``
+        that is not an integer when the ring has room for it.
         """
         if size <= 0:
             raise ValueError("transfer size must be positive")
@@ -147,6 +149,7 @@ class IoDriver:
         if len(ring.inflight) >= self.link.ring_capacity:
             self.backpressured += 1
             return None
+        size = operator.index(size)
         self.submissions += 1
         number = self.submissions
         self.in_flight_by_vm[ring.vm] = self.in_flight_by_vm.get(ring.vm, 0) + 1
@@ -177,9 +180,10 @@ class IoDriver:
         each later one, and dropped when the stream ends. The stream ends
         early once its ring is closed.
 
-        Raises ValueError for a ``size``, a ``count`` or a ``retry_after``
-        below 1.
+        Raises TypeError for a ``size``, a ``count`` or a ``retry_after``
+        that is not an integer, and ValueError for one below 1.
         """
+        size, count, retry_after = map(operator.index, (size, count, retry_after))
         if size < 1 or count < 1 or retry_after < 1:
             raise ValueError(f"stream on {ring.vm}: size, count and retry_after must be >= 1")
         engine = self.engine

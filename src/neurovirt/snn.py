@@ -28,10 +28,12 @@ spikes nobody reads never loads numpy.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 from neurovirt.record import FrozenRecord, Record
 
+# not typing's, so that importing the package loads no typing; mypy and
+# pyright read a TYPE_CHECKING of their own as true
+TYPE_CHECKING = False
 # numpy is imported by the functions that use it, so runs without a
 # spiking task never load it
 if TYPE_CHECKING:

@@ -322,6 +322,13 @@ def test_cold_start_loads_no_class_generator(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0, 0, 0], []]
+    # site's start-up may load typing itself, so -S shows what the package
+    # loads; typing cost ~5 ms of a ~64 ms import when it did
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, neurovirt.cli; print('typing' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=_src_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 _BAD_ID = "must be non-empty, without whitespace, ',', ';' or '='"

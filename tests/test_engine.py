@@ -467,6 +467,118 @@ def test_rearmed_stallable_event_is_postponed_with_its_own_vm_only():
     assert eng.trace[-1] == "17,2,A,"
 
 
+# The tests below reach the entry that reschedule holds out of the heap
+# until the loop's next pop: a handler's re-arm is the last entry queued.
+
+def test_a_handler_that_rearms_its_event_then_raises_leaves_it_queued():
+    eng = Engine(seed=1, trace=True)
+    fired = []
+
+    def tick():
+        fired.append(eng.now())
+        if len(fired) == 1:
+            eng.reschedule(event, 15)
+            raise RuntimeError("handler failed")
+
+    event = eng.schedule(10, "T", fn=tick)
+    with pytest.raises(RuntimeError, match="handler failed"):
+        eng.run()
+    assert eng.pending() == [event] and event.fire_at == 15
+    eng.schedule(12, "O")
+    assert eng.run() == 2
+    assert fired == [10, 15]
+    assert eng.trace == ["10,0,T,", "12,2,O,", "15,1,T,"]
+    assert eng.pending() == []
+
+
+def _rearming(eng: Engine, period: int, times: int) -> SimEvent:
+    """An event at 0 whose handler re-arms it ``period`` ns on, ``times`` times."""
+    def tick():
+        if event.seq < times:
+            eng.reschedule(event, eng.now() + period)
+
+    event = eng.schedule(0, "T", fn=tick)
+    return event
+
+
+@pytest.mark.parametrize("first", [0, 25, 29, 30, 31])
+def test_run_until_stops_before_a_held_entry_past_its_end(first):
+    split, whole = Engine(seed=1, trace=True), Engine(seed=1, trace=True)
+    event = _rearming(split, 10, 5)
+    _rearming(whole, 10, 5)
+    assert split.run_until(first) == first // 10 + 1
+    assert split.now() == first
+    assert split.pending() == [event] and event.fire_at == (first // 10 + 1) * 10
+    assert split.run_until(100) + first // 10 + 1 == whole.run_until(100) == 6
+    assert split.trace == whole.trace
+    assert split.now() == whole.now() == 100
+
+
+def test_pending_in_a_handler_lists_the_event_it_just_rearmed():
+    eng = Engine(seed=1)
+    seen = []
+
+    def tick():
+        eng.reschedule(event, eng.now() + 5)
+        seen.append([(ev.kind, ev.fire_at, ev.seq) for ev in eng.pending()])
+
+    event = eng.schedule(10, "T", fn=tick)
+    eng.schedule(12, "O")
+    assert eng.run_until(10) == 1
+    assert seen == [[("O", 12, 1), ("T", 15, 2)]]
+    assert [ev.kind for ev in eng.pending()] == ["O", "T"]
+
+
+def test_a_rearmed_event_postponed_by_its_own_handler_fires_once_shifted():
+    eng = Engine(seed=1, trace=True)
+    fired = []
+
+    def tick():
+        fired.append(eng.now())
+        if len(fired) == 1:
+            eng.reschedule(event, eng.now() + 5)
+            assert eng.pending() == [event, other]
+            assert eng.postpone_pending(7, vm="v") == 1
+            assert eng.pending() == [event, other]
+
+    event = eng.schedule(10, "T", fn=tick, vm="v")
+    other = eng.schedule(30, "O", vm="w")
+    assert eng.run_until(21) == 1
+    assert eng.pending() == [event, other] and event.fire_at == 22
+    assert eng.run() == 2
+    assert fired == [10, 22]
+    assert eng.trace == ["10,0,T,", "22,2,T,", "30,1,O,"]
+
+
+def test_run_until_nested_in_a_handler_matches_the_oracle():
+    # A's handler re-arms A and, on A's first firing only, queues B and runs
+    # the loop on to a time that stops it before A's next re-arm
+    def replay(eng):
+        log = []
+
+        def tick():
+            if event.seq < 8:
+                eng.reschedule(event, eng.now() + 3)
+            if not log:
+                log.append(eng.schedule(eng.now() + 1, "B").seq)
+                log.append(eng.run_until(eng.now() + 5))
+                log.append((eng.now(), [(ev.fire_at, ev.seq, ev.kind) for ev in eng.pending()]))
+
+        event = eng.schedule(10, "A", fn=tick)
+        eng.schedule(14, "C")
+        eng.run_until(18)
+        log.append((eng.now(), [(ev.fire_at, ev.seq, ev.kind) for ev in eng.pending()]))
+        eng.run_until(10**9)
+        return log
+
+    eng, oracle = Engine(seed=0, trace=True), _Oracle()
+    expected = replay(oracle)
+    assert expected == [3, 3, (15, [(16, 4, "A")]), (18, [(19, 5, "A")])]
+    assert replay(eng) == expected
+    assert eng.trace == oracle.trace
+    assert eng.pending() == []
+
+
 class _Oracle:
     """The engine's contract as a plain list kept in (fire_at, seq) order on
     demand: cancelling removes the event, postponing edits its time, and
@@ -540,7 +652,11 @@ POSTPONES = st.tuples(st.just("postpone"), DELTAS, st.one_of(st.none(), st.sampl
 # is past
 RESCHEDULES = st.tuples(st.just("reschedule"), st.integers(0, 1_000),
                         st.one_of(st.none(), st.integers(0, 80)))
+# (delay,): a handler re-arms its own event, so the loop's next pop meets
+# the entry it holds back from the heap
+REARM_SELF = st.tuples(st.just("rearm-self"), st.integers(0, 80))
 NESTED = st.one_of(
+    REARM_SELF,
     POSTPONES,
     st.tuples(st.just("cancel"), st.integers(0, 1_000)),
     RESCHEDULES,
@@ -570,12 +686,13 @@ def _replay(eng, ops) -> list:
     rearms = 0
     retired = 0  # cancels of queued events plus events shifted by a non-zero delta
 
-    def apply(op):
+    def apply(op, running=None):
         nonlocal rearms, retired
         name = op[0]
         if name == "schedule":
             _, delay, vm, stallable, action = op
-            fn = None if action is None else lambda: apply(action)
+            i = len(events)
+            fn = None if action is None else lambda: apply(action, i)
             event = eng.schedule(eng.now() + delay, f"k{len(events)}", fn=fn, vm=vm,
                                  stallable=stallable)
             events.append(event)
@@ -598,6 +715,12 @@ def _replay(eng, ops) -> list:
                     results.append((name, event.seq))
                 except ValueError:  # still queued
                     results.append((name, None))
+        elif name == "rearm-self":
+            if rearms < REARMS:  # a running event has fired, so it is never refused
+                at = armed_at[running] = eng.now() + op[1]
+                eng.reschedule(events[running], at)
+                rearms += 1
+                results.append((name, events[running].seq))
         elif name == "postpone":
             shifted = eng.postpone_pending(op[1], vm=op[2])
             retired += shifted if op[1] else 0
@@ -605,8 +728,9 @@ def _replay(eng, ops) -> list:
         else:
             results.append(("run", eng.run_until(eng.now() + op[1])))
         results.append([(ev.fire_at, ev.seq, ev.kind) for ev in eng.pending()])
-        if isinstance(eng, Engine):  # each stale heap entry is one retired entry
-            assert len(eng._heap) - len(results[-1]) <= retired
+        if isinstance(eng, Engine):  # each stale queued entry is one retired entry
+            queued = len(eng._heap) + (eng._held is not None)
+            assert queued - len(results[-1]) <= retired
 
     for op in ops:
         apply(op)

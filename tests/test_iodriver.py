@@ -76,6 +76,25 @@ def test_stream_refuses_a_bad_count_or_retry_delay(size, count, retry_after):
     assert (eng.pending(), drv.submissions, drv.backpressured) == ([], 0, 0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda drv, ring: drv.stream(ring, 4096.5, 2, 100_000),
+    lambda drv, ring: drv.stream(ring, 4096, 2.5, 100_000),
+    lambda drv, ring: drv.stream(ring, 4096, 2, 100_000.5),
+    lambda drv, ring: drv.stream(ring, 4096.0, 2, 100_000),
+    lambda drv, ring: drv.submit(ring, 4096.5),
+], ids=["stream-size", "stream-count", "stream-retry", "stream-integral-float", "submit-size"])
+def test_a_size_count_or_retry_delay_that_is_not_an_integer_is_refused(make):
+    # a count of 2.5 made 3 transfers, a size of 4096.5 gave fractional
+    # completed bits, and a retry delay of 100_000.5 raised only at the
+    # stream's first refusal, mid-run
+    eng = Engine(0)
+    drv = IoDriver(eng, LinkModel(ring_capacity=1))
+    ring = drv.open_ring("a")
+    with pytest.raises(TypeError):
+        make(drv, ring)
+    assert (eng.pending(), drv.submissions, drv.backpressured) == ([], 0, 0)
+
+
 def _run_bytes(scenario):
     """(backpressured submits, metrics CSV, trace) of one run."""
     result = run_scenario(scenario)
