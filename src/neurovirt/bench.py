@@ -64,6 +64,9 @@ def bench_throughput(vm_counts=DEFAULT_VM_COUNTS, sizes=DEFAULT_SIZES) -> str:
     for count in vm_counts:
         if count < 1:
             raise ValueError(f"vm count {count} below link model domain")
+    for size in sizes:
+        if size < 1:
+            raise ValueError(f"transfer size {size} below 1 byte")
     out = io.StringIO()
     out.write("vm_count,transfer_bytes,measured_gibs,model_gibs\n")
     for vm_count in vm_counts:

@@ -275,6 +275,8 @@ class Engine:
 
     def run_until(self, t_end: int) -> int:
         """Process every event with fire_at <= t_end; clock ends at t_end.
+        Returns how many events the engine processed during the call,
+        those of a ``run_until`` nested in one of its handlers included.
         Raises TypeError for a ``t_end`` that is not an integer."""
         t_end = operator.index(t_end)
         processed = self._drain(t_end)
@@ -283,12 +285,14 @@ class Engine:
         return processed
 
     def run(self) -> int:
-        """Drain the queue completely; clock ends at the last fire time."""
+        """Drain the queue completely; clock ends at the last fire time.
+        Returns the count that ``run_until`` returns."""
         return self._drain(math.inf)
 
     def _drain(self, t_end: float) -> int:
         """Process events in (fire_at, seq) order while the next one fires at
-        or before ``t_end``; returns how many were processed."""
+        or before ``t_end``; returns how many were processed meanwhile,
+        by this loop or by one nested in a handler."""
         # locals stay valid for the whole loop: handlers only ever mutate the
         # heap, the index and the open chunk in place. The held slot is read
         # afresh: a handler, or a run_until nested in one, fills or takes it

@@ -138,9 +138,11 @@ class IoDriver:
 
         A full ring refuses the transfer: ``submit`` returns None, counts
         the refusal in ``backpressured`` and schedules nothing, so retrying
-        is the caller's choice. The completion time is fixed at submission
-        from the current contention level. Raises TypeError for a ``size``
-        that is not an integer when the ring has room for it.
+        is the caller's choice. A stream counts its own refusals and calls
+        ``submit`` only when its ring has room. The completion time is
+        fixed at submission from the current contention level. Raises
+        TypeError for a ``size`` that is not an integer when the ring has
+        room for it.
         """
         if size <= 0:
             raise ValueError("transfer size must be positive")
@@ -174,11 +176,15 @@ class IoDriver:
         """Back-to-back transfers of ``size`` bytes on ``ring``, ``count`` in all.
 
         Returns the callable that submits the stream's next transfer; each
-        completion submits the one after it. A full ring refuses the submit,
-        which then retries ``retry_after`` ns later as a TransferRetry event.
+        completion submits the one after it. The stream checks its ring for
+        room itself, so only a submit that finds room calls ``submit``: a
+        full ring's refusal is counted in ``backpressured`` here, and the
+        stream retries ``retry_after`` ns later as a TransferRetry event.
         A stream has one such event: made at its first refusal, re-armed at
         each later one, and dropped when the stream ends. The stream ends
-        early once its ring is closed.
+        early once its ring is closed. The ring's capacity is read once,
+        when the stream is made: ``LinkModel`` is frozen, and no code
+        replaces a driver's ``link``.
 
         Raises TypeError for a ``size``, a ``count`` or a ``retry_after``
         that is not an integer, and ValueError for one below 1.
@@ -187,6 +193,7 @@ class IoDriver:
         if size < 1 or count < 1 or retry_after < 1:
             raise ValueError(f"stream on {ring.vm}: size, count and retry_after must be >= 1")
         engine = self.engine
+        capacity = self.link.ring_capacity
         remaining = count
         retry: SimEvent | None = None
 
@@ -195,9 +202,12 @@ class IoDriver:
             if ring.closed:
                 retry = None
                 return
-            # through self.submit, so a wrapper patched onto the class sees it
-            if self.submit(ring, size, on_complete=done) is not None:
+            # only a submit that finds room reaches self.submit, which
+            # then cannot refuse; a refusal is counted here
+            if len(ring.inflight) < capacity:
+                self.submit(ring, size, done)
                 return
+            self.backpressured += 1
             # a stream has one submit or retry outstanding, so a refused
             # submit runs with its retry event fired or not yet made
             if retry is None:

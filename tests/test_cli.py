@@ -196,6 +196,11 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
     # this one used to say only: invalid literal for int() with base 10: 'x'
     (["bench-throughput", "--sizes", "4096, x", "--out", "{tmp}/tp.csv"],
      "error: cannot read 'x' in '4096, x'"),
+    # these used to name the stream on vm0, not the size
+    (["bench-throughput", "--sizes", "4096,0", "--out", "{tmp}/tp.csv"],
+     "error: transfer size 0 below 1 byte"),
+    (["bench-throughput", "--sizes", "-5", "--out", "{tmp}/tp.csv"],
+     "error: transfer size -5 below 1 byte"),
     # this one used to load, then die at its first transfer and leave an empty --out
     (["run", "--scenario", "{peak2}", "--out", "{tmp}/m.csv"],
      "$.link.peak_gibps: peak table must start at 1 VM"),
@@ -210,7 +215,8 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
      "error: --out and --trace-out are the same file: {tmp}/lnk.csv"),
 ], ids=["energy-fabric-full", "reconfig-slots-full", "no-scenario", "scenario-is-dir",
         "no-out-dir", "no-trace-dir", "same-out-and-trace", "no-sizes", "descending-range",
-        "unreadable-size", "peak-table-from-2-vms", "out-is-scenario", "trace-out-is-scenario",
+        "unreadable-size", "zero-size", "negative-size", "peak-table-from-2-vms",
+        "out-is-scenario", "trace-out-is-scenario",
         "out-is-a-hard-link-to-scenario", "trace-out-is-a-hard-link-to-out"])
 def test_unrunnable_request_exits_2_with_one_error_line(
     tmp_path, tmp_path_factory, capsys, argv, message

@@ -566,14 +566,16 @@ def test_run_until_nested_in_a_handler_matches_the_oracle():
 
         event = eng.schedule(10, "A", fn=tick)
         eng.schedule(14, "C")
-        eng.run_until(18)
+        log.append(eng.run_until(18))
         log.append((eng.now(), [(ev.fire_at, ev.seq, ev.kind) for ev in eng.pending()]))
         eng.run_until(10**9)
         return log
 
     eng, oracle = Engine(seed=0, trace=True), _Oracle()
     expected = replay(oracle)
-    assert expected == [3, 3, (15, [(16, 4, "A")]), (18, [(19, 5, "A")])]
+    # the inner call processed B@11, A@13 and C@14; the outer call's count
+    # also takes those in, beside its own A@10 and A@16
+    assert expected == [3, 3, (15, [(16, 4, "A")]), 5, (18, [(19, 5, "A")])]
     assert replay(eng) == expected
     assert eng.trace == oracle.trace
     assert eng.pending() == []
@@ -587,6 +589,7 @@ class _Oracle:
     def __init__(self):
         self._now = 0
         self._next_seq = 0
+        self._processed = 0
         self._live: list[SimEvent] = []
         self.trace: list[str] = []
 
@@ -622,7 +625,8 @@ class _Oracle:
         return len(chosen)
 
     def run_until(self, t_end):
-        processed = 0
+        # the count includes the events of a run_until nested in a handler
+        start = self._processed
         while True:
             due = [ev for ev in self._live if ev.fire_at <= t_end]
             if not due:
@@ -632,11 +636,11 @@ class _Oracle:
             self._now = ev.fire_at
             self.trace.append(f"{ev.fire_at},{ev.seq},{ev.kind},")
             ev.fire_at = None
-            processed += 1
+            self._processed += 1
             if ev.fn is not None:
                 ev.fn()
         self._now = max(self._now, t_end)
-        return processed
+        return self._processed - start
 
     def pending(self):
         return sorted(self._live, key=lambda ev: (ev.fire_at, ev.seq))

@@ -60,6 +60,64 @@ def test_a_refused_stream_keeps_one_retry_event():
     assert drv.completions == 5
 
 
+class _CountingDriver(IoDriver):
+    """Counts the calls that reach ``submit``."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.submit_calls = 0
+
+    def submit(self, *args, **kwargs):
+        self.submit_calls += 1
+        return super().submit(*args, **kwargs)
+
+
+def _waiting_stream():
+    """A 4 KiB stream refused at 0 behind a 1 MiB transfer that holds its
+    one-slot ring until 5,218,333 ns; it polls every 100 us."""
+    eng = Engine(0, trace=True)
+    drv = _CountingDriver(eng, LinkModel(ring_capacity=1))
+    ring = drv.open_ring("a")
+    drv.submit(ring, MIB)
+    drv.stream(ring, 4 * KIB, 1, 100_000)()
+    assert (drv.submit_calls, drv.backpressured) == (1, 1)
+    return eng, drv, ring
+
+
+def _retries(eng):
+    return sum(",TransferRetry," in line for line in eng.trace)
+
+
+def test_a_poll_of_a_full_ring_makes_no_submit_call():
+    eng, drv, _ = _waiting_stream()
+    for polls in range(1, 53):
+        eng.run_until(polls * 100_000)
+        assert _retries(eng) == polls
+        assert drv.backpressured == polls + 1
+    # only the first transfer reached submit: the stream checked for room
+    assert drv.submit_calls == 1
+
+
+def test_a_poll_that_finds_room_submits_once_and_stops_polling():
+    eng, drv, ring = _waiting_stream()
+    eng.run_until(5_300_000)  # the ring freed at 5,218,333
+    assert (drv.submit_calls, drv.submissions, drv.backpressured) == (2, 2, 53)
+    # the stream's transfer is in flight and its retry event is not re-armed
+    assert [ev.kind for ev in eng.pending()] == ["TransferComplete"]
+    eng.run()
+    assert (_retries(eng), drv.completions, len(ring.inflight)) == (53, 2, 0)
+
+
+def test_a_poll_of_a_closed_ring_ends_the_stream():
+    eng, drv, ring = _waiting_stream()
+    eng.run_until(250_000)
+    drv.close_ring(ring)
+    eng.run()
+    # the poll at 300 us ended the stream: no refusal, no submit, nothing queued
+    assert (_retries(eng), drv.backpressured, drv.submit_calls) == (3, 3, 1)
+    assert (eng.pending(), drv.completions, drv.drained) == ([], 0, 1)
+
+
 @pytest.mark.parametrize("size, count, retry_after", [
     (4 * KIB, 0, 100), (4 * KIB, -3, 100), (4 * KIB, 2, 0), (4 * KIB, 2, -1),
     (0, 2, 100), (-4, 2, 100),
