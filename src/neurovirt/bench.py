@@ -10,8 +10,9 @@ the only random draws, a spiking task's weights and input picks, reach no
 experiment's columns. A scenario run is a pure function of its scenario,
 seed included.
 
-The experiments' engines keep no trace, since no column reads one; only
-:func:`run_scenario`'s engine does, for ``run --trace-out``.
+The experiments' engines keep no trace, since no column reads one.
+:func:`run_scenario`'s engine formats every trace line, whether or not
+``run --trace-out`` writes them (ROADMAP item 2 streams them instead).
 """
 
 from __future__ import annotations

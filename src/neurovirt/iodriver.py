@@ -3,9 +3,10 @@ the link model.
 
 Transfer completion follows a latency-plus-bandwidth pipe: a transfer of
 ``s`` bytes finishes after ``latency + s_bits / bw_share`` where the
-bandwidth share is the active-VM peak divided by the number of transfers
-in flight. Effective throughput therefore rises with transfer size and
-saturates at the per-VM-count peak.
+bandwidth share is the active-VM peak from the fixed table
+:data:`PEAK_GIBPS`, divided by the number of transfers in flight.
+Effective throughput therefore rises with transfer size and saturates
+at the per-VM-count peak.
 """
 
 from __future__ import annotations
@@ -36,48 +37,32 @@ class IoRing(Record):
         self.inflight = {} if inflight is None else inflight
 
 
+# Peak Gib/s by active-VM count: a step table from 1 VM, counts ascending,
+# peaks non-decreasing. Only the 4-VM peak is an external anchor; the 1-
+# and 2-VM peaks are sub-linear defaults (shared-interconnect contention).
+PEAK_GIBPS = ((1, 1.5), (2, 2.9), (4, 5.1))
+
+
 class LinkModel(FrozenRecord):
-    """Per-transfer latency plus a peak-bandwidth table keyed by VM count.
+    """Per-transfer latency and ring slots; peaks come from :data:`PEAK_GIBPS`."""
 
-    Only the 4-VM asymptote is an externally calibrated anchor; the 1- and
-    2-VM peaks are sub-linear defaults (shared-interconnect contention)
-    and scenario-overridable.
-    """
+    __slots__ = ("latency_ns", "ring_capacity")
 
-    __slots__ = ("latency_ns", "peak_gibps", "ring_capacity")
-
-    def __init__(
-        self,
-        latency_ns: int = 10_000,
-        peak_gibps: tuple[tuple[int, float], ...] = ((1, 1.5), (2, 2.9), (4, 5.1)),
-        ring_capacity: int = 256,
-    ):
+    def __init__(self, latency_ns: int = 10_000, ring_capacity: int = 256):
         setattr_ = object.__setattr__
         setattr_(self, "latency_ns", latency_ns)
-        setattr_(self, "peak_gibps", peak_gibps)
         setattr_(self, "ring_capacity", ring_capacity)
         if self.latency_ns < 0:
             raise ValueError("latency_ns must be non-negative")
         if self.ring_capacity < 1:
             raise ValueError("ring_capacity must be positive")
-        if not self.peak_gibps or self.peak_gibps[0][0] != 1:
-            raise ValueError("peak table must start at 1 VM")
-        last_count, last_peak = 0, 0.0
-        for count, peak in self.peak_gibps:
-            if count <= last_count:
-                raise ValueError("peak table VM counts must ascend")
-            if peak <= 0:
-                raise ValueError("peak table entries must be positive")
-            if peak < last_peak:
-                raise ValueError("peak table must be non-decreasing in VM count")
-            last_count, last_peak = count, peak
 
     def peak_bw(self, vm_count: int) -> float:
         """Peak Gib/s at the largest tabulated count <= vm_count."""
         if vm_count < 1:
             raise ValueError(f"vm_count {vm_count} below model domain")
-        best = self.peak_gibps[0][1]
-        for count, peak in self.peak_gibps:
+        best = PEAK_GIBPS[0][1]
+        for count, peak in PEAK_GIBPS:
             if count <= vm_count:
                 best = peak
         return best

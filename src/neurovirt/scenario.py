@@ -13,14 +13,14 @@ Top-level keys (all optional except ``schema_version`` and ``seed``):
                               "io_pins": 464, "dsp": 1728},
                     "neurocore_count": 16, "neurons_per_core": 256,
                     "bitstream_total_bytes": 31457280},
-      "link":      {"latency_ns": 10000, "ring_capacity": 256,
-                    "peak_gibps": {"1": 1.5, "2": 2.9, "4": 5.1}},
+      "link":      {"latency_ns": 10000, "ring_capacity": 256},
       "energy":    {"dyn_nj_per_synop": 1.0},
       "reconfig":  {"config_port_bw": 419430400,
                     "partial_setup_overhead_ns": 100000},
       "scheduler": {"core_rate": 1, "tick_period_ns": 100000,
                     "migration_penalty_ns": 1000000},
-      "modules":   [{"id": "lif0", "kind": "lif_core", "share": 0.04}],
+      "modules":   [{"id": "lif0", "kind": "lif_core", "share": 0.04,
+                     "bitstream_bytes": 1258291}],
       "vms":       [{"id": "vmA", "share": 0.125, "cores": 2}],
       "tasks":     [{"id": "t0", "steps": 100, "input_rate": 8,
                      "fan_in": 256, "data_size": 4096,
@@ -58,8 +58,9 @@ module or task id is non-empty and holds no whitespace, ``,``, ``;`` or
 ``k=v;k=v`` detail. All ids
 referenced by tasks, transfers, and reconfigs must resolve, tasks need a
 VM, and the VMs and reconfigured modules must fit the fabric.
-The ``peak_gibps`` table starts at 1 VM, and its peaks never fall as the
-VM count grows.
+A run schedules its samples before it starts, so ``duration_ns`` may span
+at most :data:`MAX_SAMPLES` sample periods. The link's peak bandwidth per
+active-VM count is the model constant ``iodriver.PEAK_GIBPS``, not a key.
 """
 
 from __future__ import annotations
@@ -91,6 +92,9 @@ from neurovirt.virt import (
 )
 
 SCHEMA_VERSION = 1
+# the most samples a run may take: MetricsCollector.start_sampling schedules
+# every one before the run starts, in time and memory linear in their count
+MAX_SAMPLES = 100_000
 
 
 class ParseError(Exception):
@@ -273,10 +277,7 @@ FABRIC = _section(
      "neurons_per_core": (int, POSITIVE), "bitstream_total_bytes": (int, POSITIVE)},
 )
 RESOURCES = _section({name: (int, NON_NEGATIVE) for name in RESOURCE_CLASSES})
-LINK = _section(
-    {"latency_ns": (int, NON_NEGATIVE), "ring_capacity": (int, POSITIVE)},
-    by_hand=("peak_gibps",),
-)
+LINK = _section({"latency_ns": (int, NON_NEGATIVE), "ring_capacity": (int, POSITIVE)})
 ENERGY = _section({"dyn_nj_per_synop": (float, NON_NEGATIVE)})
 RECONFIG = _section(
     {"config_port_bw": (int, POSITIVE), "partial_setup_overhead_ns": (int, NON_NEGATIVE)}
@@ -391,17 +392,6 @@ def _rows(data: dict, key: str) -> list:
     return [] if rows is None else _check(rows, list, None, "$", key)
 
 
-def _peak_table(peaks) -> tuple[tuple[int, float], ...]:
-    path = "$.link.peak_gibps"
-    entries = []
-    for key, value in _check(peaks, dict, None, "$.link", "peak_gibps").items():
-        # plain decimal only: int() also reads "1_0", " 4 ", "+2" and "٤"
-        if not (key.isascii() and key.isdigit()):
-            raise ValidationError(f"{path}.{key}", "keys must be VM counts")
-        entries.append((int(key), _check(value, float, ANY, path, key)))
-    return tuple(sorted(entries))
-
-
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ValidationError("$", "scenario must be a JSON object")
@@ -417,23 +407,16 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ValidationError("$.fabric", str(exc)) from None
     total = fabric.total
 
-    link_values = _load(data.get("link"), "$.link", LINK)
-    peaks = (data.get("link") or {}).get("peak_gibps")
-    if peaks is not None:
-        link_values["peak_gibps"] = _peak_table(peaks)
-    try:
-        link = LinkModel(**link_values)
-    except ValueError as exc:  # _load has checked the rest of the section
-        raise ValidationError("$.link.peak_gibps", str(exc)) from None
-
     scenario = Scenario(
         **top,
         **_load(data.get("scheduler"), "$.scheduler", SCHEDULER),
         fabric=fabric,
-        link=link,
+        link=LinkModel(**_load(data.get("link"), "$.link", LINK)),
         energy=EnergyModel(**_load(data.get("energy"), "$.energy", ENERGY)),
         reconfig=ReconfigParams(**_load(data.get("reconfig"), "$.reconfig", RECONFIG)),
     )
+    if scenario.duration_ns // scenario.sample_period_ns > MAX_SAMPLES:
+        raise ValidationError("$.duration_ns", f"must be at most {MAX_SAMPLES} sample periods")
 
     if data.get("modules") is None:
         scenario.modules = default_module_catalog(fabric)

@@ -12,6 +12,7 @@ import neurovirt
 from neurovirt import bench
 from neurovirt.cli import _parse_int_list, main
 from neurovirt.metrics import SAMPLE_CSV_HEADER
+from neurovirt.scenario import MAX_SAMPLES
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 DEMO = SCENARIOS / "demo.json"
@@ -201,9 +202,6 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
      "error: transfer size 0 below 1 byte"),
     (["bench-throughput", "--sizes", "-5", "--out", "{tmp}/tp.csv"],
      "error: transfer size -5 below 1 byte"),
-    # this one used to load, then die at its first transfer and leave an empty --out
-    (["run", "--scenario", "{peak2}", "--out", "{tmp}/m.csv"],
-     "$.link.peak_gibps: peak table must start at 1 VM"),
     # these used to run and write over the scenario
     (["run", "--scenario", "{scn}", "--out", "{scn}"], "error: --out is the scenario file: {scn}"),
     (["run", "--scenario", "{scn}", "--out", "{tmp}/m.csv", "--trace-out", "{scn}"],
@@ -215,17 +213,15 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
      "error: --out and --trace-out are the same file: {tmp}/lnk.csv"),
 ], ids=["energy-fabric-full", "reconfig-slots-full", "no-scenario", "scenario-is-dir",
         "no-out-dir", "no-trace-dir", "same-out-and-trace", "no-sizes", "descending-range",
-        "unreadable-size", "zero-size", "negative-size", "peak-table-from-2-vms",
+        "unreadable-size", "zero-size", "negative-size",
         "out-is-scenario", "trace-out-is-scenario",
         "out-is-a-hard-link-to-scenario", "trace-out-is-a-hard-link-to-out"])
 def test_unrunnable_request_exits_2_with_one_error_line(
     tmp_path, tmp_path_factory, capsys, argv, message
 ):
     tmp = str(tmp_path)
-    # input scenarios live outside tmp_path, which must hold no output
-    # afterwards: a runnable one, and one whose peak table has no entry for 1 VM
+    # the input scenario lives outside tmp_path, which must hold no output afterwards
     scn = _scenario_file(tmp_path_factory.mktemp("in"))
-    peak2 = _scenario_file(tmp_path_factory.mktemp("in"), link={"peak_gibps": {"2": 2.9}})
     scn_bytes = scn.read_bytes()
     # hard links: a second name for the scenario, and two names for one
     # empty output, which only the hard-link cases name (same-out-and-trace
@@ -234,7 +230,7 @@ def test_unrunnable_request_exits_2_with_one_error_line(
     os.link(scn, hard)
     (tmp_path / "lnk.csv").touch()
     os.link(tmp_path / "lnk.csv", tmp_path / "lnk-hard.csv")
-    assert main([arg.format(tmp=tmp, peak2=peak2, scn=scn, hard=hard) for arg in argv]) == 2
+    assert main([arg.format(tmp=tmp, scn=scn, hard=hard) for arg in argv]) == 2
     assert capsys.readouterr().err == message.format(tmp=tmp, scn=scn, hard=hard) + "\n"
     # nothing that looks like output is left behind, and no input is written over
     assert [p for p in tmp_path.rglob("*") if p.is_file() and p.stat().st_size] == []
@@ -396,15 +392,13 @@ _BAD_ID = "must be non-empty, without whitespace, ',', ';' or '='"
      f"$.modules[0].id: {_BAD_ID}"),
     ({"fabric": {"total": {"lut": 504_000, "memory_bytes": 38_000_000, "io_pins": 464}}},
      "$.fabric: total must be positive in every class"),
-    # a peak table key is a plain decimal VM count: int() would read each of these
-    ({"link": {"peak_gibps": {"1": 1.5, "1_0": 9.0}}},
-     "$.link.peak_gibps.1_0: keys must be VM counts"),
-    ({"link": {"peak_gibps": {"1": 1.5, " 4 ": 5.1}}},
-     "$.link.peak_gibps. 4 : keys must be VM counts"),
-    ({"link": {"peak_gibps": {"1": 1.5, "+2": 2.9}}},
-     "$.link.peak_gibps.+2: keys must be VM counts"),
-    ({"link": {"peak_gibps": {"1": 1.5, "\u0664": 5.1}}},
-     "$.link.peak_gibps.\u0664: keys must be VM counts"),
+    # the link's peak table is a model constant, not a key
+    ({"link": {"peak_gibps": {"1": 1.5}}}, "$.link.peak_gibps: unknown field"),
+    # a run schedules every sample before it starts: 2**62 ns used to hang
+    ({"duration_ns": 2**62}, f"$.duration_ns: must be at most {MAX_SAMPLES} sample periods"),
+    ({"sample_period_ns": 1}, f"$.duration_ns: must be at most {MAX_SAMPLES} sample periods"),
+    ({"duration_ns": (MAX_SAMPLES + 1) * 5_000_000},
+     f"$.duration_ns: must be at most {MAX_SAMPLES} sample periods"),
     # a module row is sized by its share and labelled by its kind
     ({"modules": [{"id": "m", "share": 0.04}]}, "$.modules[0].kind: missing required field"),
     ({"modules": [{"id": "m", "kind": "lif", "share": 0.04}]},

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from neurovirt.bench import run_scenario
 from neurovirt.engine import Engine
-from neurovirt.iodriver import GIB, IoDriver, LinkModel, RingClosed, effective_throughput
+from neurovirt.iodriver import (
+    GIB, PEAK_GIBPS, IoDriver, LinkModel, RingClosed, effective_throughput,
+)
 from neurovirt.scenario import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -171,7 +173,7 @@ def test_a_ring_with_a_slot_per_stream_refuses_nothing(name, streams):
         scenario = load_scenario(SCENARIOS / name)
         assert max(Counter(t.vm for t in scenario.transfers).values()) == streams
         link = scenario.link
-        scenario.link = LinkModel(link.latency_ns, link.peak_gibps, streams + extra)
+        scenario.link = LinkModel(link.latency_ns, streams + extra)
         runs.append(_run_bytes(scenario))
     assert runs[0][0] == 0
     assert runs[0] == runs[1]
@@ -276,13 +278,16 @@ def test_peak_table_lookup_and_domain():
     with pytest.raises(ValueError):
         link.peak_bw(0)
     with pytest.raises(ValueError):
-        LinkModel(peak_gibps=((1, 2.0), (2, 1.0)))  # decreasing table
-    with pytest.raises(ValueError):
         LinkModel(ring_capacity=0)  # a stream would retry forever
-    with pytest.raises(ValueError, match="start at 1 VM"):
-        LinkModel(peak_gibps=((2, 2.9),))  # no peak for a lone VM
-    with pytest.raises(ValueError, match="must ascend"):
-        LinkModel(peak_gibps=((1, 1.5), (1, 2.0)))  # two peaks for one count
+
+
+def test_peak_table_starts_at_one_vm_and_never_falls():
+    counts = [count for count, _ in PEAK_GIBPS]
+    peaks = [peak for _, peak in PEAK_GIBPS]
+    assert counts[0] == 1  # a lone VM has a peak
+    assert all(a < b for a, b in zip(counts, counts[1:]))  # one peak per count
+    assert peaks[0] > 0
+    assert all(a <= b for a, b in zip(peaks, peaks[1:]))
 
 
 def test_ring_conservation_counters():

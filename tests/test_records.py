@@ -40,8 +40,7 @@ RECORDS = [
     (iodriver.IoRing, False, (
         ("vm", REQUIRED), ("closed", False), ("inflight", New(dict)))),
     (iodriver.LinkModel, True, (
-        ("latency_ns", 10_000), ("peak_gibps", ((1, 1.5), (2, 2.9), (4, 5.1))),
-        ("ring_capacity", 256))),
+        ("latency_ns", 10_000), ("ring_capacity", 256))),
     (metrics.EnergyModel, True, (("dyn_nj_per_synop", 1.0),)),
     (metrics.MetricSample, True, tuple((name, REQUIRED) for name in (
         "at", "lut_pct", "mem_pct", "io_pct", "dsp_pct", "throughput_gibs", "energy_mj",
@@ -101,7 +100,6 @@ RECORDS = [
 SAMPLES = {
     fabric.FabricConfig: ((ResourceVector(8, 8, 8, 8), 4, 32, 1000),
                           (ResourceVector(8, 8, 8, 8), 4, 32, 1001)),
-    iodriver.LinkModel: ((5, ((1, 2.0),), 3), (5, ((1, 2.0), (2, 3.0)), 3)),
     snn.LifParams: ((2.0, 0.5, 0.5), (2.0, 0.5, 0.25)),
 }
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from neurovirt import scenario as scenario_module
 from neurovirt.scenario import (
+    MAX_SAMPLES,
     TOP,
     ParseError,
     ValidationError,
@@ -40,6 +41,15 @@ def test_docstring_example_loads_and_shows_every_top_level_key():
     sc = scenario_from_dict(example)
     allowed, _ = TOP
     assert set(example) == allowed
+    # each section, and each row list's first row, shows every key its rule table allows
+    s = scenario_module
+    for key, section in [("fabric", s.FABRIC), ("link", s.LINK), ("energy", s.ENERGY),
+                         ("reconfig", s.RECONFIG), ("scheduler", s.SCHEDULER),
+                         ("modules", s.MODULE), ("vms", s.VM), ("tasks", s.TASK),
+                         ("transfers", s.TRANSFER), ("reconfigs", s.RECONFIG_OP)]:
+        shown = example[key][0] if isinstance(example[key], list) else example[key]
+        assert set(shown) == section[0], key
+    assert set(example["fabric"]["total"]) == s.RESOURCES[0]
     total, bitstream = sc.fabric.total, sc.fabric.bitstream_total_bytes
     assert sc.modules == {"lif0": module_from_share("lif0", 0.04, total, bitstream)}
     assert [(vm.id, vm.share, vm.cores) for vm in sc.vms] == [("vmA", 0.125, 2)]
@@ -135,14 +145,25 @@ def test_every_whitespace_character_is_refused_in_an_id():
 
 
 def test_bad_peak_table_rejected():
+    # the peak table is the model constant iodriver.PEAK_GIBPS: a file that
+    # still sets one, even the default, names the key as unknown
     data = minimal()
-    # {"2": 2.9} used to load and then fail mid-run at the first transfer
-    for table in ({"1": 3.0, "2": 1.0}, {"1": 0.0}, {"0": 1.0}, {}, {"2": 2.9},
-                  {"1": 1.5, "01": 2.0}):
-        data["link"] = {"peak_gibps": table}
-        with pytest.raises(ValidationError) as err:
+    for table in ({"1": 1.5, "2": 2.9, "4": 5.1}, {"2": 2.9}, {}):
+        data["link"] = {"latency_ns": 10_000, "peak_gibps": table}
+        with pytest.raises(ValidationError, match="unknown field") as err:
             scenario_from_dict(data)
         assert err.value.field == "$.link.peak_gibps"
+
+
+def test_duration_is_capped_in_sample_periods():
+    data = minimal()
+    data["sample_period_ns"] = 1_000
+    data["duration_ns"] = (MAX_SAMPLES + 1) * 1_000 - 1  # MAX_SAMPLES samples
+    assert scenario_from_dict(data).duration_ns == (MAX_SAMPLES + 1) * 1_000 - 1
+    data["duration_ns"] += 1
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(data)
+    assert err.value.field == "$.duration_ns"
 
 
 def test_task_field_validation():
