@@ -5,33 +5,44 @@ clock, a totally ordered event queue, and a family of seeded random
 streams. Events with equal fire times are processed in insertion order,
 so a run is a pure function of (seed, schedule calls).
 
-The queue is a binary heap of ``(fire_at, seq, event)`` entries, plus
-one entry held out of it (below), with one liveness rule: an entry is live iff its time equals ``event.fire_at`` and
-its seq equals ``event.seq``. :meth:`Engine.schedule` returns the event
-itself as its handle. Postponing an event moves its ``fire_at`` and pushes
-a fresh entry; cancelling it, or firing it, sets ``fire_at`` to None.
-Either way the old entry goes stale in place and the loop skips it when it
-surfaces, so cancelling an event that already fired, or was already
-cancelled, is a no-op. :meth:`Engine.reschedule` queues a fired or
-cancelled event again under the next seq, so an owner that queues its own
-successor keeps one event for its lifetime; its old entries stay stale by
-seq even when the new time equals an old one. ``schedule`` builds the
-event and hands it to ``reschedule``. Every queued
-stallable event is indexed by its VM (untagged ones under None), so a
-reconfiguration stall walks only the events it shifts. Each stale entry
-is the old entry of one cancel or one shifted event, so the queue holds no
-more stale entries than the run's own cancels and shifts.
+The queue is three parts: the run heap, the held slot (below) and the
+set-up heap, each holding ``(fire_at, seq, event)`` entries. An entry
+queued while no loop runs (a run's set-up, or calls between two
+``run_until`` calls) enters the set-up heap; one queued by a handler
+enters the held slot, and the entry held before moves to the run heap. One
+liveness rule holds over all three: an entry is live iff its time equals
+``event.fire_at`` and its seq equals ``event.seq``. :meth:`Engine.schedule`
+returns the event itself as its handle. Postponing an event moves its
+``fire_at`` and pushes a fresh entry (into the run heap while a loop
+runs, else into the set-up heap); cancelling it, or firing it, sets
+``fire_at`` to None. Either way the old entry goes stale in place, in
+whichever part it sits, and the loop skips it when it surfaces, so
+cancelling an event that already fired, or was already cancelled, is a
+no-op. :meth:`Engine.reschedule` queues a fired or cancelled event again
+under the next seq, so an owner that queues its own successor keeps one
+event for its lifetime; its old entries stay stale by seq even when the
+new time equals an old one. ``schedule`` builds the event and hands it to
+``reschedule``. Every queued stallable event is indexed by its VM
+(untagged ones under None), so a reconfiguration stall walks only the
+events it shifts. Each stale entry, in any of the three parts, is the old
+entry of one cancel or one shifted event, so the queue holds no more
+stale entries than the run's own cancels and shifts.
 
-``reschedule`` does not push the entry it makes. It holds it in one slot,
-and first pushes the entry held there before. The loop takes its next
-entry with ``heapq.heappushpop(heap, held)``, which hands the held entry
-back in O(1) when it precedes the heap's top and otherwise swaps it in
-with one sift; only with nothing held does it call ``heappop``. So a
-handler that re-arms its own event as the next to fire costs no heap
-operation: the "hold" of the event-set literature (Jones, CACM 1986). The
-held entry is queued like any other: the liveness rule holds for it,
-:meth:`Engine.pending` lists it, and it stays held past a handler that
-raises and between runs.
+The loop takes the run side's next entry with ``heapq.heappushpop(heap,
+held)``, which hands the held entry back in O(1) when it precedes the
+heap's top and otherwise swaps it in with one sift; only with nothing
+held does it call ``heappop``. So a handler that re-arms its own event as
+the next to fire costs no heap operation: the "hold" of the event-set
+literature (Jones, CACM 1986). That entry is then compared with the
+set-up heap's top, by one int compare against a cached lower bound of its
+time; when the set-up entry comes first, the run side's entry goes back
+into the held slot, which is empty at that point. Seqs are given at
+schedule time, so the two heaps merge in exactly the ``(fire_at, seq)``
+order of one queue, and ties go by seq alone. Keeping pre-loaded future
+events (a scenario's requests and samples) out of the run heap keeps its
+sifts as short as the work in flight (Brown, "Calendar queues", CACM
+1988). The held entry is queued like any other: :meth:`Engine.pending`
+lists it, and it stays held past a handler that raises and between runs.
 
 Each processed event is logged as one ``tick,seq,kind,detail`` line by an
 engine made with ``trace=True``; an engine made without it formats no line.
@@ -193,9 +204,13 @@ class Engine:
     def __init__(self, seed: int = 0, *, trace: bool = False):
         self._now = 0
         self._scheduled = 0  # events scheduled so far: the next event's seq
+        # the run heap: entries queued while a loop runs
         self._heap: list[tuple[int, int, SimEvent]] = []
-        # the entry reschedule made last: queued, but not in the heap
+        # the entry reschedule made last in a loop: queued, but in no heap
         self._held: tuple[int, int, SimEvent] | None = None
+        # the set-up heap: entries queued while no loop runs
+        self._setup: list[tuple[int, int, SimEvent]] = []
+        self._depth = 0  # _drain loops running, nested ones included
         # queued stallable events of each VM (None: untagged), seq -> event
         self._by_vm: dict[str | None, dict[int, SimEvent]] = {}
         self._processed = 0
@@ -254,10 +269,13 @@ class Engine:
         self._scheduled = seq + 1
         event.fire_at = at
         event.seq = seq
-        held = self._held
-        if held is not None:
-            heapq.heappush(self._heap, held)
-        self._held = (at, seq, event)
+        if self._depth:
+            held = self._held
+            if held is not None:
+                heapq.heappush(self._heap, held)
+            self._held = (at, seq, event)
+        else:
+            heapq.heappush(self._setup, (at, seq, event))
         if event.stallable:
             index = self._by_vm.get(event.vm)
             if index is None:
@@ -294,44 +312,68 @@ class Engine:
         or before ``t_end``; returns how many were processed meanwhile,
         by this loop or by one nested in a handler."""
         # locals stay valid for the whole loop: handlers only ever mutate the
-        # heap, the index and the open chunk in place. The held slot is read
-        # afresh: a handler, or a run_until nested in one, fills or takes it
-        heap, by_vm, lines = self._heap, self._by_vm, self._lines
+        # heaps, the index and the open chunk in place. The held slot is
+        # read afresh: a handler, or a run_until nested in one, fills or
+        # takes it
+        heap, setup, by_vm, lines = self._heap, self._setup, self._by_vm, self._lines
         log = None if lines is None else lines.append
         pop, pushpop = heapq.heappop, heapq.heappushpop
         start = self._processed
-        while True:
-            held = self._held
-            if held is None:
-                if not heap or heap[0][0] > t_end:
-                    break
-                fire_at, seq, event = pop(heap)
-            else:
-                self._held = None
-                fire_at, seq, event = entry = pushpop(heap, held)
+        self._depth += 1
+        # at most the set-up heap's top time. Nothing enters that heap while
+        # a loop runs, and a run_until nested in a handler only pops from
+        # it, so a stale value is too low and costs only a closer look
+        setup_at = setup[0][0] if setup else math.inf
+        try:
+            while True:
+                # the run side's next entry: the held one, or the heap's top
+                held = self._held
+                if held is not None:
+                    self._held = None
+                    entry = pushpop(heap, held)
+                elif heap:
+                    entry = pop(heap)
+                else:
+                    entry = None
+                if entry is None or setup_at <= entry[0]:
+                    if setup and (entry is None or setup[0] < entry):
+                        # a set-up entry comes first: the run side's entry
+                        # waits in the held slot, which the take above emptied
+                        self._held = entry
+                        if setup[0][0] > t_end:
+                            break
+                        entry = pop(setup)
+                    elif entry is None:
+                        break
+                    setup_at = setup[0][0] if setup else math.inf
+                fire_at, seq, event = entry
                 if fire_at > t_end:
                     self._held = entry
                     break
-            # _live() inlined for speed: the entry is stale once its event
-            # moved, fired, was cancelled or was re-armed under a later seq
-            if fire_at != event.fire_at or seq != event.seq:
-                continue
-            event.fire_at = None
-            if event.stallable:
-                del by_vm[event.vm][seq]
-            self._now = fire_at
-            if log is not None:
-                log(f"{fire_at},{seq},{event.kind},{event.detail}")
-                if len(lines) == TRACE_WRITE_LINES:
-                    self._close_chunk()
-            self._processed += 1
-            if event.fn is not None:
-                event.fn()
+                # _live() inlined for speed: the entry is stale once its event
+                # moved, fired, was cancelled or was re-armed under a later seq
+                if fire_at != event.fire_at or seq != event.seq:
+                    continue
+                event.fire_at = None
+                if event.stallable:
+                    del by_vm[event.vm][seq]
+                self._now = fire_at
+                if log is not None:
+                    log(f"{fire_at},{seq},{event.kind},{event.detail}")
+                    if len(lines) == TRACE_WRITE_LINES:
+                        self._close_chunk()
+                self._processed += 1
+                if event.fn is not None:
+                    event.fn()
+        finally:
+            self._depth -= 1
         return self._processed - start
 
     def pending(self) -> list[SimEvent]:
         """Live queued events in processing order (diagnostic snapshot)."""
-        entries = self._heap if self._held is None else [*self._heap, self._held]
+        entries = [*self._heap, *self._setup]
+        if self._held is not None:
+            entries.append(self._held)
         # live entries have distinct (fire_at, seq), so no event is compared
         return [entry[2] for entry in sorted(filter(_live, entries))]
 
@@ -353,7 +395,8 @@ class Engine:
             raise ValueError("delta must be non-negative")
         indexes = self._by_vm.values() if vm is None else [self._by_vm.get(vm, {})]
         shifted = 0
-        heap, push = self._heap, heapq.heappush
+        heap = self._heap if self._depth else self._setup
+        push = heapq.heappush
         for index in indexes:
             shifted += len(index)
             if delta:

@@ -3,7 +3,9 @@
 Resources are fungible counts in four classes (LUT, memory bytes, IO pins,
 DSP slices). Allocation is first-fit against the free pool; there is no
 placement or fragmentation model. Conservation holds at all times:
-``free + sum(slot capacities) == total`` componentwise.
+``free + sum(slot capacities) == total`` componentwise. So
+:meth:`Fabric.used` is ``total - free``, and a utilization sample costs
+the same however many slots are allocated.
 """
 
 from __future__ import annotations
@@ -38,9 +40,16 @@ class ResourceVector(FrozenRecord):
         setattr_(self, "memory_bytes", memory_bytes)
         setattr_(self, "io_pins", io_pins)
         setattr_(self, "dsp", dsp)
-        for name in RESOURCE_CLASSES:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        # written out in RESOURCE_CLASSES order: every vector a model makes
+        # runs this
+        if lut < 0:
+            raise ValueError("lut must be non-negative")
+        if memory_bytes < 0:
+            raise ValueError("memory_bytes must be non-negative")
+        if io_pins < 0:
+            raise ValueError("io_pins must be non-negative")
+        if dsp < 0:
+            raise ValueError("dsp must be non-negative")
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
         return ResourceVector(
@@ -59,12 +68,15 @@ class ResourceVector(FrozenRecord):
         )
 
     def fits_within(self, other: "ResourceVector") -> bool:
-        return all(
-            getattr(self, name) <= getattr(other, name) for name in RESOURCE_CLASSES
+        return (
+            self.lut <= other.lut
+            and self.memory_bytes <= other.memory_bytes
+            and self.io_pins <= other.io_pins
+            and self.dsp <= other.dsp
         )
 
     def any_positive(self) -> bool:
-        return any(getattr(self, name) > 0 for name in RESOURCE_CLASSES)
+        return self.lut > 0 or self.memory_bytes > 0 or self.io_pins > 0 or self.dsp > 0
 
     def scaled(self, numerator: int, denominator: int) -> "ResourceVector":
         """Componentwise integer fraction (floor)."""
@@ -156,10 +168,9 @@ class Fabric:
         return capacity
 
     def used(self) -> ResourceVector:
-        used = ResourceVector()
-        for capacity in self.slots.values():
-            used = used + capacity
-        return used
+        """The sum of every slot's capacity, which conservation makes
+        ``total - free``: O(1), however many slots there are."""
+        return self.total - self.free
 
     def utilization(self) -> dict[str, float]:
         """Per-class 100 * used / available, computed from live allocations."""

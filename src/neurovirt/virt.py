@@ -5,6 +5,12 @@ Each VM's region slot holds one DFX module at a time. The one request,
 exist when programming starts and the new one is usable when it ends. A
 VM's requests run one at a time in FIFO order.
 
+Queue invariant: between events, every VM with queued requests is
+reconfiguring or waits on a full reconfiguration in flight. A request is
+queued only when one of the two holds, and only a finish can end either.
+So a partial's finish starts at most its own VM's next request, and only
+a full's finish walks every VM's queue.
+
 Reconfiguration cost is a bytes-over-configuration-port model. A full
 reconfiguration reprograms the whole fabric and stalls every VM for its
 duration; a partial reconfiguration reprograms one region slot and stalls
@@ -248,8 +254,14 @@ class Hypervisor:
         self.reconfig_accum[record.mode] += record.duration
         vm.loaded = vm.inflight_module
         vm.inflight_module = None
-        if record.mode is ReconfigMode.FULL:
-            self._full_active = False
+        if record.mode is ReconfigMode.PARTIAL:
+            # by the queue invariant, every other VM with queued requests is
+            # reconfiguring or waits on a full in flight: only this VM's
+            # queue can start
+            if vm.pending_reconfigs and not self._full_active:
+                self._start_reconfig(vm, *vm.pending_reconfigs.popleft())
+            return
+        self._full_active = False
         # a full reconfiguration may have queued work on any VM, not just its own
         for queued_vm_id in sorted(self.vms):
             queued_vm = self.vms[queued_vm_id]

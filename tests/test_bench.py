@@ -1,3 +1,4 @@
+import heapq
 import math
 from pathlib import Path
 from unittest import mock
@@ -218,6 +219,35 @@ def test_backpressured_transfer_retries_next_tick():
 def test_churn_retries_fire_one_tick_late_through_stalls():
     scenario = load_scenario(SCENARIOS / "churn.json")
     _assert_retries_fire_one_tick_late(run_scenario(scenario), scenario.tick_period_ns)
+
+
+def test_churn_sifts_a_run_heap_of_the_work_in_flight_only(monkeypatch):
+    # every stream start, request and sample is queued before the loop
+    # starts and waits in the set-up heap, so the heap that the loop's
+    # handlers sift holds only the work in flight: at most 47 entries here,
+    # against the 129 of one heap holding everything
+    starts, sifted = [], []
+    drain = Engine._drain
+
+    def traced_drain(self, t_end):
+        starts.append((len(self._heap), self._held))
+        return drain(self, t_end)
+
+    def sizing(op):
+        def wrapper(heap, *args):
+            sifted.append((heap, len(heap)))
+            return op(heap, *args)
+        return wrapper
+
+    monkeypatch.setattr(Engine, "_drain", traced_drain)
+    for name in ("heappush", "heappop", "heappushpop"):
+        monkeypatch.setattr(heapq, name, sizing(getattr(heapq, name)))
+    result = run_scenario(load_scenario(SCENARIOS / "churn.json"))
+    assert result.engine.processed_count == 2_400
+    assert starts == [(0, None)]
+    run_heap = [n for heap, n in sifted if heap is result.engine._heap]
+    assert len(run_heap) > 2_000
+    assert max(run_heap) <= 64
 
 
 def test_scheduled_partial_reconfig_leaves_transfer_stream_alone():

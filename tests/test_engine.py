@@ -581,6 +581,104 @@ def test_run_until_nested_in_a_handler_matches_the_oracle():
     assert eng.pending() == []
 
 
+# The tests below reach the set-up heap: entries queued while no loop runs
+# wait there, apart from the run heap that a loop's handlers fill.
+
+def test_pending_lists_set_up_entries_beside_held_and_run_heap_ones():
+    eng = Engine(seed=1)
+    rearmed = []
+    eng.schedule(10, "T", fn=lambda: rearmed.append(eng.schedule(30, "R")))
+    early = eng.schedule(25, "S")
+    assert eng.run_until(10) == 1
+    late = eng.schedule(40, "L")
+    postponed = eng.schedule(20, "P", vm="v")
+    assert eng.postpone_pending(30, vm="v") == 1
+    # R waits in the held slot; S, L and both of P's entries in the set-up heap
+    assert eng._held == (30, 2, rearmed[0]) and eng._heap == []
+    assert len(eng._setup) == 4
+    assert eng.pending() == [early, rearmed[0], late, postponed]
+    eng.cancel(late)
+    assert eng.pending() == [early, rearmed[0], postponed]
+    assert eng.run() == 3 and eng.now() == 50
+
+
+def test_run_until_nested_in_a_handler_takes_set_up_entries_from_the_outer_loop():
+    # set-up entries at 5, 10, 20, 35 and 60. The handler at 5 queues X and
+    # X2 on the run side, then runs the loop on to 30: it takes B, X and C,
+    # and stops before D at 35 with X2 at 45 held back. Then it queues Y at
+    # 33, before D, which the outer loop last saw as the set-up heap's top
+    # at 10; the outer loop must still take Y, D and X2 in that order
+    def replay(eng):
+        log = []
+
+        def nest():
+            eng.schedule(12, "X")
+            eng.schedule(45, "X2")
+            log.append(eng.run_until(30))
+            log.append([(ev.fire_at, ev.kind) for ev in eng.pending()])
+            eng.schedule(33, "Y")
+
+        eng.schedule(5, "A", fn=nest)
+        for at, kind in ((10, "B"), (20, "C"), (35, "D"), (60, "E")):
+            eng.schedule(at, kind)
+        log.append(eng.run_until(50))
+        log.append((eng.now(), [(ev.fire_at, ev.kind) for ev in eng.pending()]))
+        return log
+
+    eng, oracle = Engine(seed=0, trace=True), _Oracle()
+    expected = replay(oracle)
+    assert expected == [3, [(35, "D"), (45, "X2"), (60, "E")], 7, (50, [(60, "E")])]
+    assert replay(eng) == expected
+    assert [line.split(",")[2] for line in eng.trace] == ["A", "B", "X", "C", "Y", "D", "X2"]
+    assert eng.trace == oracle.trace
+
+
+def test_a_handler_queues_on_the_run_side_after_a_nested_run_until_returns():
+    # the outer loop still runs after the nested one ends, so X is a
+    # handler's entry: were it put in the set-up heap, whose top the outer
+    # loop last saw at 100, the loop would fire R at 50 before it
+    eng = Engine(seed=1, trace=True)
+
+    def nest():
+        eng.schedule(50, "R")
+        assert eng.run_until(6) == 0
+        eng.schedule(7, "X")
+
+    eng.schedule(5, "A", fn=nest)
+    eng.schedule(100, "E")
+    assert eng.run() == 4
+    assert eng.trace == ["5,0,A,", "7,3,X,", "50,2,R,", "100,1,E,"]
+
+
+def test_equal_times_across_the_two_heaps_go_by_seq():
+    # R is queued by a handler, so it waits on the run side; S1 was queued
+    # before it and S3 after it, both while no loop ran
+    eng = Engine(seed=1, trace=True)
+    eng.schedule(5, "A", fn=lambda: eng.schedule(20, "R"))
+    eng.schedule(20, "S1")
+    assert eng.run_until(10) == 1
+    eng.schedule(20, "S3")
+    assert eng.run() == 3
+    assert eng.trace == ["5,0,A,", "20,1,S1,", "20,2,R,", "20,3,S3,"]
+
+
+def test_a_handler_that_raises_leaves_later_set_up_entries_in_the_set_up_heap():
+    eng = Engine(seed=1, trace=True)
+
+    def fail():
+        raise RuntimeError("handler failed")
+
+    eng.schedule(10, "F", fn=fail)
+    with pytest.raises(RuntimeError, match="handler failed"):
+        eng.run()
+    # the loop is gone, so this is set-up work again, not a handler's
+    later = eng.schedule(20, "S")
+    assert eng._setup == [(20, 1, later)]
+    assert eng._heap == [] and eng._held is None
+    assert eng.run() == 1
+    assert eng.trace == ["10,0,F,", "20,1,S,"]
+
+
 class _Oracle:
     """The engine's contract as a plain list kept in (fire_at, seq) order on
     demand: cancelling removes the event, postponing edits its time, and
@@ -659,22 +757,34 @@ RESCHEDULES = st.tuples(st.just("reschedule"), st.integers(0, 1_000),
 # (delay,): a handler re-arms its own event, so the loop's next pop meets
 # the entry it holds back from the heap
 REARM_SELF = st.tuples(st.just("rearm-self"), st.integers(0, 80))
+# ("schedule", delay, ...) queues at now + delay; ("schedule-on-grid", k,
+# ...) at the k-th multiple of GRID at or after now, so that entries queued
+# between runs (the set-up heap) and from handlers (the run heap) often
+# share a fire time and differ only in seq
+GRID = 10
+SCHEDULES = st.one_of(st.tuples(st.just("schedule"), st.integers(0, 80)),
+                      st.tuples(st.just("schedule-on-grid"), st.integers(0, 6)))
+VM_TAGS = st.one_of(st.none(), st.sampled_from(VMS))
+# ("run", delay): run_until(now + delay), between runs or nested in a
+# handler, where it takes set-up entries from under the outer loop
+RUNS = st.tuples(st.just("run"), st.integers(0, 60))
 NESTED = st.one_of(
     REARM_SELF,
     POSTPONES,
     st.tuples(st.just("cancel"), st.integers(0, 1_000)),
     RESCHEDULES,
-    st.tuples(st.just("schedule"), st.integers(0, 80), st.one_of(st.none(), st.sampled_from(VMS)),
-              st.booleans(), st.none()),
+    st.builds(lambda s, vm, stallable: s + (vm, stallable, None), SCHEDULES, VM_TAGS,
+              st.booleans()),
+    RUNS,
 )
 OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("schedule"), st.integers(0, 80), st.one_of(st.none(), st.sampled_from(VMS)),
-                  st.booleans(), st.one_of(st.none(), NESTED)),
+        st.builds(lambda s, vm, stallable, action: s + (vm, stallable, action), SCHEDULES,
+                  VM_TAGS, st.booleans(), st.one_of(st.none(), NESTED)),
         POSTPONES,
         st.tuples(st.just("cancel"), st.integers(0, 1_000)),
         RESCHEDULES,
-        st.tuples(st.just("run"), st.integers(0, 60)),
+        RUNS,
     ),
     max_size=60,
 )
@@ -693,12 +803,12 @@ def _replay(eng, ops) -> list:
     def apply(op, running=None):
         nonlocal rearms, retired
         name = op[0]
-        if name == "schedule":
+        if name in ("schedule", "schedule-on-grid"):
             _, delay, vm, stallable, action = op
             i = len(events)
             fn = None if action is None else lambda: apply(action, i)
-            event = eng.schedule(eng.now() + delay, f"k{len(events)}", fn=fn, vm=vm,
-                                 stallable=stallable)
+            at = eng.now() + delay if name == "schedule" else (-(-eng.now() // GRID) + delay) * GRID
+            event = eng.schedule(at, f"k{len(events)}", fn=fn, vm=vm, stallable=stallable)
             events.append(event)
             armed_at.append(event.fire_at)
             results.append(("schedule", event.seq))
@@ -733,7 +843,7 @@ def _replay(eng, ops) -> list:
             results.append(("run", eng.run_until(eng.now() + op[1])))
         results.append([(ev.fire_at, ev.seq, ev.kind) for ev in eng.pending()])
         if isinstance(eng, Engine):  # each stale queued entry is one retired entry
-            queued = len(eng._heap) + (eng._held is not None)
+            queued = len(eng._heap) + len(eng._setup) + (eng._held is not None)
             assert queued - len(results[-1]) <= retired
 
     for op in ops:

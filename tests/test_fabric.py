@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neurovirt.fabric import (
+    RESOURCE_CLASSES,
     Fabric,
     FabricConfig,
     InsufficientResources,
@@ -94,9 +95,15 @@ def test_release_errors():
         fab.release(slot)
 
 
+def _recount(fab: Fabric) -> ResourceVector:
+    """The sum of every slot's capacity, counted afresh."""
+    return sum(fab.slots.values(), ResourceVector())
+
+
 def _conserved(fab: Fabric) -> bool:
-    total = fab.free + fab.used()
-    return total == fab.total
+    # against a recount: used() is total - free, so free + used() always
+    # equals the total
+    return fab.free + _recount(fab) == fab.total
 
 
 @settings(max_examples=50, deadline=None)
@@ -129,3 +136,66 @@ def test_conservation_under_random_op_sequences(seed):
     for slot in list(live):
         fab.release(slot)
     assert fab.free == fab.total
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_used_and_utilization_equal_a_recount_of_the_slots(seed):
+    import random
+
+    rng = random.Random(seed)
+    fab = Fabric()
+    live: list[int] = []
+    for _ in range(100):
+        if rng.random() < 0.6:
+            request = ResourceVector(
+                lut=rng.randint(1, 80_000),
+                memory_bytes=rng.randint(0, 6_000_000),
+                io_pins=rng.randint(0, 64),
+                dsp=rng.randint(0, 256),
+            )
+            try:
+                live.append(fab.allocate(request))
+            except InsufficientResources:
+                pass
+        elif live:
+            fab.release(live.pop(rng.randrange(len(live))))
+        used = _recount(fab)
+        assert fab.used() == used
+        assert fab.utilization() == {
+            name: 100.0 * getattr(used, name) / getattr(fab.total, name)
+            for name in RESOURCE_CLASSES
+        }
+
+
+def test_a_request_short_in_two_classes_names_the_first_in_class_order():
+    fab = Fabric()
+    with pytest.raises(InsufficientResources) as err:
+        fab.allocate(ResourceVector(lut=10**9, dsp=10**6))
+    assert (err.value.resource, err.value.requested, err.value.available) == (
+        "lut", 10**9, 504_000)
+    assert str(err.value) == "insufficient lut: requested 1000000000, available 504000"
+    with pytest.raises(InsufficientResources, match="insufficient io_pins"):
+        fab.allocate(ResourceVector(io_pins=465, dsp=1_729))
+
+
+@pytest.mark.parametrize("fields, first", [
+    ({"lut": -1, "dsp": -1}, "lut"),
+    ({"memory_bytes": -2, "io_pins": -3}, "memory_bytes"),
+    ({"io_pins": -1, "dsp": -7}, "io_pins"),
+    ({"dsp": -1}, "dsp"),
+])
+def test_a_vector_negative_in_some_fields_names_the_first(fields, first):
+    with pytest.raises(ValueError, match=f"^{first} must be non-negative$"):
+        ResourceVector(**fields)
+
+
+VECTORS = st.builds(ResourceVector, *(st.integers(0, 5) for _ in RESOURCE_CLASSES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(VECTORS, VECTORS)
+def test_written_out_comparisons_match_the_per_class_rule(a, b):
+    assert a.fits_within(b) == all(
+        getattr(a, name) <= getattr(b, name) for name in RESOURCE_CLASSES)
+    assert a.any_positive() == any(getattr(a, name) > 0 for name in RESOURCE_CLASSES)

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -380,3 +382,73 @@ def test_zero_length_partial_fires_each_of_its_vms_events_once():
     assert hv.records[0].duration == 0
     work = [line.split(",")[:2] for line in eng.trace if ",Work," in line]
     assert work == [["0", "0"], ["5", "1"], ["5", "2"], ["10", "3"]]
+
+
+class _ScanAllHypervisor(Hypervisor):
+    """The reference finish: after any reconfiguration, partial or full,
+    walk every VM in id order and start each idle one's queue."""
+
+    def _finish_reconfig(self, vm, record):
+        self.reconfig_accum[record.mode] += record.duration
+        vm.loaded = vm.inflight_module
+        vm.inflight_module = None
+        if record.mode is ReconfigMode.FULL:
+            self._full_active = False
+        for queued_vm_id in sorted(self.vms):
+            queued_vm = self.vms[queued_vm_id]
+            if self._full_active:
+                break
+            if queued_vm.pending_reconfigs and not queued_vm.reconfiguring:
+                self._start_reconfig(queued_vm, *queued_vm.pending_reconfigs.popleft())
+
+
+class _CheckedEngine(Engine):
+    """Runs its ``check`` attribute after every processed event, the
+    hypervisor's own ReconfigDone events included."""
+
+    def schedule(self, at, kind, fn=None, *args, **kwargs):
+        def checked():
+            if fn is not None:
+                fn()
+            self.check()
+        return super().schedule(at, kind, checked, *args, **kwargs)
+
+
+# (VM index, time in quarter ms, full?): a request at that time, over
+# 100 ms; a full takes 75 ms and a partial about 3 ms, so requests often
+# queue behind either
+_queue_ops = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 400), st.booleans()),
+    min_size=1, max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_queue_ops, st.integers(3, 4))
+def test_queued_requests_always_wait_on_a_reconfiguration(ops, vm_count):
+    # the queue invariant that lets a partial's finish start only its own
+    # VM's queue: every VM with queued requests is reconfiguring, or a full
+    # is in flight. And the result equals that of walking every VM's queue
+    # after every finish
+    def replay(hv_class):
+        eng = _CheckedEngine(seed=0, trace=True)
+        fab = Fabric()
+        hv = hv_class(eng, fab)
+        vms = [hv.create_vm(fab.total.scaled(1, 8)) for _ in range(vm_count)]
+        modules = [_module(share, hv) for share in (0.01, 0.03, 0.06)]
+
+        def check():
+            for vm in hv.vms.values():
+                assert not vm.pending_reconfigs or vm.reconfiguring or hv._full_active
+
+        eng.check = check
+        for i, (index, quarter_ms, full) in enumerate(ops):
+            mode = ReconfigMode.FULL if full else ReconfigMode.PARTIAL
+            request = functools.partial(hv.exchange_module, vms[index % vm_count],
+                                        modules[i % 3], mode)
+            eng.schedule(quarter_ms * NS_PER_MS // 4, "Request", request, stallable=False)
+        eng.run()
+        assert not any(vm.pending_reconfigs or vm.reconfiguring for vm in hv.vms.values())
+        return hv.records, hv.reconfig_accum, eng.trace
+
+    assert replay(Hypervisor) == replay(_ScanAllHypervisor)
