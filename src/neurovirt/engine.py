@@ -34,11 +34,10 @@ heap's top and otherwise swaps it in with one sift; only with nothing
 held does it call ``heappop``. So a handler that re-arms its own event as
 the next to fire costs no heap operation: the "hold" of the event-set
 literature (Jones, CACM 1986). That entry is then compared with the
-set-up heap's top, by one int compare against a cached lower bound of its
-time; when the set-up entry comes first, the run side's entry goes back
-into the held slot, which is empty at that point. Seqs are given at
-schedule time, so the two heaps merge in exactly the ``(fire_at, seq)``
-order of one queue, and ties go by seq alone. Keeping pre-loaded future
+set-up heap's top; when the set-up entry comes first, the run side's
+entry goes back into the held slot, which is empty at that point. Seqs
+are given at schedule time, so the two heaps merge in exactly the
+``(fire_at, seq)`` order of one queue, and ties go by seq alone. Keeping pre-loaded future
 events (a scenario's requests and samples) out of the run heap keeps its
 sifts as short as the work in flight (Brown, "Calendar queues", CACM
 1988). The held entry is queued like any other: :meth:`Engine.pending`
@@ -320,10 +319,6 @@ class Engine:
         pop, pushpop = heapq.heappop, heapq.heappushpop
         start = self._processed
         self._depth += 1
-        # at most the set-up heap's top time. Nothing enters that heap while
-        # a loop runs, and a run_until nested in a handler only pops from
-        # it, so a stale value is too low and costs only a closer look
-        setup_at = setup[0][0] if setup else math.inf
         try:
             while True:
                 # the run side's next entry: the held one, or the heap's top
@@ -335,17 +330,15 @@ class Engine:
                     entry = pop(heap)
                 else:
                     entry = None
-                if entry is None or setup_at <= entry[0]:
-                    if setup and (entry is None or setup[0] < entry):
-                        # a set-up entry comes first: the run side's entry
-                        # waits in the held slot, which the take above emptied
-                        self._held = entry
-                        if setup[0][0] > t_end:
-                            break
-                        entry = pop(setup)
-                    elif entry is None:
+                if setup and (entry is None or setup[0] < entry):
+                    # a set-up entry comes first: the run side's entry waits
+                    # in the held slot, which the take above emptied
+                    self._held = entry
+                    if setup[0][0] > t_end:
                         break
-                    setup_at = setup[0][0] if setup else math.inf
+                    entry = pop(setup)
+                elif entry is None:
+                    break
                 fire_at, seq, event = entry
                 if fire_at > t_end:
                     self._held = entry

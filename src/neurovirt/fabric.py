@@ -40,16 +40,9 @@ class ResourceVector(FrozenRecord):
         setattr_(self, "memory_bytes", memory_bytes)
         setattr_(self, "io_pins", io_pins)
         setattr_(self, "dsp", dsp)
-        # written out in RESOURCE_CLASSES order: every vector a model makes
-        # runs this
-        if lut < 0:
-            raise ValueError("lut must be non-negative")
-        if memory_bytes < 0:
-            raise ValueError("memory_bytes must be non-negative")
-        if io_pins < 0:
-            raise ValueError("io_pins must be non-negative")
-        if dsp < 0:
-            raise ValueError("dsp must be non-negative")
+        for name in RESOURCE_CLASSES:
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
         return ResourceVector(
@@ -68,15 +61,12 @@ class ResourceVector(FrozenRecord):
         )
 
     def fits_within(self, other: "ResourceVector") -> bool:
-        return (
-            self.lut <= other.lut
-            and self.memory_bytes <= other.memory_bytes
-            and self.io_pins <= other.io_pins
-            and self.dsp <= other.dsp
+        return all(
+            getattr(self, name) <= getattr(other, name) for name in RESOURCE_CLASSES
         )
 
     def any_positive(self) -> bool:
-        return self.lut > 0 or self.memory_bytes > 0 or self.io_pins > 0 or self.dsp > 0
+        return any(getattr(self, name) > 0 for name in RESOURCE_CLASSES)
 
     def scaled(self, numerator: int, denominator: int) -> "ResourceVector":
         """Componentwise integer fraction (floor)."""
@@ -173,7 +163,7 @@ class Fabric:
         return self.total - self.free
 
     def utilization(self) -> dict[str, float]:
-        """Per-class 100 * used / available, computed from live allocations."""
+        """Per-class 100 * used / available, where used is ``total - free``."""
         used = self.used()
         return {
             name: 100.0 * getattr(used, name) / getattr(self.total, name)

@@ -189,13 +189,3 @@ def test_a_vector_negative_in_some_fields_names_the_first(fields, first):
     with pytest.raises(ValueError, match=f"^{first} must be non-negative$"):
         ResourceVector(**fields)
 
-
-VECTORS = st.builds(ResourceVector, *(st.integers(0, 5) for _ in RESOURCE_CLASSES))
-
-
-@settings(max_examples=200, deadline=None)
-@given(VECTORS, VECTORS)
-def test_written_out_comparisons_match_the_per_class_rule(a, b):
-    assert a.fits_within(b) == all(
-        getattr(a, name) <= getattr(b, name) for name in RESOURCE_CLASSES)
-    assert a.any_positive() == any(getattr(a, name) > 0 for name in RESOURCE_CLASSES)
