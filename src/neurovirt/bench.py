@@ -24,7 +24,7 @@ from neurovirt.fabric import Fabric, InsufficientResources, ResourceVector
 from neurovirt.iodriver import GIB, IoDriver, LinkModel, effective_throughput
 from neurovirt.metrics import MetricsCollector, energy_for_accelerators, export_samples
 from neurovirt.record import Record
-from neurovirt.sched import DEFAULT_TICK_PERIOD_NS, Scheduler, profile
+from neurovirt.sched import DEFAULT_TICK_PERIOD_NS, Scheduler
 from neurovirt.scenario import Scenario
 from neurovirt.snn import SpikingExecutor
 # make_core_state and step_core stay bound here, since perfbench/tracer.py
@@ -48,6 +48,19 @@ def _fmt(x: float) -> str:
     return repr(x)
 
 
+def _counts(values, what: str, unit: str = "") -> tuple:
+    """``values`` as a tuple, read once so that an iterator is not used up
+    by the checks; a ValueError names the first below 1, or the absence
+    of any."""
+    values = tuple(values)
+    if not values:
+        raise ValueError(f"no {what}s")
+    for value in values:
+        if value < 1:
+            raise ValueError(f"{what} {value} below 1{unit}")
+    return values
+
+
 def bench_throughput(vm_counts=DEFAULT_VM_COUNTS, sizes=DEFAULT_SIZES) -> str:
     """Aggregate Gib/s per (vm_count, transfer size), measured in simulation.
 
@@ -55,19 +68,9 @@ def bench_throughput(vm_counts=DEFAULT_VM_COUNTS, sizes=DEFAULT_SIZES) -> str:
     VM's post-warmup completion span, which converges to the pipe model's
     closed form as sizes grow.
     """
-    # read once: an iterator would be used up by the checks below
-    vm_counts, sizes = tuple(vm_counts), tuple(sizes)
-    if not vm_counts:
-        raise ValueError("no vm counts")
-    if not sizes:
-        raise ValueError("no transfer sizes")
+    vm_counts = _counts(vm_counts, "vm count")
+    sizes = _counts(sizes, "transfer size", " byte")
     link = LinkModel()
-    for count in vm_counts:
-        if count < 1:
-            raise ValueError(f"vm count {count} below link model domain")
-    for size in sizes:
-        if size < 1:
-            raise ValueError(f"transfer size {size} below 1 byte")
     out = io.StringIO()
     out.write("vm_count,transfer_bytes,measured_gibs,model_gibs\n")
     for vm_count in vm_counts:
@@ -122,8 +125,7 @@ def bench_energy(max_accelerators: int = DEFAULT_ACCELERATORS) -> str:
     spiking workload; the energy column is the provisioned-accelerator
     energy for that workload unit, synaptic ops are the measured compute.
     """
-    if max_accelerators < 1:
-        raise ValueError("accelerator count must be >= 1")
+    _counts((max_accelerators,), "accelerator count")
     out = io.StringIO()
     out.write("accelerators,energy_mj,synaptic_ops\n")
     for n in range(1, max_accelerators + 1):
@@ -153,12 +155,7 @@ def bench_reconfig(vm_counts=DEFAULT_RECONFIG_VM_COUNTS) -> str:
     schedule (each module of the default catalog, in catalog order); the
     two policies differ only in reconfiguration mode.
     """
-    vm_counts = tuple(vm_counts)  # read once: the checks below would use up an iterator
-    if not vm_counts:
-        raise ValueError("no vm counts")
-    for count in vm_counts:
-        if count < 1:
-            raise ValueError("vm counts must be >= 1")
+    vm_counts = _counts(vm_counts, "vm count")
     out = io.StringIO()
     out.write("vm_count,full_ns,partial_ns\n")
     for count in vm_counts:
@@ -215,11 +212,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
         hv.create_vm(scenario.fabric.total.share(vmdef.share), vmdef.cores, vmdef.id)
         scheduler.add_vm(vmdef.id, hv.vms[vmdef.id].cores)
 
-    for tdef in scenario.tasks:
-        scheduler.submit(profile(
-            tdef.id, tdef.steps, tdef.input_rate, tdef.fan_in, scenario.fabric.neurons_per_core,
-            deadline=tdef.deadline_ns, arrival=tdef.arrival_ns, spiking=tdef.mode == "spiking",
-        ))
+    for task in scenario.tasks:
+        scheduler.submit(task)
 
     for tr in scenario.transfers:
         engine.schedule(

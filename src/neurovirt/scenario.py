@@ -36,12 +36,16 @@ A run is a pure function of its scenario: ``seed`` seeds its only random
 draws, a spiking task's weights and input picks. The bench commands take
 no scenario and no seed; each is a pure function of its arguments.
 
-A module's ``kind`` and a task's ``data_size`` are labels that no model
-reads: reconfiguration time depends only on bitstream bytes, and a task's
-duration only on its steps, input rate and fan-in. They stay in the schema
-because the benchmark's generated scenarios write them. The loader checks
-both; they stay on ``ModuleDef`` and ``TaskDef``, and no model object
-(``DfxModule``, ``TaskSpec``) holds either.
+A row loads as its model object where one exists: a module row as its
+``DfxModule``, a task row as the ``TaskSpec`` that ``sched.profile``
+builds on the fabric's ``neurons_per_core``. VM, transfer and
+reconfiguration rows load as plain records (``VmDef``, ``TransferDef``,
+``ReconfigOp``), since their model objects exist only once a run wires
+them. A module's ``kind`` and a task's ``data_size`` are labels that no
+model reads: reconfiguration time depends only on bitstream bytes, and a
+task's duration only on its steps, input rate and fan-in. The loader
+checks both and stores neither; they stay in the schema because the
+benchmark's generated scenarios write them.
 
 The rule tables below (``TOP`` to ``RECONFIG_OP``) are the field
 reference. Each lists its section's keys: for each, the kind of value it
@@ -59,8 +63,11 @@ module or task id is non-empty and holds no whitespace, ``,``, ``;`` or
 referenced by tasks, transfers, and reconfigs must resolve, tasks need a
 VM, and the VMs and reconfigured modules must fit the fabric.
 A run schedules its samples before it starts, so ``duration_ns`` may span
-at most :data:`MAX_SAMPLES` sample periods. The link's peak bandwidth per
-active-VM count is the model constant ``iodriver.PEAK_GIBPS``, not a key.
+at most :data:`MAX_SAMPLES` sample periods. A task's ``arrival_ns``, a
+transfer's ``start_ns`` and a reconfiguration's ``at_ns`` are at most
+``duration_ns``, since a later one would never fire. The link's peak
+bandwidth per active-VM count is the model constant
+``iodriver.PEAK_GIBPS``, not a key.
 """
 
 from __future__ import annotations
@@ -82,6 +89,8 @@ from neurovirt.sched import (
     DEFAULT_CORE_RATE,
     DEFAULT_MIGRATION_PENALTY_NS,
     DEFAULT_TICK_PERIOD_NS,
+    TaskSpec,
+    profile,
 )
 from neurovirt.virt import (
     DfxModule,
@@ -110,18 +119,6 @@ class ValidationError(Exception):
         super().__init__(f"{fieldpath}: {message}")
 
 
-class ModuleDef(FrozenRecord):
-    __slots__ = ("id", "kind", "share", "bitstream_bytes")
-
-    def __init__(self, id: str, kind: str, share: float, bitstream_bytes: int | None = None):
-        setattr_ = object.__setattr__
-        setattr_(self, "id", id)
-        setattr_(self, "kind", kind)  # one of MODULE_KINDS
-        setattr_(self, "share", share)
-        # None: the size module_from_share gives
-        setattr_(self, "bitstream_bytes", bitstream_bytes)
-
-
 class VmDef(FrozenRecord):
     __slots__ = ("id", "share", "cores")
 
@@ -130,32 +127,6 @@ class VmDef(FrozenRecord):
         setattr_(self, "id", id)
         setattr_(self, "share", share)
         setattr_(self, "cores", cores)
-
-
-class TaskDef(FrozenRecord):
-    __slots__ = ("id", "steps", "input_rate", "fan_in", "data_size", "deadline_ns",
-                 "arrival_ns", "mode")
-
-    def __init__(
-        self,
-        id: str,
-        steps: int,
-        input_rate: int,
-        fan_in: int,
-        data_size: int = 0,
-        deadline_ns: int | None = None,
-        arrival_ns: int = 0,
-        mode: str = "analytic",  # one of TASK_MODES
-    ):
-        setattr_ = object.__setattr__
-        setattr_(self, "id", id)
-        setattr_(self, "steps", steps)
-        setattr_(self, "input_rate", input_rate)
-        setattr_(self, "fan_in", fan_in)
-        setattr_(self, "data_size", data_size)
-        setattr_(self, "deadline_ns", deadline_ns)
-        setattr_(self, "arrival_ns", arrival_ns)
-        setattr_(self, "mode", mode)
 
 
 class TransferDef(FrozenRecord):
@@ -202,7 +173,7 @@ class Scenario(Record):
         migration_penalty_ns: int = DEFAULT_MIGRATION_PENALTY_NS,
         modules: dict[str, DfxModule] | None = None,
         vms: list[VmDef] | None = None,
-        tasks: list[TaskDef] | None = None,
+        tasks: list[TaskSpec] | None = None,
         transfers: list[TransferDef] | None = None,
         reconfigs: list[ReconfigOp] | None = None,
     ):
@@ -238,13 +209,9 @@ def _section(fields: dict, required: tuple = (), by_hand: tuple = ()):
     return frozenset(fields).union(by_hand), tuple(entries)
 
 
-def _choices(*values: str) -> dict:
-    """The kind of a field that takes one of ``values``, each as itself."""
-    return {value: value for value in values}
-
-
-MODULE_KINDS = _choices("lif_core", "router", "pooling")
-TASK_MODES = _choices("analytic", "spiking")
+# choice kinds: each allowed value to what it loads as
+MODULE_KINDS = {kind: kind for kind in ("lif_core", "router", "pooling")}
+TASK_MODES = {"analytic": False, "spiking": True}  # profile's spiking flag
 RECONFIG_MODES = {mode.value: mode for mode in ReconfigMode}
 
 
@@ -422,10 +389,11 @@ def scenario_from_dict(data: dict) -> Scenario:
         scenario.modules = default_module_catalog(fabric)
     for i, row in enumerate(_rows(data, "modules")):
         path = f"$.modules[{i}]"
-        mdef = ModuleDef(**_load(row, path, MODULE))
-        module = module_from_share(mdef.id, mdef.share, total, fabric.bitstream_total_bytes)
-        if mdef.bitstream_bytes is not None:
-            module = DfxModule(module.id, module.footprint, mdef.bitstream_bytes)
+        values = _load(row, path, MODULE)  # kind is checked, then dropped
+        module = module_from_share(values["id"], values["share"], total,
+                                   fabric.bitstream_total_bytes)
+        if "bitstream_bytes" in values:
+            module = DfxModule(module.id, module.footprint, values["bitstream_bytes"])
         if module.id in scenario.modules:
             raise ValidationError(f"{path}.id", f"duplicate module id {module.id!r}")
         scenario.modules[module.id] = module
@@ -449,14 +417,22 @@ def scenario_from_dict(data: dict) -> Scenario:
         scenario.vms.append(vm)
     _check_ids(list(vm_requests), "$.vms")
 
+    duration = scenario.duration_ns
+    neurons_per_core = fabric.neurons_per_core
     task_ids = set()
     for i, row in enumerate(_rows(data, "tasks")):
         path = f"$.tasks[{i}]"
-        task = TaskDef(**_load(row, path, TASK))
+        values = _load(row, path, TASK)  # data_size is checked, then dropped
+        # an absent optional key takes profile's default
+        task = profile(values["id"], values["steps"], values["input_rate"], values["fan_in"],
+                       neurons_per_core, values.get("deadline_ns"),
+                       values.get("arrival_ns", 0), values.get("mode", False))
         if task.id in task_ids:
             raise ValidationError(f"{path}.id", f"duplicate task id {task.id!r}")
         task_ids.add(task.id)
-        if task.deadline_ns is not None and task.deadline_ns <= task.arrival_ns:
+        if task.arrival > duration:
+            raise ValidationError(f"{path}.arrival_ns", "must be at most duration_ns")
+        if task.deadline is not None and task.deadline <= task.arrival:
             raise ValidationError(f"{path}.deadline_ns", "must exceed arrival_ns")
         scenario.tasks.append(task)
     _check_ids([task.id for task in scenario.tasks], "$.tasks")
@@ -468,6 +444,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         transfer = TransferDef(**_load(row, path, TRANSFER))
         if transfer.vm not in vm_requests:
             raise ValidationError(f"{path}.vm", f"unknown vm {transfer.vm!r}")
+        if transfer.start_ns > duration:
+            raise ValidationError(f"{path}.start_ns", "must be at most duration_ns")
         scenario.transfers.append(transfer)
 
     for i, row in enumerate(_rows(data, "reconfigs")):
@@ -475,6 +453,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         op = ReconfigOp(**_load(row, path, RECONFIG_OP))
         if op.vm not in vm_requests:
             raise ValidationError(f"{path}.vm", f"unknown vm {op.vm!r}")
+        if op.at_ns > duration:
+            raise ValidationError(f"{path}.at_ns", "must be at most duration_ns")
         module = scenario.modules.get(op.module)
         if module is None:
             raise ValidationError(f"{path}.module", f"unknown module {op.module!r}")

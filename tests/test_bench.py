@@ -29,7 +29,7 @@ def test_measured_throughput_converges_to_model_at_large_sizes():
 
 
 def test_throughput_rejects_counts_below_model_domain():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^vm count 0 below 1$"):
         bench_throughput(vm_counts=(0,), sizes=(4096,))
 
 
@@ -113,6 +113,20 @@ def test_analytic_and_spiking_tasks_all_finish():
     result = run_scenario(scenario)
     assert set(result.scheduler.finished) == {"s", "a1"}
     assert result.scheduler.makespan() < scenario.duration_ns
+
+
+def test_entries_at_the_run_end_still_fire():
+    # the loader refuses a time past duration_ns; one equal to it is the
+    # last instant the run processes
+    end = 40_000_000
+    result = run_scenario(_base_scenario(
+        tasks=[{"id": "t", "steps": 1, "input_rate": 1, "fan_in": 1, "arrival_ns": end}],
+        transfers=[{"vm": "a", "size_bytes": 4096, "start_ns": end}],
+        reconfigs=[{"vm": "a", "module": "router", "at_ns": end}],
+    ))
+    fired = {line.split(",")[2] for line in result.engine.trace
+             if line.startswith(f"{end},")}
+    assert {"TaskArrival", "TransferStart", "ReconfigRequest"} <= fired
 
 
 def test_migrating_spiking_task_still_completes_all_steps():

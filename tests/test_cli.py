@@ -202,6 +202,13 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
      "error: transfer size 0 below 1 byte"),
     (["bench-throughput", "--sizes", "-5", "--out", "{tmp}/tp.csv"],
      "error: transfer size -5 below 1 byte"),
+    # these used to word one check three ways, one naming the link model
+    (["bench-throughput", "--vm-counts", "0", "--out", "{tmp}/tp.csv"],
+     "error: vm count 0 below 1"),
+    (["bench-reconfig", "--vm-counts", "0-2", "--out", "{tmp}/rc.csv"],
+     "error: vm count 0 below 1"),
+    (["bench-energy", "--accelerators", "0", "--out", "{tmp}/en.csv"],
+     "error: accelerator count 0 below 1"),
     # these used to run and write over the scenario
     (["run", "--scenario", "{scn}", "--out", "{scn}"], "error: --out is the scenario file: {scn}"),
     (["run", "--scenario", "{scn}", "--out", "{tmp}/m.csv", "--trace-out", "{scn}"],
@@ -214,6 +221,7 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
 ], ids=["energy-fabric-full", "reconfig-slots-full", "no-scenario", "scenario-is-dir",
         "no-out-dir", "no-trace-dir", "same-out-and-trace", "no-sizes", "descending-range",
         "unreadable-size", "zero-size", "negative-size",
+        "zero-vm-count", "zero-reconfig-vm-count", "zero-accelerators",
         "out-is-scenario", "trace-out-is-scenario",
         "out-is-a-hard-link-to-scenario", "trace-out-is-a-hard-link-to-out"])
 def test_unrunnable_request_exits_2_with_one_error_line(
@@ -411,6 +419,14 @@ _BAD_ID = "must be non-empty, without whitespace, ',', ';' or '='"
      "$.vms[0].resources: unknown field"),
     ({"modules": [{"id": "m", "kind": "router", "footprint": {"lut": 5}}]},
      "$.modules[0].footprint: unknown field"),
+    # these used to load and then do nothing: the run ends at duration_ns
+    ({"tasks": [{"id": "t", "steps": 20, "input_rate": 4, "fan_in": 32,
+                 "arrival_ns": 30_000_001}]},
+     "$.tasks[0].arrival_ns: must be at most duration_ns"),
+    ({"transfers": [{"vm": "vmB", "size_bytes": 4096, "start_ns": 30_000_001}]},
+     "$.transfers[0].start_ns: must be at most duration_ns"),
+    ({"reconfigs": [{"vm": "vmA", "module": "router", "at_ns": 30_000_001}]},
+     "$.reconfigs[0].at_ns: must be at most duration_ns"),
 ])
 def test_degenerate_field_exits_2_naming_it(tmp_path, override, message):
     path = _scenario_file(tmp_path, **override)

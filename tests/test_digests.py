@@ -92,7 +92,7 @@ def test_stall_run_output_is_pinned(tmp_path):
 
 def test_stall_scenario_reaches_what_it_pins():
     scenario = load_scenario(SCENARIOS / "stall.json")
-    spiking = {task.id for task in scenario.tasks if task.mode == "spiking"}
+    spiking = {task.id for task in scenario.tasks if task.spiking is not None}
     result = run_scenario(scenario)
     migrated = [m.task_id for m in result.scheduler.migrations]
     full = [r for r in result.hypervisor.records if r.mode is ReconfigMode.FULL]

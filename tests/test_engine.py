@@ -765,6 +765,12 @@ GRID = 10
 SCHEDULES = st.one_of(st.tuples(st.just("schedule"), st.integers(0, 80)),
                       st.tuples(st.just("schedule-on-grid"), st.integers(0, 6)))
 VM_TAGS = st.one_of(st.none(), st.sampled_from(VMS))
+# ("schedule-past-run", k, ...), from a handler only: at the k-th multiple
+# of GRID after the end of the innermost run_until in progress, so the entry
+# waits on the run side past that run, where a set-up schedule on the grid
+# often meets it later at the same time under a larger seq
+PAST_RUN = st.builds(lambda k, vm, stallable: ("schedule-past-run", k, vm, stallable, None),
+                     st.integers(0, 6), VM_TAGS, st.booleans())
 # ("run", delay): run_until(now + delay), between runs or nested in a
 # handler, where it takes set-up entries from under the outer loop
 RUNS = st.tuples(st.just("run"), st.integers(0, 60))
@@ -780,7 +786,10 @@ NESTED = st.one_of(
 OPS = st.lists(
     st.one_of(
         st.builds(lambda s, vm, stallable, action: s + (vm, stallable, action), SCHEDULES,
-                  VM_TAGS, st.booleans(), st.one_of(st.none(), NESTED)),
+                  VM_TAGS, st.booleans(), st.one_of(st.none(), NESTED, PAST_RUN)),
+        # a handler that leaves an entry past its run's end
+        st.builds(lambda s, vm, stallable, action: s + (vm, stallable, action), SCHEDULES,
+                  VM_TAGS, st.booleans(), PAST_RUN),
         POSTPONES,
         st.tuples(st.just("cancel"), st.integers(0, 1_000)),
         RESCHEDULES,
@@ -799,15 +808,21 @@ def _replay(eng, ops) -> list:
     armed_at = []  # per event: the time it was last queued for
     rearms = 0
     retired = 0  # cancels of queued events plus events shifted by a non-zero delta
+    ends = []  # the end of each run_until in progress, innermost last
 
     def apply(op, running=None):
         nonlocal rearms, retired
         name = op[0]
-        if name in ("schedule", "schedule-on-grid"):
+        if name in ("schedule", "schedule-on-grid", "schedule-past-run"):
             _, delay, vm, stallable, action = op
             i = len(events)
             fn = None if action is None else lambda: apply(action, i)
-            at = eng.now() + delay if name == "schedule" else (-(-eng.now() // GRID) + delay) * GRID
+            if name == "schedule":
+                at = eng.now() + delay
+            elif name == "schedule-on-grid":
+                at = (-(-eng.now() // GRID) + delay) * GRID
+            else:  # the final drain has no end to wait past: the grid after now
+                at = ((ends[-1] if ends else eng.now()) // GRID + 1 + delay) * GRID
             event = eng.schedule(at, f"k{len(events)}", fn=fn, vm=vm, stallable=stallable)
             events.append(event)
             armed_at.append(event.fire_at)
@@ -840,7 +855,9 @@ def _replay(eng, ops) -> list:
             retired += shifted if op[1] else 0
             results.append((name, shifted))
         else:
-            results.append(("run", eng.run_until(eng.now() + op[1])))
+            ends.append(eng.now() + op[1])
+            results.append(("run", eng.run_until(ends[-1])))
+            ends.pop()
         results.append([(ev.fire_at, ev.seq, ev.kind) for ev in eng.pending()])
         if isinstance(eng, Engine):  # each stale queued entry is one retired entry
             queued = len(eng._heap) + len(eng._setup) + (eng._held is not None)

@@ -45,12 +45,7 @@ RECORDS = [
     (metrics.MetricSample, True, tuple((name, REQUIRED) for name in (
         "at", "lut_pct", "mem_pct", "io_pct", "dsp_pct", "throughput_gibs", "energy_mj",
         "reconfig_full_ns", "reconfig_partial_ns"))),
-    (scenario.ModuleDef, True, (
-        ("id", REQUIRED), ("kind", REQUIRED), ("share", REQUIRED), ("bitstream_bytes", None))),
     (scenario.VmDef, True, (("id", REQUIRED), ("share", REQUIRED), ("cores", None))),
-    (scenario.TaskDef, True, (
-        ("id", REQUIRED), ("steps", REQUIRED), ("input_rate", REQUIRED), ("fan_in", REQUIRED),
-        ("data_size", 0), ("deadline_ns", None), ("arrival_ns", 0), ("mode", "analytic"))),
     (scenario.TransferDef, True, (
         ("vm", REQUIRED), ("size_bytes", REQUIRED), ("start_ns", 0), ("count", 1))),
     (scenario.ReconfigOp, True, (
@@ -117,7 +112,7 @@ def _subclasses(cls):
 def test_every_record_is_listed():
     # a new record needs a row above
     listed = [cls for cls, _, _ in RECORDS]
-    assert len(listed) == 26
+    assert len(listed) == 24
     assert set(_subclasses(Record)) - {FrozenRecord} == set(listed)
 
 
@@ -171,14 +166,16 @@ def test_record_contract(cls, frozen, fields):
 
 
 def _tables():
-    """(allowed keys, ruled entries, model) of each section of the schema;
-    the top level and the scheduler section both build the Scenario."""
+    """(allowed keys, ruled entries, model) of each section of the schema
+    that loads by its model's constructor; the top level and the scheduler
+    section both build the Scenario. Module and task rows load through
+    module_from_share and profile (tests/test_scenario.py)."""
     s = scenario
     pairs = [((s.TOP, s.SCHEDULER), s.Scenario), ((s.FABRIC,), fabric.FabricConfig),
              ((s.RESOURCES,), ResourceVector), ((s.LINK,), iodriver.LinkModel),
              ((s.ENERGY,), metrics.EnergyModel), ((s.RECONFIG,), virt.ReconfigParams),
-             ((s.MODULE,), s.ModuleDef), ((s.VM,), s.VmDef), ((s.TASK,), s.TaskDef),
-             ((s.TRANSFER,), s.TransferDef), ((s.RECONFIG_OP,), s.ReconfigOp)]
+             ((s.VM,), s.VmDef), ((s.TRANSFER,), s.TransferDef),
+             ((s.RECONFIG_OP,), s.ReconfigOp)]
     for sections, model in pairs:
         allowed = frozenset().union(*(keys for keys, _ in sections))
         entries = [entry for _, section_entries in sections for entry in section_entries]

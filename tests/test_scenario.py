@@ -18,6 +18,7 @@ from neurovirt.scenario import (
     scenario_from_dict,
 )
 from neurovirt.fabric import FabricConfig
+from neurovirt.sched import TaskSpec, profile
 from neurovirt.virt import DEFAULT_MODULE_SHARES, default_module_catalog, module_from_share
 
 
@@ -88,8 +89,36 @@ def test_load_round_trip(tmp_path):
     sc = load_scenario(str(path))
     assert sc.vms[0].id == "a"
     assert sc.vms[0].cores == 2
-    assert sc.tasks[0].fan_in == 8
+    assert sc.tasks[0].spiking == (10, 2, 8)
     assert sc.transfers[0].count == 3
+
+
+def test_rows_load_as_their_model_objects():
+    data = minimal()
+    data["fabric"] = {"neurons_per_core": 64}
+    data["vms"] = [{"id": "a", "share": 0.25}]
+    data["tasks"] = [
+        {"id": "t", "steps": 10, "input_rate": 2, "fan_in": 16},
+        {"id": "u", "steps": 10, "input_rate": 2, "fan_in": 128, "data_size": 4096,
+         "deadline_ns": 900, "arrival_ns": 300, "mode": "spiking"},
+    ]
+    bare, full = scenario_from_dict(data).tasks
+    # a row with only the required keys is the profile of its shape on the
+    # fabric's cores: 10 x 2 x 16 synaptic ops, a quarter of a 64-neuron core
+    assert bare == profile("t", 10, 2, 16, 64) == TaskSpec("t", 320, 0.25, None, 0, None)
+    assert full == profile("u", 10, 2, 128, 64, deadline=900, arrival=300, spiking=True)
+    assert (full.deadline, full.arrival, full.spiking) == (900, 300, (10, 2, 128))
+
+    # data_size and a module's kind are checked and stored nowhere
+    def loaded(task_extra, module_kind):
+        variant = copy.deepcopy(data)
+        variant["tasks"][0].update(task_extra)
+        variant["modules"] = [{"id": "m", "kind": module_kind, "share": 0.1}]
+        sc = scenario_from_dict(variant)
+        return sc.tasks, sc.modules
+
+    assert loaded({}, "router") == loaded({"data_size": 1 << 20}, "router")
+    assert loaded({"data_size": 0}, "lif_core") == loaded({"data_size": 7}, "pooling")
 
 
 def test_unknown_vm_reference_rejected():
