@@ -20,7 +20,7 @@ from __future__ import annotations
 import io
 
 from neurovirt.engine import Engine
-from neurovirt.fabric import Fabric, InsufficientResources, ResourceVector
+from neurovirt.fabric import Fabric, FabricConfig, InsufficientResources, ResourceVector
 from neurovirt.iodriver import GIB, IoDriver, LinkModel, effective_throughput
 from neurovirt.metrics import MetricsCollector, energy_for_accelerators, export_samples
 from neurovirt.record import Record
@@ -103,16 +103,16 @@ def _measure_cell(vm_count: int, size: int, link: LinkModel) -> float:
     return aggregate
 
 
-def _create_vms(hv: Hypervisor, request: ResourceVector, count: int, what: str) -> list[str]:
-    """``count`` one-core VMs of ``request``; a ValueError names the
-    count when the experiment's fabric holds fewer."""
-    vm_ids = []
+def _check_fits(request: ResourceVector, count: int, what: str) -> None:
+    """Raise a ValueError naming ``count`` when the default fabric holds
+    fewer than ``count`` slots of ``request``: replayed on a scratch
+    fabric, as the scenario loader does, before any row is simulated."""
+    scratch = Fabric()
     for held in range(count):
         try:
-            vm_ids.append(hv.create_vm(request, cores=1))
+            scratch.allocate(request)
         except InsufficientResources as exc:
             raise ValueError(f"{what} {count} does not fit: the fabric holds {held}") from exc
-    return vm_ids
 
 
 REFERENCE_WORKLOAD = dict(steps=50, input_rate=4, fan_in=32, interval=1_000)
@@ -126,15 +126,16 @@ def bench_energy(max_accelerators: int = DEFAULT_ACCELERATORS) -> str:
     energy for that workload unit, synaptic ops are the measured compute.
     """
     _counts((max_accelerators,), "accelerator count")
+    # a 1/32 slot each, so the fabric holds 32 single-core accelerators
+    request = FabricConfig().total.scaled(1, 32)
+    _check_fits(request, max_accelerators, "accelerator count")
     out = io.StringIO()
     out.write("accelerators,energy_mj,synaptic_ops\n")
     for n in range(1, max_accelerators + 1):
         engine = Engine()
-        fabric = Fabric()
-        hv = Hypervisor(engine, fabric)
+        hv = Hypervisor(engine, Fabric())
         executor = SpikingExecutor(engine)
-        # a 1/32 slot each, so the fabric holds 32 single-core accelerators
-        vm_ids = _create_vms(hv, fabric.total.scaled(1, 32), n, "accelerator count")
+        vm_ids = [hv.create_vm(request, cores=1) for _ in range(n)]
         for i, vm_id in enumerate(vm_ids):
             executor.launch(
                 task_id=f"ref{i}", **REFERENCE_WORKLOAD, at=0, vm=vm_id, stream=f"accel/{i}"
@@ -156,18 +157,18 @@ def bench_reconfig(vm_counts=DEFAULT_RECONFIG_VM_COUNTS) -> str:
     two policies differ only in reconfiguration mode.
     """
     vm_counts = _counts(vm_counts, "vm count")
+    config = FabricConfig()
+    request = config.total.share(RECONFIG_SLOT_SHARE)
+    _check_fits(request, max(vm_counts), "vm count")
+    catalog = default_module_catalog(config)
     out = io.StringIO()
     out.write("vm_count,full_ns,partial_ns\n")
     for count in vm_counts:
         totals = {}
         for mode in (ReconfigMode.FULL, ReconfigMode.PARTIAL):
             engine = Engine()
-            fabric = Fabric()
-            hv = Hypervisor(engine, fabric)
-            catalog = default_module_catalog(fabric.config)
-            vm_ids = _create_vms(
-                hv, fabric.config.total.share(RECONFIG_SLOT_SHARE), count, "vm count"
-            )
+            hv = Hypervisor(engine, Fabric(config))
+            vm_ids = [hv.create_vm(request, cores=1) for _ in range(count)]
             for vm_id in vm_ids:
                 for module in catalog.values():
                     hv.exchange_module(vm_id, module, mode)

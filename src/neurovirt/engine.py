@@ -22,11 +22,14 @@ no-op. :meth:`Engine.reschedule` queues a fired or cancelled event again
 under the next seq, so an owner that queues its own successor keeps one
 event for its lifetime; its old entries stay stale by seq even when the
 new time equals an old one. ``schedule`` builds the event and hands it to
-``reschedule``. Every queued stallable event is indexed by its VM
-(untagged ones under None), so a reconfiguration stall walks only the
-events it shifts. Each stale entry, in any of the three parts, is the old
-entry of one cancel or one shifted event, so the queue holds no more
-stale entries than the run's own cancels and shifts.
+``reschedule``. A stallable event joins its VM's index (untagged ones
+under None) when it is queued and stays there until it stops being live:
+until it is cancelled, or its handler returns or raises without queuing
+it again. So a handler that re-arms its own event does no index work, and
+a reconfiguration stall walks only the events it shifts, passing over an
+indexed event whose handler is running. Each stale entry, in any of the
+three parts, is the old entry of one cancel or one shifted event, so the
+queue holds no more stale entries than the run's own cancels and shifts.
 
 The loop takes the run side's next entry with ``heapq.heappushpop(heap,
 held)``, which hands the held entry back in O(1) when it precedes the
@@ -165,11 +168,13 @@ class SimEvent(Record):
     order; ``fire_at`` is None once the event has fired or been cancelled,
     and :meth:`Engine.reschedule` queues it again under a fresh seq.
     ``vm`` tags events that belong to one virtual machine so
-    reconfiguration stalls can postpone exactly that machine's progress.
-    Two events are equal only if they are the same event.
+    reconfiguration stalls can postpone exactly that machine's progress;
+    change it only while the event is not queued, after a cancel if its
+    handler is running. ``index`` is the engine's VM index that holds the
+    event, or None. Two events are equal only if they are the same event.
     """
 
-    __slots__ = ("fire_at", "seq", "kind", "detail", "fn", "vm", "stallable")
+    __slots__ = ("fire_at", "seq", "kind", "detail", "fn", "vm", "stallable", "index")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -182,6 +187,7 @@ class SimEvent(Record):
         fn: Callable[[], None] | None = None,
         vm: str | None = None,
         stallable: bool = True,
+        index: dict[SimEvent, None] | None = None,
     ):
         self.fire_at = fire_at
         self.seq = seq
@@ -190,6 +196,7 @@ class SimEvent(Record):
         self.fn = fn
         self.vm = vm
         self.stallable = stallable
+        self.index = index
 
 
 def _live(entry: tuple[int, int, SimEvent]) -> bool:
@@ -210,8 +217,9 @@ class Engine:
         # the set-up heap: entries queued while no loop runs
         self._setup: list[tuple[int, int, SimEvent]] = []
         self._depth = 0  # _drain loops running, nested ones included
-        # queued stallable events of each VM (None: untagged), seq -> event
-        self._by_vm: dict[str | None, dict[int, SimEvent]] = {}
+        # the live stallable events of each VM (None: untagged), in the
+        # order they were indexed; a dict keyed by event, as an ordered set
+        self._by_vm: dict[str | None, dict[SimEvent, None]] = {}
         self._processed = 0
         self.rng = RandomStreams(seed)
         # the open chunk (lines not yet joined) and the closed chunks of
@@ -275,20 +283,25 @@ class Engine:
             self._held = (at, seq, event)
         else:
             heapq.heappush(self._setup, (at, seq, event))
-        if event.stallable:
+        # a re-arm from the event's own handler finds it still indexed
+        if event.index is None and event.stallable:
             index = self._by_vm.get(event.vm)
             if index is None:
                 index = self._by_vm[event.vm] = {}
-            index[seq] = event
+            index[event] = None
+            event.index = index
         return event
 
     def cancel(self, event: SimEvent) -> None:
-        """Retire a queued event; a no-op once it has fired or been cancelled."""
-        if event.fire_at is None:
-            return
+        """Retire a queued event; a no-op once it has fired or been cancelled,
+        except that an event whose handler is running leaves its VM's
+        index, so that a VM set before it is queued again is the one that
+        indexes it."""
+        index = event.index
+        if index is not None:
+            del index[event]
+            event.index = None
         event.fire_at = None
-        if event.stallable:
-            del self._by_vm[event.vm][event.seq]
 
     def run_until(self, t_end: int) -> int:
         """Process every event with fire_at <= t_end; clock ends at t_end.
@@ -311,10 +324,9 @@ class Engine:
         or before ``t_end``; returns how many were processed meanwhile,
         by this loop or by one nested in a handler."""
         # locals stay valid for the whole loop: handlers only ever mutate the
-        # heaps, the index and the open chunk in place. The held slot is
-        # read afresh: a handler, or a run_until nested in one, fills or
-        # takes it
-        heap, setup, by_vm, lines = self._heap, self._setup, self._by_vm, self._lines
+        # heaps and the open chunk in place. The held slot is read afresh: a
+        # handler, or a run_until nested in one, fills or takes it
+        heap, setup, lines = self._heap, self._setup, self._lines
         log = None if lines is None else lines.append
         pop, pushpop = heapq.heappop, heapq.heappushpop
         start = self._processed
@@ -348,16 +360,23 @@ class Engine:
                 if fire_at != event.fire_at or seq != event.seq:
                     continue
                 event.fire_at = None
-                if event.stallable:
-                    del by_vm[event.vm][seq]
                 self._now = fire_at
                 if log is not None:
                     log(f"{fire_at},{seq},{event.kind},{event.detail}")
                     if len(lines) == TRACE_WRITE_LINES:
                         self._close_chunk()
                 self._processed += 1
-                if event.fn is not None:
-                    event.fn()
+                try:
+                    if event.fn is not None:
+                        event.fn()
+                finally:
+                    # the event stays indexed while its handler runs; it
+                    # leaves unless the handler queued it again, also when
+                    # the handler raised
+                    index = event.index
+                    if index is not None and event.fire_at is None:
+                        del index[event]
+                        event.index = None
         finally:
             self._depth -= 1
         return self._processed - start
@@ -375,9 +394,11 @@ class Engine:
         of ``vm``, or every one when ``vm`` is None. Returns how many.
 
         Each shifted event gets a fresh heap entry and its old one goes
-        stale. A ``delta`` of 0 changes nothing, since a fresh entry would
-        equal the old one and both would be live (:meth:`pending` would
-        list the event twice), but still counts the events it selects.
+        stale. An event whose handler is running is not queued, so it is
+        neither shifted nor counted. A ``delta`` of 0 changes nothing,
+        since a fresh entry would equal the old one and both would be live
+        (:meth:`pending` would list the event twice), but still counts the
+        events it selects.
         Relative order among shifted events is preserved because they all
         move by the same amount and keep their sequence numbers. Used to
         model reconfiguration stalls. Raises TypeError for a ``delta`` that
@@ -391,11 +412,14 @@ class Engine:
         heap = self._heap if self._depth else self._setup
         push = heapq.heappush
         for index in indexes:
-            shifted += len(index)
-            if delta:
-                for event in index.values():
-                    event.fire_at += delta
-                    push(heap, (event.fire_at, event.seq, event))
+            for event in index:
+                at = event.fire_at
+                if at is None:  # its handler is running
+                    continue
+                shifted += 1
+                if delta:
+                    event.fire_at = at = at + delta
+                    push(heap, (at, event.seq, event))
         return shifted
 
     def _close_chunk(self) -> None:

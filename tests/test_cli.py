@@ -245,6 +245,29 @@ def test_unrunnable_request_exits_2_with_one_error_line(
     assert scn.read_bytes() == scn_bytes
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bench-energy", "--accelerators", "33"],
+     "error: accelerator count 33 does not fit: the fabric holds 32"),
+    (["bench-reconfig", "--vm-counts", "1-21"],
+     "error: vm count 21 does not fit: the fabric holds 20"),
+], ids=["energy", "reconfig"])
+def test_a_count_that_does_not_fit_is_refused_before_any_row_runs(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    # each used to simulate every row below the count first
+    engines = []
+    engine = bench.Engine
+
+    def counted(*args, **kwargs):
+        engines.append(engine(*args, **kwargs))
+        return engines[-1]
+
+    monkeypatch.setattr(bench, "Engine", counted)
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert engines == [] and list(tmp_path.iterdir()) == []
+
+
 def _src_env() -> dict:
     return dict(os.environ, PYTHONPATH=str(Path(neurovirt.__file__).resolve().parents[1]))
 

@@ -581,6 +581,90 @@ def test_run_until_nested_in_a_handler_matches_the_oracle():
     assert eng.pending() == []
 
 
+# The tests below reach the VM index, which holds a stallable event from
+# when it is queued until it stops being live, its handler's run included.
+
+def test_a_rearm_from_its_handler_leaves_the_event_where_its_index_holds_it():
+    eng = Engine(seed=1)
+
+    def tick():
+        if eng.now() < 30:
+            eng.reschedule(event, eng.now() + 10)
+
+    event = eng.schedule(0, "T", fn=tick, vm="v")
+    other = eng.schedule(100, "O", vm="v")
+    index = eng._by_vm["v"]
+    assert list(index) == [event, other] and event.index is index
+    assert eng.run_until(20) == 3
+    # re-armed under seqs 2 to 4, all after O's 1, it keeps its first place
+    assert event.seq == 4 and list(index) == [event, other] and event.index is index
+    assert eng.run() == 2
+    assert list(index) == [] and event.index is None and other.index is None
+
+
+def test_a_handler_that_stalls_its_own_vm_neither_shifts_nor_counts_its_event():
+    eng = Engine(seed=1, trace=True)
+    counts = []
+
+    def stall():
+        assert event.index is eng._by_vm["v"] and event.fire_at is None
+        counts.append(eng.postpone_pending(5, vm="v"))
+        counts.append(eng.postpone_pending(0))
+
+    event = eng.schedule(10, "S", fn=stall, vm="v")
+    eng.schedule(12, "O", vm="v")
+    eng.schedule(12, "W", vm="w")
+    assert eng.run() == 3
+    assert counts == [1, 2]
+    assert eng.trace == ["10,0,S,", "12,2,W,", "17,1,O,"]
+    assert event.index is None and not any(eng._by_vm.values())
+
+
+def test_a_handler_that_moves_its_event_indexes_it_under_the_new_vm_only():
+    eng = Engine(seed=1, trace=True)
+
+    def move():
+        if event.vm == "v":
+            eng.cancel(event)
+            assert event.index is None and list(eng._by_vm["v"]) == [other]
+            event.vm = "w"
+            eng.reschedule(event, 20)
+
+    event = eng.schedule(10, "M", fn=move, vm="v")
+    other = eng.schedule(30, "O", vm="v")
+    assert eng.run_until(10) == 1
+    assert event.index is eng._by_vm["w"] and list(eng._by_vm["v"]) == [other]
+    assert eng.postpone_pending(7, vm="v") == 1
+    assert eng.postpone_pending(3, vm="w") == 1
+    assert eng.run() == 2
+    assert eng.trace == ["10,0,M,", "23,2,M,", "37,1,O,"]
+
+
+@pytest.mark.parametrize("rearm", [False, True])
+def test_a_handler_that_raises_leaves_its_event_indexed_only_if_queued(rearm):
+    eng = Engine(seed=1, trace=True)
+
+    def fail():
+        if rearm:
+            eng.reschedule(event, 15)
+        raise RuntimeError("handler failed")
+
+    event = eng.schedule(10, "F", fn=fail, vm="v")
+    with pytest.raises(RuntimeError, match="handler failed"):
+        eng.run_until(10)
+    if rearm:
+        assert event.index is eng._by_vm["v"] and list(event.index) == [event]
+    else:
+        assert event.index is None and list(eng._by_vm["v"]) == []
+        # queued again, it is indexed again
+        eng.reschedule(event, 15)
+    event.fn = None
+    assert eng.postpone_pending(2, vm="v") == 1
+    assert eng.run() == 1
+    assert eng.trace == ["10,0,F,", "17,1,F,"]
+    assert event.index is None and list(eng._by_vm["v"]) == []
+
+
 # The tests below reach the set-up heap: entries queued while no loop runs
 # wait there, apart from the run heap that a loop's handlers fill.
 
@@ -757,6 +841,14 @@ RESCHEDULES = st.tuples(st.just("reschedule"), st.integers(0, 1_000),
 # (delay,): a handler re-arms its own event, so the loop's next pop meets
 # the entry it holds back from the heap
 REARM_SELF = st.tuples(st.just("rearm-self"), st.integers(0, 80))
+# a handler acts on its own VM's index, which holds its event while it
+# runs: (delta,) stalls its own VM (every VM when untagged), (delay, delta)
+# re-arms its event and then stalls, and (vm, delay) cancels its event,
+# moves it to another VM and queues it again, as SpikingExecutor.move does
+STALL_OWN = st.tuples(st.just("stall-own"), DELTAS)
+REARM_STALL = st.tuples(st.just("rearm-stall"), st.integers(0, 80), DELTAS)
+VM_TAGS = st.one_of(st.none(), st.sampled_from(VMS))
+MOVE_SELF = st.tuples(st.just("move-self"), VM_TAGS, st.integers(0, 80))
 # ("schedule", delay, ...) queues at now + delay; ("schedule-on-grid", k,
 # ...) at the k-th multiple of GRID at or after now, so that entries queued
 # between runs (the set-up heap) and from handlers (the run heap) often
@@ -764,7 +856,6 @@ REARM_SELF = st.tuples(st.just("rearm-self"), st.integers(0, 80))
 GRID = 10
 SCHEDULES = st.one_of(st.tuples(st.just("schedule"), st.integers(0, 80)),
                       st.tuples(st.just("schedule-on-grid"), st.integers(0, 6)))
-VM_TAGS = st.one_of(st.none(), st.sampled_from(VMS))
 # ("schedule-past-run", k, ...), from a handler only: at the k-th multiple
 # of GRID after the end of the innermost run_until in progress, so the entry
 # waits on the run side past that run, where a set-up schedule on the grid
@@ -776,6 +867,9 @@ PAST_RUN = st.builds(lambda k, vm, stallable: ("schedule-past-run", k, vm, stall
 RUNS = st.tuples(st.just("run"), st.integers(0, 60))
 NESTED = st.one_of(
     REARM_SELF,
+    STALL_OWN,
+    REARM_STALL,
+    MOVE_SELF,
     POSTPONES,
     st.tuples(st.just("cancel"), st.integers(0, 1_000)),
     RESCHEDULES,
@@ -802,13 +896,40 @@ OPS = st.lists(
 REARMS = 20
 
 
+def _check_index(eng: Engine, events: list, held: list) -> None:
+    """The VM index holds exactly the queued stallable events and those
+    whose handler is running and has not cancelled them, each under its
+    own VM; ``held[i]`` says whether a handler of ``events[i]`` runs and
+    has not cancelled it since it began."""
+    indexed = set()
+    for vm, index in eng._by_vm.items():
+        for event in index:
+            assert event.vm == vm and event.index is index
+        indexed.update(index)
+    assert indexed == {event for event, running in zip(events, held)
+                       if event.stallable and (event.fire_at is not None or running)}
+    assert all(event.index is None for event in events if event not in indexed)
+
+
 def _replay(eng, ops) -> list:
-    """Apply ``ops`` to ``eng``; returns every result, from handlers too."""
+    """Apply ``ops`` to ``eng``; returns every result, from handlers too.
+    On an Engine it also checks the VM index as each handler starts and
+    after each op."""
     results, events = [], []
     armed_at = []  # per event: the time it was last queued for
+    held = []  # per event: whether its handler runs and has not cancelled it
     rearms = 0
     retired = 0  # cancels of queued events plus events shifted by a non-zero delta
     ends = []  # the end of each run_until in progress, innermost last
+    engine = isinstance(eng, Engine)
+
+    def handle(action, i):
+        held[i] = True
+        if engine:  # the index as every event before this one left it
+            _check_index(eng, events, held)
+        apply(action, i)
+        # the loop takes the event out of its index unless it is queued
+        held[i] = False
 
     def apply(op, running=None):
         nonlocal rearms, retired
@@ -816,7 +937,7 @@ def _replay(eng, ops) -> list:
         if name in ("schedule", "schedule-on-grid", "schedule-past-run"):
             _, delay, vm, stallable, action = op
             i = len(events)
-            fn = None if action is None else lambda: apply(action, i)
+            fn = None if action is None else lambda: handle(action, i)
             if name == "schedule":
                 at = eng.now() + delay
             elif name == "schedule-on-grid":
@@ -826,12 +947,14 @@ def _replay(eng, ops) -> list:
             event = eng.schedule(at, f"k{len(events)}", fn=fn, vm=vm, stallable=stallable)
             events.append(event)
             armed_at.append(event.fire_at)
+            held.append(False)
             results.append(("schedule", event.seq))
         elif name == "cancel":
             if events:
-                event = events[op[1] % len(events)]
-                retired += event.fire_at is not None
-                eng.cancel(event)
+                i = op[1] % len(events)
+                retired += events[i].fire_at is not None
+                eng.cancel(events[i])
+                held[i] = False
         elif name == "reschedule":
             if events and rearms < REARMS:
                 i = op[1] % len(events)
@@ -850,8 +973,23 @@ def _replay(eng, ops) -> list:
                 eng.reschedule(events[running], at)
                 rearms += 1
                 results.append((name, events[running].seq))
-        elif name == "postpone":
-            shifted = eng.postpone_pending(op[1], vm=op[2])
+        elif name == "rearm-stall":
+            apply(("rearm-self", op[1]), running)
+            apply(("stall-own", op[2]), running)
+        elif name == "move-self":
+            if rearms < REARMS:
+                event = events[running]
+                retired += event.fire_at is not None
+                eng.cancel(event)
+                held[running] = False
+                event.vm = op[1]
+                at = armed_at[running] = eng.now() + op[2]
+                eng.reschedule(event, at)
+                rearms += 1
+                results.append((name, event.seq))
+        elif name in ("postpone", "stall-own"):
+            vm = op[2] if name == "postpone" else events[running].vm
+            shifted = eng.postpone_pending(op[1], vm=vm)
             retired += shifted if op[1] else 0
             results.append((name, shifted))
         else:
@@ -859,13 +997,16 @@ def _replay(eng, ops) -> list:
             results.append(("run", eng.run_until(ends[-1])))
             ends.pop()
         results.append([(ev.fire_at, ev.seq, ev.kind) for ev in eng.pending()])
-        if isinstance(eng, Engine):  # each stale queued entry is one retired entry
+        if engine:  # each stale queued entry is one retired entry
             queued = len(eng._heap) + len(eng._setup) + (eng._held is not None)
             assert queued - len(results[-1]) <= retired
+            _check_index(eng, events, held)
 
     for op in ops:
         apply(op)
     results.append(("drain", eng.run_until(10**9)))
+    if engine:
+        _check_index(eng, events, held)
     return results
 
 
@@ -881,3 +1022,29 @@ def test_engine_matches_sorted_list_oracle(ops):
     assert _replay(bare, ops) == expected
     assert (bare.processed_count, bare.now(), bare.pending()) == (
         eng.processed_count, eng.now(), [])
+
+
+# every handler acts on its own event or VM, and every event is stallable
+OWN_ACTIONS = st.one_of(REARM_SELF, STALL_OWN, REARM_STALL, MOVE_SELF)
+STALL_OPS = st.lists(
+    st.one_of(
+        st.builds(lambda s, vm, action: s + (vm, True, action), SCHEDULES, VM_TAGS,
+                  st.one_of(OWN_ACTIONS, RUNS)),
+        POSTPONES,
+        st.tuples(st.just("cancel"), st.integers(0, 1_000)),
+        RESCHEDULES,
+        RUNS,
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(STALL_OPS)
+def test_the_vm_index_holds_the_queued_stallable_events_and_the_running_ones(ops):
+    # _replay checks the index as each handler starts and after each op
+    eng, oracle = Engine(seed=0, trace=True), _Oracle()
+    expected = _replay(oracle, ops)
+    assert _replay(eng, ops) == expected
+    assert eng.trace == oracle.trace
+    assert not any(eng._by_vm.values())

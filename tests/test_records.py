@@ -31,7 +31,7 @@ class New:
 RECORDS = [
     (engine.SimEvent, False, (
         ("fire_at", REQUIRED), ("seq", REQUIRED), ("kind", REQUIRED), ("detail", ""),
-        ("fn", None), ("vm", None), ("stallable", True))),
+        ("fn", None), ("vm", None), ("stallable", True), ("index", None))),
     (fabric.ResourceVector, True, (
         ("lut", 0), ("memory_bytes", 0), ("io_pins", 0), ("dsp", 0))),
     (fabric.FabricConfig, True, (
