@@ -6,9 +6,10 @@ not simulated: ``bench_energy``'s ``energy_mj`` is the closed-form anchor
 line, :func:`metrics.energy_for_accelerators`, and only its
 ``synaptic_ops`` column comes from the run (until ROADMAP item 6 drives
 energy from the simulation). None takes a seed:
-the only random draws, a spiking task's weights and input picks, reach no
-experiment's columns. A scenario run is a pure function of its scenario,
-seed included.
+the only random draws, a spiking task's weights and input picks from its
+``task/<id>`` streams (``task/ref<i>`` for ``bench_energy``'s reference
+tasks), reach no experiment's columns. A scenario run is a pure function
+of its scenario, seed included.
 
 The experiments' engines keep no trace, since no column reads one.
 :func:`run_scenario`'s engine formats every trace line, whether or not
@@ -137,9 +138,7 @@ def bench_energy(max_accelerators: int = DEFAULT_ACCELERATORS) -> str:
         executor = SpikingExecutor(engine)
         vm_ids = [hv.create_vm(request, cores=1) for _ in range(n)]
         for i, vm_id in enumerate(vm_ids):
-            executor.launch(
-                task_id=f"ref{i}", **REFERENCE_WORKLOAD, at=0, vm=vm_id, stream=f"accel/{i}"
-            )
+            executor.launch(task_id=f"ref{i}", **REFERENCE_WORKLOAD, at=0, vm=vm_id)
         engine.run()
         energy = energy_for_accelerators(n)
         out.write(f"{n},{_fmt(energy)},{executor.total_synops}\n")
@@ -207,7 +206,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
                           tick_period=scenario.tick_period_ns,
                           migration_penalty=scenario.migration_penalty_ns)
     executor = scheduler.executor
-    metrics = MetricsCollector(engine, fabric, driver, hv, scenario.energy, executor)
+    metrics = MetricsCollector(hv, scenario.energy, executor)
 
     for vmdef in scenario.vms:
         hv.create_vm(scenario.fabric.total.share(vmdef.share), vmdef.cores, vmdef.id)

@@ -7,8 +7,7 @@ attributed per synaptic op.
 
 from __future__ import annotations
 
-from neurovirt.fabric import Fabric
-from neurovirt.iodriver import GIB, IoDriver
+from neurovirt.iodriver import GIB
 from neurovirt.record import FrozenRecord
 from neurovirt.virt import Hypervisor, ReconfigMode
 
@@ -75,20 +74,12 @@ SAMPLE_CSV_HEADER = (
 
 
 class MetricsCollector:
-    """Snapshots fabric/driver/virt state and executor synops on the engine loop."""
+    """Snapshots the hypervisor's fabric, driver and reconfiguration time,
+    and the executor's synops, on the hypervisor's engine loop."""
 
-    def __init__(
-        self,
-        engine,
-        fabric: Fabric,
-        driver: IoDriver,
-        hypervisor: Hypervisor,
-        model: EnergyModel,
-        executor,
-    ):
-        self.engine = engine
-        self.fabric = fabric
-        self.driver = driver
+    def __init__(self, hypervisor: Hypervisor, model: EnergyModel, executor):
+        if hypervisor.driver is None:  # else the first sample fails mid-run
+            raise ValueError("the hypervisor has no I/O driver to sample")
         self.hypervisor = hypervisor
         self.model = model
         self.executor = executor  # reads its total_synops
@@ -98,9 +89,10 @@ class MetricsCollector:
 
     def sample(self) -> MetricSample:
         """Append one snapshot; throughput is windowed since the last sample."""
-        now = self.engine.now()
-        util = self.fabric.utilization()
-        bits = self.driver.completed_bits
+        hv = self.hypervisor
+        now = hv.engine.now()
+        util = hv.fabric.utilization()
+        bits = hv.driver.completed_bits
         window = now - self._last_at
         if window > 0:
             throughput = (bits - self._last_bits) / (window / 1e9) / GIB
@@ -108,7 +100,7 @@ class MetricsCollector:
             throughput = 0.0
         self._last_at = now
         self._last_bits = bits
-        accum = self.hypervisor.reconfig_accum
+        accum = hv.reconfig_accum
         sample = MetricSample(
             at=now,
             lut_pct=util["lut"],
@@ -129,7 +121,7 @@ class MetricsCollector:
             raise ValueError("period must be positive")
         at = period
         while at <= until:
-            self.engine.schedule(at, "MetricSample", fn=self.sample, stallable=False)
+            self.hypervisor.engine.schedule(at, "MetricSample", fn=self.sample, stallable=False)
             at += period
 
 

@@ -20,9 +20,10 @@ results are read: ``output_spikes`` and ``potentials(task_id)`` first
 replay every launched task from its last replayed step up to the steps
 processed so far, stepping through ``step_core`` with the weights and
 input picks that stepping at each event would use. Each task draws only
-from its own streams and no step result feeds back into timing, so a
-read, mid-run or at the end, gives those bits exactly, and a run whose
-spikes nobody reads never loads numpy.
+from its own streams, ``task/<id>/weights`` and ``task/<id>/inputs``, an
+id is launched at most once, and no step result feeds back into timing,
+so a read, mid-run or at the end, gives those bits exactly, and a run
+whose spikes nobody reads never loads numpy.
 """
 
 from __future__ import annotations
@@ -78,33 +79,15 @@ class CoreState(Record):
         return self.weights.shape[0]
 
 
-def make_core_state(
-    n_inputs: int,
-    n_neurons: int,
-    rng=None,
-    stream: str = "weights",
-    weights: np.ndarray | None = None,
-) -> CoreState:
-    """Fresh core state; weights drawn uniform [-0.5, 0.5) from the seeded
-    stream unless supplied explicitly."""
+def make_core_state(weights: np.ndarray) -> CoreState:
+    """Fresh core state on the ``(n_inputs, n_neurons)`` weight matrix,
+    with every potential at zero."""
     import numpy as np
 
-    if weights is None:
-        if rng is None:
-            weights = np.zeros((n_inputs, n_neurons))
-        else:
-            flat = rng.values(stream, n_inputs * n_neurons) - 0.5
-            weights = flat.reshape(n_inputs, n_neurons)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (n_inputs, n_neurons):
-            raise DimensionMismatch(
-                f"weights shape {weights.shape} != ({n_inputs}, {n_neurons})"
-            )
-    return CoreState(
-        potentials=np.zeros(n_neurons, dtype=np.float64),
-        weights=np.ascontiguousarray(weights),
-    )
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    if weights.ndim != 2:
+        raise DimensionMismatch(f"weights shape {weights.shape} is not 2-D")
+    return CoreState(potentials=np.zeros(weights.shape[1]), weights=weights)
 
 
 def step_core(state: CoreState, ids: Sequence[int], params: LifParams) -> tuple[int, ...]:
@@ -153,13 +136,12 @@ class _SpikingTask(Record):
     """One spiking workload: its steps on the engine, and the LIF kernel
     that runs behind them as far as a read of spikes or potentials asks."""
 
-    __slots__ = ("task_id", "stream", "n_inputs", "n_neurons", "rate", "steps", "remaining",
+    __slots__ = ("task_id", "n_inputs", "n_neurons", "rate", "steps", "remaining",
                  "interval", "next_event", "replayed", "state", "potentials")
 
     def __init__(
         self,
         task_id: str,
-        stream: str,
         n_inputs: int,
         n_neurons: int,
         rate: int,
@@ -172,8 +154,6 @@ class _SpikingTask(Record):
         potentials: np.ndarray | None = None,
     ):
         self.task_id = task_id
-        # weights come from "<stream>/weights", inputs from "<stream>/inputs"
-        self.stream = stream
         self.n_inputs = n_inputs
         self.n_neurons = n_neurons
         self.rate = rate
@@ -200,7 +180,6 @@ class SpikingExecutor:
         self.active: dict[str, _SpikingTask] = {}
         self.total_synops = 0
         self._tasks: dict[str, _SpikingTask] = {}  # every launched task
-        self._streams: set[str] = set()
         self._output_spikes = 0
 
     def launch(
@@ -212,12 +191,10 @@ class SpikingExecutor:
         interval: int,
         at: int,
         vm: str | None = None,
-        stream: str | None = None,
     ) -> None:
-        stream = self.check_launch(task_id, steps, input_rate, fan_in, interval, stream)
+        self.check_launch(task_id, steps, input_rate, fan_in, interval)
         job = _SpikingTask(
             task_id=task_id,
-            stream=stream,
             n_inputs=max(fan_in, input_rate),
             n_neurons=fan_in,
             rate=input_rate,
@@ -226,7 +203,6 @@ class SpikingExecutor:
             interval=interval,
         )
         self._tasks[task_id] = self.active[task_id] = job
-        self._streams.add(stream)
         # one event for all the job's steps, re-armed by _step and move:
         # job -> next_event -> fn -> job is the only cycle, and _step breaks
         # it at the last step
@@ -235,21 +211,18 @@ class SpikingExecutor:
         )
 
     def check_launch(self, task_id: str, steps: int, input_rate: int, fan_in: int,
-                     interval: int = 1, stream: str | None = None) -> str:
+                     interval: int = 1) -> None:
         """Raise the ValueError that :meth:`launch` would raise, launching
-        nothing; else return the task's stream."""
-        stream = stream if stream is not None else f"task/{task_id}"
+        nothing."""
         if steps < 1 or fan_in < 1 or interval < 1 or input_rate < 0:
             raise ValueError(
                 f"task {task_id}: steps, fan_in and interval must be >= 1, input_rate >= 0"
             )
+        # a task's streams follow its id, so this keeps two tasks off one
+        # stream: a replay runs one task at a time and could not give two
+        # tasks the draws they interleaved on it
         if task_id in self._tasks:
             raise ValueError(f"task {task_id} is already launched")
-        # a replay runs each task's steps in one go, so two tasks that
-        # shared a stream could not get the values their steps interleaved on it
-        if stream in self._streams:
-            raise ValueError(f"stream {stream} is already used")
-        return stream
 
     @property
     def output_spikes(self) -> int:
@@ -276,10 +249,10 @@ class SpikingExecutor:
             if job.replayed == job.steps:
                 continue
             if job.state is None:
-                job.state = make_core_state(
-                    job.n_inputs, job.n_neurons, rng=self.engine.rng,
-                    stream=f"{job.stream}/weights",
-                )
+                # uniform in [-0.5, 0.5)
+                flat = self.engine.rng.values(f"task/{job.task_id}/weights",
+                                              job.n_inputs * job.n_neurons) - 0.5
+                job.state = make_core_state(flat.reshape(job.n_inputs, job.n_neurons))
                 job.potentials = job.state.potentials
             for _ in range(job.steps - job.remaining - job.replayed):
                 fired = step_core(job.state, self._pick_inputs(job), self.params)
@@ -295,7 +268,7 @@ class SpikingExecutor:
         uniforms from the task's own stream."""
         n = job.n_inputs
         pool = list(range(n))
-        uniforms = self.engine.rng.values(f"{job.stream}/inputs", job.rate).tolist()
+        uniforms = self.engine.rng.values(f"task/{job.task_id}/inputs", job.rate).tolist()
         for k, u in enumerate(uniforms):
             j = k + int(u * (n - k))
             pool[k], pool[j] = pool[j], pool[k]

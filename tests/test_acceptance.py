@@ -355,7 +355,7 @@ def test_criterion_8_determinism(tmp_path):
 
 def test_criterion_9_snn_checks():
     # zero weights: no spikes over a whole run
-    state = make_core_state(8, 8)
+    state = make_core_state(np.zeros((8, 8)))
     params = LifParams()
     total = 0
     for _ in range(25):
@@ -363,13 +363,13 @@ def test_criterion_9_snn_checks():
     assert total == 0
 
     # hand trace 1: unit weight crosses threshold immediately
-    state = make_core_state(1, 1, weights=np.array([[1.0]]))
+    state = make_core_state(np.array([[1.0]]))
     out = step_core(state, (0,), LifParams(v_thresh=1.0, v_reset=0.0, leak=1.0))
     assert out == (0,)
     assert state.potentials[0] == 0.0
 
     # hand trace 2: 0.6 weight needs two steps (0.6 then 1.2 >= 1.0)
-    state = make_core_state(1, 1, weights=np.array([[0.6]]))
+    state = make_core_state(np.array([[0.6]]))
     p = LifParams(v_thresh=1.0, v_reset=0.0, leak=1.0)
     first = step_core(state, (0,), p)
     second = step_core(state, (0,), p)

@@ -64,6 +64,11 @@ def test_bench_throughput_cli(tmp_path):
     assert len(lines) == 3
 
 
+def test_bench_without_out_writes_its_csv_to_stdout(capsys):
+    assert main(["bench-reconfig", "--vm-counts", "1-2"]) == 0
+    assert capsys.readouterr().out == bench.bench_reconfig((1, 2))
+
+
 def test_bench_reconfig_cli(tmp_path):
     out = tmp_path / "rc.csv"
     assert main(["bench-reconfig", "--vm-counts", "1-2", "--out", str(out)]) == 0
@@ -150,9 +155,10 @@ def test_run_seed_flag_overrides_the_scenario_seed(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "run_scenario", fake_run)
     path = str(_scenario_file(tmp_path, seed=11))
     out = str(tmp_path / "metrics.csv")
-    for flags in ([], ["--seed", "0"], ["--seed", "5"]):
+    for flags in ([], ["--seed", "0"], ["--seed", "5"], [f"--seed={-(2**63 - 1)}"],
+                  ["--seed", str(2**63 - 1)]):
         assert main(["run", "--scenario", path, "--out", out, *flags]) == 0
-    assert seeds == [11, 0, 5]
+    assert seeds == [11, 0, 5, -(2**63 - 1), 2**63 - 1]
 
 
 def test_parse_error_exit_code_and_message(tmp_path, capsys):
@@ -191,7 +197,7 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
     (["run", "--scenario", str(DEMO), "--out", "{tmp}/o.csv", "--trace-out", "{tmp}/o.csv"],
      "error: --out and --trace-out are the same file: {tmp}/o.csv"),
     # these used to run: a header-only CSV, and only the rows for 2 VMs
-    (["bench-throughput", "--sizes", ",", "--out", "{tmp}/tp.csv"], "error: no sizes in ','"),
+    (["bench-throughput", "--sizes", ",", "--out", "{tmp}/tp.csv"], "error: no transfer sizes"),
     (["bench-reconfig", "--vm-counts", "3-1,2", "--out", "{tmp}/rc.csv"],
      "error: descending range '3-1' in '3-1,2'"),
     # this one used to say only: invalid literal for int() with base 10: 'x'
@@ -209,6 +215,13 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
      "error: vm count 0 below 1"),
     (["bench-energy", "--accelerators", "0", "--out", "{tmp}/en.csv"],
      "error: accelerator count 0 below 1"),
+    (["bench-reconfig", "--vm-counts", ",", "--out", "{tmp}/rc.csv"], "error: no vm counts"),
+    # these used to run as the seed modulo 2**64 (2**64 + 42 as 42); the
+    # same seed in the file is refused
+    (["run", "--scenario", str(DEMO), "--seed", str(2**64 + 42), "--out", "{tmp}/m.csv"],
+     f"error: --seed {2**64 + 42} must be below 2**63 in magnitude"),
+    (["run", "--scenario", str(DEMO), f"--seed={-2**63}", "--out", "{tmp}/m.csv"],
+     f"error: --seed {-2**63} must be below 2**63 in magnitude"),
     # these used to run and write over the scenario
     (["run", "--scenario", "{scn}", "--out", "{scn}"], "error: --out is the scenario file: {scn}"),
     (["run", "--scenario", "{scn}", "--out", "{tmp}/m.csv", "--trace-out", "{scn}"],
@@ -221,7 +234,8 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
 ], ids=["energy-fabric-full", "reconfig-slots-full", "no-scenario", "scenario-is-dir",
         "no-out-dir", "no-trace-dir", "same-out-and-trace", "no-sizes", "descending-range",
         "unreadable-size", "zero-size", "negative-size",
-        "zero-vm-count", "zero-reconfig-vm-count", "zero-accelerators",
+        "zero-vm-count", "zero-reconfig-vm-count", "zero-accelerators", "no-vm-counts",
+        "seed-past-2**64", "seed-at-minus-2**63",
         "out-is-scenario", "trace-out-is-scenario",
         "out-is-a-hard-link-to-scenario", "trace-out-is-a-hard-link-to-out"])
 def test_unrunnable_request_exits_2_with_one_error_line(

@@ -129,12 +129,11 @@ def test_wide_spiking_run_is_pinned():
 
 
 def test_energy_reference_workload_spikes_are_pinned():
-    # the 20-accelerator row of bench-energy, seed 0
+    # the 20-accelerator row of bench-energy, seed 0: task ref<i> draws from task/ref<i>
     engine = Engine(0)
     executor = SpikingExecutor(engine)
     launches = [
-        dict(task_id=f"ref{i}", **REFERENCE_WORKLOAD, at=0, vm=f"vm{i}",
-             stream=f"accel/{i}")
+        dict(task_id=f"ref{i}", **REFERENCE_WORKLOAD, at=0, vm=f"vm{i}")
         for i in range(20)
     ]
-    assert _spiking_digest(executor, engine, launches) == "c02eb86cba29aa54"
+    assert _spiking_digest(executor, engine, launches) == "ed21b1ace395282b"

@@ -184,6 +184,14 @@ def test_postpone_pending_shifts_matching_events():
     assert order == [("b", 20), ("a", 110), ("c", 130)]
 
 
+def test_a_negative_postpone_is_refused_and_shifts_nothing():
+    eng = Engine(seed=1)
+    event = eng.schedule(10, "A", vm="v1")
+    with pytest.raises(ValueError, match="delta must be non-negative"):
+        eng.postpone_pending(-1)
+    assert (event.fire_at, eng.pending()) == (10, [event])
+
+
 @given(
     st.lists(st.integers(min_value=0, max_value=1_000), min_size=1, max_size=50)
 )

@@ -281,6 +281,19 @@ def test_peak_table_lookup_and_domain():
         LinkModel(ring_capacity=0)  # a stream would retry forever
 
 
+def test_a_negative_latency_and_an_empty_transfer_are_refused():
+    with pytest.raises(ValueError, match="latency_ns must be non-negative"):
+        LinkModel(latency_ns=-1)
+    with pytest.raises(ValueError, match="size must be positive"):
+        effective_throughput(0, 1, LinkModel())
+    eng = Engine(seed=1)
+    drv = IoDriver(eng)
+    ring = drv.open_ring("vm0")
+    with pytest.raises(ValueError, match="transfer size must be positive"):
+        drv.submit(ring, 0)
+    assert (drv.submissions, ring.inflight, eng.pending()) == (0, {}, [])
+
+
 def test_peak_table_starts_at_one_vm_and_never_falls():
     counts = [count for count, _ in PEAK_GIBPS]
     peaks = [peak for _, peak in PEAK_GIBPS]

@@ -24,9 +24,10 @@ class _Executor:
 
 
 def _collector(eng, fab, hv=None, synops=0):
-    """A collector over an idle driver and executor and, unless given, a new hypervisor."""
-    hv = hv if hv is not None else Hypervisor(eng, fab)
-    return MetricsCollector(eng, fab, IoDriver(eng), hv, EnergyModel(), _Executor(synops))
+    """A collector over an idle executor and, unless given, a new
+    hypervisor with an idle driver."""
+    hv = hv if hv is not None else Hypervisor(eng, fab, IoDriver(eng))
+    return MetricsCollector(hv, EnergyModel(), _Executor(synops))
 
 
 def test_energy_anchors():
@@ -97,6 +98,20 @@ def test_export_failure_wrapped():
         export_samples(collector.samples, Broken())
 
 
+def test_a_hypervisor_without_a_driver_is_refused():
+    eng = Engine(0)
+    with pytest.raises(ValueError, match="no I/O driver"):
+        MetricsCollector(Hypervisor(eng, Fabric()), EnergyModel(), _Executor())
+
+
+def test_a_sample_period_below_one_is_refused():
+    eng = Engine(0)
+    collector = _collector(eng, Fabric())
+    with pytest.raises(ValueError, match="period must be positive"):
+        collector.start_sampling(0, 1_000)
+    assert eng.pending() == []
+
+
 def test_reconfig_accumulators_partial_below_full_for_same_swaps():
     def run(mode):
         eng = Engine(0)
@@ -119,7 +134,7 @@ def test_reconfig_accumulators_partial_below_full_for_same_swaps():
 def test_accumulators_non_decreasing_over_samples():
     eng = Engine(0)
     fab = Fabric()
-    hv = Hypervisor(eng, fab)
+    hv = Hypervisor(eng, fab, IoDriver(eng))
     collector = _collector(eng, fab, hv)
     vm = hv.create_vm(fab.total.scaled(1, 4))
     module = module_from_share("m", 0.1, fab.config.total, fab.config.bitstream_total_bytes)

@@ -72,7 +72,7 @@ RECORDS = [
     (snn.LifParams, True, (("v_thresh", 1.0), ("v_reset", 0.0), ("leak", 1.0))),
     (snn.CoreState, False, (("potentials", REQUIRED), ("weights", REQUIRED))),
     (snn._SpikingTask, False, (
-        ("task_id", REQUIRED), ("stream", REQUIRED), ("n_inputs", REQUIRED),
+        ("task_id", REQUIRED), ("n_inputs", REQUIRED),
         ("n_neurons", REQUIRED), ("rate", REQUIRED), ("steps", REQUIRED),
         ("remaining", REQUIRED), ("interval", REQUIRED), ("next_event", None),
         ("replayed", 0), ("state", None), ("potentials", None))),

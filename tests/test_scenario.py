@@ -146,6 +146,24 @@ def test_duplicate_vm_ids_rejected():
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("key, row", [
+    ("modules", {"id": "m", "kind": "router", "share": 0.1}),
+    ("tasks", {"id": "t", "steps": 1, "input_rate": 1, "fan_in": 1}),
+])
+def test_duplicate_module_and_task_ids_are_refused_naming_the_second(key, row):
+    data = minimal()
+    data[key] = [row, dict(row)]
+    with pytest.raises(ValidationError, match=f"duplicate {key[:-1]} id '{row['id']}'") as err:
+        scenario_from_dict(data)
+    assert err.value.field == f"$.{key}[1].id"
+
+
+def test_a_scenario_that_is_not_an_object_is_refused():
+    with pytest.raises(ValidationError, match="scenario must be a JSON object") as err:
+        scenario_from_dict([])
+    assert err.value.field == "$"
+
+
 # every whitespace character: str.split() and the regex \s both go by str.isspace()
 WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
 ID_TEXT = st.text(st.sampled_from(WHITESPACE + ",;=ab-_\u00e9\U0001f600"), max_size=3)

@@ -29,14 +29,14 @@ def _reference_step(potentials, weights, ids, leak, v_thresh, v_reset):
 
 
 def test_zero_weights_never_spike():
-    state = make_core_state(4, 4)
+    state = make_core_state(np.zeros((4, 4)))
     params = LifParams()
     for _ in range(10):
         assert step_core(state, (0, 1, 2, 3), params) == ()
 
 
 def test_single_neuron_unit_weight_fires_and_resets():
-    state = make_core_state(1, 1, weights=np.array([[1.0]]))
+    state = make_core_state(np.array([[1.0]]))
     params = LifParams(v_thresh=1.0, v_reset=0.0, leak=1.0)
     out = step_core(state, (0,), params)
     assert out == (0,)
@@ -44,7 +44,7 @@ def test_single_neuron_unit_weight_fires_and_resets():
 
 
 def test_step_core_basic():
-    state = make_core_state(2, 2, weights=np.array([[1.0, 0.0], [0.0, 0.25]]))
+    state = make_core_state(np.array([[1.0, 0.0], [0.0, 0.25]]))
     out = step_core(state, (1, 0), LifParams(leak=1.0))
     assert out == (0,)
     assert state.potentials.tolist() == [0.0, 0.25]
@@ -52,7 +52,7 @@ def test_step_core_basic():
 
 def test_two_step_integration_trace():
     # identity weight 0.6: first input no spike (v=0.6), second crosses (1.2)
-    state = make_core_state(1, 1, weights=np.array([[0.6]]))
+    state = make_core_state(np.array([[0.6]]))
     params = LifParams(v_thresh=1.0, v_reset=0.0, leak=1.0)
     first = step_core(state, (0,), params)
     assert first == ()
@@ -71,7 +71,7 @@ def test_workload_cost_examples():
 
 
 def test_input_id_validation():
-    state = make_core_state(2, 3)
+    state = make_core_state(np.zeros((2, 3)))
     with pytest.raises(DimensionMismatch):
         step_core(state, (2,), LifParams())
     with pytest.raises(DimensionMismatch):
@@ -80,9 +80,22 @@ def test_input_id_validation():
         step_core(state, (1, 0, 1), LifParams())
 
 
+def test_weights_that_are_not_2d_or_do_not_match_the_potentials_are_refused():
+    # the matrix's second dimension sizes the potentials
+    state = make_core_state([[0.5, 0.0, 1.0]])
+    assert (state.n_inputs, state.n_neurons, state.weights.dtype) == (1, 3, np.float64)
+    for weights in (np.zeros(4), np.zeros((2, 2, 2))):
+        with pytest.raises(DimensionMismatch, match="is not 2-D"):
+            make_core_state(weights)
+    state = CoreState(np.zeros(3), np.zeros((2, 4)))
+    with pytest.raises(DimensionMismatch, match="vs 3 neurons"):
+        step_core(state, (0,), LifParams())
+    assert state.potentials.tolist() == [0.0] * 3
+
+
 def test_step_is_pure_function_of_state_and_input():
     eng = Engine(seed=3)
-    a = make_core_state(8, 8, rng=eng.rng, stream="w")
+    a = make_core_state(eng.rng.values("w", 64).reshape(8, 8) - 0.5)
     b = CoreState(a.potentials.copy(), a.weights.copy())
     params = LifParams(leak=0.9, v_thresh=0.8)
     out_a = step_core(a, (1, 3), params)

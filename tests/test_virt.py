@@ -54,6 +54,15 @@ def test_create_vm_insufficient_resources():
         hv.create_vm(ResourceVector(lut=600_000))
 
 
+def test_create_vm_refuses_an_id_that_exists_before_allocating():
+    eng, fab, hv = _hypervisor(driver=True)
+    hv.create_vm(fab.total.scaled(1, 8), vm_id="a")
+    free = fab.free
+    with pytest.raises(ValueError, match="vm id a already exists"):
+        hv.create_vm(fab.total.scaled(1, 8), vm_id="a")
+    assert (fab.free, list(hv.vms)) == (free, ["a"])
+
+
 @pytest.mark.parametrize("cores", [0, -3])
 def test_create_vm_refuses_cores_below_one_before_allocating(cores):
     # the loader refuses such a VM; the API held a fabric slot for it
