@@ -49,17 +49,21 @@ def _fmt(x: float) -> str:
     return repr(x)
 
 
-def _counts(values, what: str, unit: str = "") -> tuple:
-    """``values`` as a tuple, read once so that an iterator is not used up
-    by the checks; a ValueError names the first below 1, or the absence
-    of any."""
-    values = tuple(values)
-    if not values:
-        raise ValueError(f"no {what}s")
+def _counts(values, what: str, unit: str = "", fits: int | None = None) -> tuple:
+    """``values`` as a tuple, read once and each value checked as it is
+    read, so an iterator is read no further than its first refused value;
+    a ValueError names it (below 1, or above the ``fits`` slots the fabric
+    holds), or the absence of any."""
+    checked = []
     for value in values:
         if value < 1:
             raise ValueError(f"{what} {value} below 1{unit}")
-    return values
+        if fits is not None and value > fits:
+            raise ValueError(f"{what} {value} does not fit: the fabric holds {fits}")
+        checked.append(value)
+    if not checked:
+        raise ValueError(f"no {what}s")
+    return tuple(checked)
 
 
 def bench_throughput(vm_counts=DEFAULT_VM_COUNTS, sizes=DEFAULT_SIZES) -> str:
@@ -104,16 +108,15 @@ def _measure_cell(vm_count: int, size: int, link: LinkModel) -> float:
     return aggregate
 
 
-def _check_fits(request: ResourceVector, count: int, what: str) -> None:
-    """Raise a ValueError naming ``count`` when the default fabric holds
-    fewer than ``count`` slots of ``request``: replayed on a scratch
-    fabric, as the scenario loader does, before any row is simulated."""
+def _slots(request: ResourceVector) -> int:
+    """How many slots of ``request`` the default fabric holds: replayed on a
+    scratch fabric, as the scenario loader replays VM requests."""
     scratch = Fabric()
-    for held in range(count):
-        try:
+    try:
+        while True:
             scratch.allocate(request)
-        except InsufficientResources as exc:
-            raise ValueError(f"{what} {count} does not fit: the fabric holds {held}") from exc
+    except InsufficientResources:
+        return len(scratch.slots)
 
 
 REFERENCE_WORKLOAD = dict(steps=50, input_rate=4, fan_in=32, interval=1_000)
@@ -126,10 +129,9 @@ def bench_energy(max_accelerators: int = DEFAULT_ACCELERATORS) -> str:
     spiking workload; the energy column is the provisioned-accelerator
     energy for that workload unit, synaptic ops are the measured compute.
     """
-    _counts((max_accelerators,), "accelerator count")
     # a 1/32 slot each, so the fabric holds 32 single-core accelerators
     request = FabricConfig().total.scaled(1, 32)
-    _check_fits(request, max_accelerators, "accelerator count")
+    _counts((max_accelerators,), "accelerator count", fits=_slots(request))
     out = io.StringIO()
     out.write("accelerators,energy_mj,synaptic_ops\n")
     for n in range(1, max_accelerators + 1):
@@ -155,10 +157,9 @@ def bench_reconfig(vm_counts=DEFAULT_RECONFIG_VM_COUNTS) -> str:
     schedule (each module of the default catalog, in catalog order); the
     two policies differ only in reconfiguration mode.
     """
-    vm_counts = _counts(vm_counts, "vm count")
     config = FabricConfig()
     request = config.total.share(RECONFIG_SLOT_SHARE)
-    _check_fits(request, max(vm_counts), "vm count")
+    vm_counts = _counts(vm_counts, "vm count", fits=_slots(request))
     catalog = default_module_catalog(config)
     out = io.StringIO()
     out.write("vm_count,full_ns,partial_ns\n")

@@ -2,6 +2,9 @@
 
 Subcommands: bench-throughput, bench-energy, bench-reconfig, run. With no
 flags each benchmark reproduces the calibrated default configuration.
+A count list reaches its benchmark one value at a time, and the benchmark
+checks each as it reads it: a count is refused at the first refused value,
+before any row runs, and a range is not expanded past it.
 """
 
 from __future__ import annotations
@@ -10,39 +13,28 @@ import argparse
 import os
 import sys
 from contextlib import ExitStack
+from functools import partial
 
 from neurovirt import bench
 from neurovirt.scenario import ANY, ParseError, ValidationError, load_scenario
 
 
-def _read_int(part: str, text: str) -> int:
-    """``int(part)``; a ValueError names ``part`` and the ``text`` it came from."""
-    try:
-        return int(part)
-    except ValueError:
-        raise ValueError(f"cannot read {part!r} in {text!r}") from None
-
-
-def _parse_int_list(text: str) -> list[int]:
-    """Comma list with ranges: '1,2,4' or '1-16' or '1-4,8,16'."""
-    values: list[int] = []
+def _int_list(text: str, ranges: bool = False):
+    """The ints of the comma list ``text`` ('1,2,4'; with ``ranges`` also
+    '1-4,8,16'), yielded one at a time; a ValueError, raised on reaching a
+    part, names the part it cannot read or a descending range."""
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        lo, dash, hi = part.partition("-")
+        lo, dash, hi = part.partition("-") if ranges else (part, "", "")
         try:
             lo, hi = int(lo), int(hi if dash else lo)
         except ValueError:
             raise ValueError(f"cannot read {part!r} in {text!r}") from None
         if lo > hi:
             raise ValueError(f"descending range {part!r} in {text!r}")
-        values.extend(range(lo, hi + 1))
-    return values
-
-
-def _join(values) -> str:
-    return ",".join(str(v) for v in values)
+        yield from range(lo, hi + 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,9 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tp = sub.add_parser("bench-throughput", help="aggregate Gib/s vs transfer size")
     common(p_tp)
-    p_tp.add_argument("--vm-counts", default=_join(bench.DEFAULT_VM_COUNTS),
-                      help="comma list, e.g. 1,2,4")
-    p_tp.add_argument("--sizes", default=_join(bench.DEFAULT_SIZES),
+    p_tp.add_argument("--vm-counts", type=partial(_int_list, ranges=True),
+                      default=bench.DEFAULT_VM_COUNTS, help="comma list or ranges, e.g. 1,2,4")
+    p_tp.add_argument("--sizes", type=_int_list, default=bench.DEFAULT_SIZES,
                       help="comma list of transfer sizes in bytes")
 
     p_en = sub.add_parser("bench-energy", help="energy vs accelerator count")
@@ -70,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rc = sub.add_parser("bench-reconfig", help="full vs partial reconfiguration time")
     common(p_rc)
-    p_rc.add_argument("--vm-counts", default=_join(bench.DEFAULT_RECONFIG_VM_COUNTS),
-                      help="comma list or ranges")
+    p_rc.add_argument("--vm-counts", type=partial(_int_list, ranges=True),
+                      default=bench.DEFAULT_RECONFIG_VM_COUNTS, help="comma list or ranges")
 
     p_run = sub.add_parser("run", help="run a scenario file")
     common(p_run)
@@ -108,16 +100,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "bench-throughput":
-            sizes = [_read_int(s, args.sizes) for s in map(str.strip, args.sizes.split(",")) if s]
-            csv = bench.bench_throughput(
-                vm_counts=_parse_int_list(args.vm_counts), sizes=sizes
-            )
+            csv = bench.bench_throughput(vm_counts=args.vm_counts, sizes=args.sizes)
             _emit(csv, args.out)
         elif args.command == "bench-energy":
             csv = bench.bench_energy(max_accelerators=args.accelerators)
             _emit(csv, args.out)
         elif args.command == "bench-reconfig":
-            csv = bench.bench_reconfig(vm_counts=_parse_int_list(args.vm_counts))
+            csv = bench.bench_reconfig(vm_counts=args.vm_counts)
             _emit(csv, args.out)
         elif args.command == "run":
             # the loader's rule for a seed in the file

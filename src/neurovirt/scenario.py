@@ -471,13 +471,21 @@ def scenario_from_dict(data: dict) -> Scenario:
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file.
 
-    Raises ParseError with a line number on malformed JSON and
-    ValidationError with a field path on schema violations.
+    Raises ParseError with a line number on a file that is not UTF-8 or
+    not JSON (line 1 for nesting too deep to decode, which gives no
+    position), and ValidationError with a field path on schema violations.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            # read() decodes the whole file in one call: exc.object is all of it
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        byte, line = exc.object[exc.start], exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(path, line, f"byte {byte:#04x} is not UTF-8: {exc.reason}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, exc.msg) from exc
+    except RecursionError:
+        raise ParseError(path, 1, "nested too deeply to decode") from None
     return scenario_from_dict(data)

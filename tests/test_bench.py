@@ -56,6 +56,17 @@ def test_experiments_read_each_sequence_argument_once(experiment, kwargs, once):
     assert experiment(**{**kwargs, **iterators}) == experiment(**kwargs)
 
 
+def test_the_read_stops_at_the_first_refused_count():
+    # it used to read the whole argument before any check, so a range of a
+    # billion counts was built before the 21st was refused
+    def counts():
+        yield from range(1, 22)
+        raise AssertionError("read past the first refused count")
+
+    with pytest.raises(ValueError, match="^vm count 21 does not fit: the fabric holds 20$"):
+        bench_reconfig(vm_counts=counts())
+
+
 def test_energy_rows_run_real_reference_workload():
     rows = _rows(bench_energy(4))
     per_accel = workload_cost(50, 4, 32)  # the reference task shape

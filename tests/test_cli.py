@@ -10,12 +10,17 @@ import pytest
 
 import neurovirt
 from neurovirt import bench
-from neurovirt.cli import _parse_int_list, main
+from neurovirt.cli import _int_list, main
 from neurovirt.metrics import SAMPLE_CSV_HEADER
 from neurovirt.scenario import MAX_SAMPLES
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 DEMO = SCENARIOS / "demo.json"
+
+
+def _parse_int_list(text):
+    # the --vm-counts form
+    return list(_int_list(text, ranges=True))
 
 
 def test_parse_int_list_forms():
@@ -35,6 +40,21 @@ def test_parse_int_list_rejects_a_descending_range():
 def test_parse_int_list_names_the_part_it_cannot_read(text, part):
     with pytest.raises(ValueError, match=f"cannot read '{part}'"):
         _parse_int_list(text)
+
+
+def test_a_list_without_ranges_reads_a_dash_as_a_sign():
+    # the --sizes form: a negative size reaches its own check
+    assert list(_int_list("4096, 65536,-5")) == [4096, 65536, -5]
+    with pytest.raises(ValueError, match="^cannot read '4096-8192' in '4096-8192'$"):
+        list(_int_list("4096-8192"))
+
+
+def test_the_reader_yields_each_value_before_it_reads_the_next_part():
+    # so a benchmark that refuses a value reads no further
+    values = _int_list("1-3,x", ranges=True)
+    assert [next(values) for _ in range(3)] == [1, 2, 3]
+    with pytest.raises(ValueError, match="^cannot read 'x' in '1-3,x'$"):
+        next(values)
 
 
 def test_unreadable_vm_count_exits_2_naming_it(capsys):
@@ -168,6 +188,21 @@ def test_parse_error_exit_code_and_message(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert f"{bad}:2:" in err
+    # these used to exit 1 with a RecursionError traceback, and to print an
+    # error naming neither the file nor a line
+    deep = '{"schema_version": 1, "seed": 1, "tasks": ' + "[" * 200_000 + "]" * 200_000 + "}"
+    for name, data, message in [
+        ("deep.json", deep.encode(), "1: nested too deeply to decode"),
+        # UTF-16 starts ff fe
+        ("utf16.json", _scenario_file(tmp_path).read_text().encode("utf-16"),
+         "1: byte 0xff is not UTF-8: invalid start byte"),
+        ("latin1.json", b'{\n  "schema_version": 1,\n  "note": "caf\xe9"\n}',
+         "3: byte 0xe9 is not UTF-8: invalid continuation byte"),
+    ]:
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"{path}:{message}\n"
 
 
 def test_validation_error_exit_code_and_field(tmp_path, capsys):
@@ -216,6 +251,14 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
     (["bench-energy", "--accelerators", "0", "--out", "{tmp}/en.csv"],
      "error: accelerator count 0 below 1"),
     (["bench-reconfig", "--vm-counts", ",", "--out", "{tmp}/rc.csv"], "error: no vm counts"),
+    # the first refused value in list order is named: this used to name 0
+    (["bench-reconfig", "--vm-counts", "25,0", "--out", "{tmp}/rc.csv"],
+     "error: vm count 25 does not fit: the fabric holds 20"),
+    (["bench-energy", "--accelerators", "1000000000000", "--out", "{tmp}/en.csv"],
+     "error: accelerator count 1000000000000 does not fit: the fabric holds 32"),
+    # --sizes takes no ranges
+    (["bench-throughput", "--sizes", "4096-8192", "--out", "{tmp}/tp.csv"],
+     "error: cannot read '4096-8192' in '4096-8192'"),
     # these used to run as the seed modulo 2**64 (2**64 + 42 as 42); the
     # same seed in the file is refused
     (["run", "--scenario", str(DEMO), "--seed", str(2**64 + 42), "--out", "{tmp}/m.csv"],
@@ -235,6 +278,7 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
         "no-out-dir", "no-trace-dir", "same-out-and-trace", "no-sizes", "descending-range",
         "unreadable-size", "zero-size", "negative-size",
         "zero-vm-count", "zero-reconfig-vm-count", "zero-accelerators", "no-vm-counts",
+        "first-refused-count", "energy-count-far-past-the-fabric", "size-range",
         "seed-past-2**64", "seed-at-minus-2**63",
         "out-is-scenario", "trace-out-is-scenario",
         "out-is-a-hard-link-to-scenario", "trace-out-is-a-hard-link-to-out"])
