@@ -11,6 +11,9 @@ the only random draws, a spiking task's weights and input picks from its
 tasks), reach no experiment's columns. A scenario run is a pure function
 of its scenario, seed included.
 
+Every VM, in each experiment and in the runner, is one fabric slot plus
+one I/O ring, made by :meth:`Hypervisor.create_vm`.
+
 The experiments' engines keep no trace, since no column reads one.
 :func:`run_scenario`'s engine formats every trace line, whether or not
 ``run --trace-out`` writes them (ROADMAP item 2 streams them instead).
@@ -26,7 +29,7 @@ from neurovirt.iodriver import GIB, IoDriver, LinkModel, effective_throughput
 from neurovirt.metrics import MetricsCollector, energy_for_accelerators, export_samples
 from neurovirt.record import Record
 from neurovirt.sched import DEFAULT_TICK_PERIOD_NS, Scheduler
-from neurovirt.scenario import Scenario
+from neurovirt.scenario import ANY, Scenario
 from neurovirt.snn import SpikingExecutor
 # make_core_state and step_core stay bound here, since perfbench/tracer.py
 # patches bench.make_core_state and bench.step_core by name
@@ -43,6 +46,9 @@ DEFAULT_RECONFIG_VM_COUNTS = tuple(range(1, 17))
 WARMUP_TRANSFERS = 2
 MEASURED_TRANSFERS = 8
 
+# a 1/32 slot each, so the fabric holds 32 single-core VMs
+ONE_CORE_SLOT = FabricConfig().total.scaled(1, 32)
+
 
 def _fmt(x: float) -> str:
     # shortest round-trip form: parsing the CSV recovers the exact float
@@ -52,12 +58,15 @@ def _fmt(x: float) -> str:
 def _counts(values, what: str, unit: str = "", fits: int | None = None) -> tuple:
     """``values`` as a tuple, read once and each value checked as it is
     read, so an iterator is read no further than its first refused value;
-    a ValueError names it (below 1, or above the ``fits`` slots the fabric
-    holds), or the absence of any."""
+    a ValueError names it (below 1; 2**63 or more, which the scenario
+    loader also refuses; or above the ``fits`` slots the fabric holds), or
+    the absence of any."""
     checked = []
     for value in values:
         if value < 1:
             raise ValueError(f"{what} {value} below 1{unit}")
+        if value > ANY[1]:
+            raise ValueError(f"{what} {value} must be below 2**63 in magnitude")
         if fits is not None and value > fits:
             raise ValueError(f"{what} {value} does not fit: the fabric holds {fits}")
         checked.append(value)
@@ -69,11 +78,11 @@ def _counts(values, what: str, unit: str = "", fits: int | None = None) -> tuple
 def bench_throughput(vm_counts=DEFAULT_VM_COUNTS, sizes=DEFAULT_SIZES) -> str:
     """Aggregate Gib/s per (vm_count, transfer size), measured in simulation.
 
-    Each VM streams back-to-back transfers; throughput is taken over each
-    VM's post-warmup completion span, which converges to the pipe model's
-    closed form as sizes grow.
+    Each VM holds a 1/32 fabric slot and streams back-to-back transfers on
+    its ring; throughput is taken over each VM's post-warmup completion
+    span, which converges to the pipe model's closed form as sizes grow.
     """
-    vm_counts = _counts(vm_counts, "vm count")
+    vm_counts = _counts(vm_counts, "vm count", fits=_slots(ONE_CORE_SLOT))
     sizes = _counts(sizes, "transfer size", " byte")
     link = LinkModel()
     out = io.StringIO()
@@ -88,14 +97,15 @@ def bench_throughput(vm_counts=DEFAULT_VM_COUNTS, sizes=DEFAULT_SIZES) -> str:
 
 def _measure_cell(vm_count: int, size: int, link: LinkModel) -> float:
     engine = Engine()
-    driver = IoDriver(engine, link)
+    hv = Hypervisor(engine, Fabric(), link=link)
     total_rounds = WARMUP_TRANSFERS + MEASURED_TRANSFERS
     completions: dict[str, list[int]] = {}
-    for i in range(vm_count):
-        times = completions[f"vm{i}"] = []
+    for _ in range(vm_count):
+        vm_id = hv.create_vm(ONE_CORE_SLOT)
+        times = completions[vm_id] = []
         # one transfer at a time never fills a ring, so no retry is scheduled
-        driver.stream(
-            driver.open_ring(f"vm{i}"), size, total_rounds, DEFAULT_TICK_PERIOD_NS,
+        hv.driver.stream(
+            hv.vms[vm_id].ring, size, total_rounds, DEFAULT_TICK_PERIOD_NS,
             on_complete=lambda t=times: t.append(engine.now()),
         )()
     engine.run()
@@ -129,25 +139,20 @@ def bench_energy(max_accelerators: int = DEFAULT_ACCELERATORS) -> str:
     spiking workload; the energy column is the provisioned-accelerator
     energy for that workload unit, synaptic ops are the measured compute.
     """
-    # a 1/32 slot each, so the fabric holds 32 single-core accelerators
-    request = FabricConfig().total.scaled(1, 32)
-    _counts((max_accelerators,), "accelerator count", fits=_slots(request))
+    _counts((max_accelerators,), "accelerator count", fits=_slots(ONE_CORE_SLOT))
     out = io.StringIO()
     out.write("accelerators,energy_mj,synaptic_ops\n")
     for n in range(1, max_accelerators + 1):
         engine = Engine()
         hv = Hypervisor(engine, Fabric())
         executor = SpikingExecutor(engine)
-        vm_ids = [hv.create_vm(request, cores=1) for _ in range(n)]
+        vm_ids = [hv.create_vm(ONE_CORE_SLOT, cores=1) for _ in range(n)]
         for i, vm_id in enumerate(vm_ids):
             executor.launch(task_id=f"ref{i}", **REFERENCE_WORKLOAD, at=0, vm=vm_id)
         engine.run()
         energy = energy_for_accelerators(n)
         out.write(f"{n},{_fmt(energy)},{executor.total_synops}\n")
     return out.getvalue()
-
-
-RECONFIG_SLOT_SHARE = 0.05
 
 
 def bench_reconfig(vm_counts=DEFAULT_RECONFIG_VM_COUNTS) -> str:
@@ -158,7 +163,8 @@ def bench_reconfig(vm_counts=DEFAULT_RECONFIG_VM_COUNTS) -> str:
     two policies differ only in reconfiguration mode.
     """
     config = FabricConfig()
-    request = config.total.share(RECONFIG_SLOT_SHARE)
+    # a 5% region slot each, which holds any default module; 20 fit
+    request = config.total.share(0.05)
     vm_counts = _counts(vm_counts, "vm count", fits=_slots(request))
     catalog = default_module_catalog(config)
     out = io.StringIO()
@@ -201,8 +207,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     reconfigurations to the models, then run the engine to its end."""
     engine = Engine(scenario.seed, trace=True)
     fabric = Fabric(scenario.fabric)
-    driver = IoDriver(engine, scenario.link)
-    hv = Hypervisor(engine, fabric, driver, scenario.reconfig)
+    hv = Hypervisor(engine, fabric, link=scenario.link, params=scenario.reconfig)
     scheduler = Scheduler(engine, core_rate=scenario.core_rate,
                           tick_period=scenario.tick_period_ns,
                           migration_penalty=scenario.migration_penalty_ns)
@@ -220,7 +225,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
         engine.schedule(
             tr.start_ns,
             "TransferStart",
-            fn=driver.stream(
+            fn=hv.driver.stream(
                 hv.vms[tr.vm].ring, tr.size_bytes, tr.count, scenario.tick_period_ns
             ),
             detail=f"vm={tr.vm};size={tr.size_bytes}",
@@ -247,7 +252,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
         engine=engine,
         scheduler=scheduler,
         metrics=metrics,
-        driver=driver,
+        driver=hv.driver,
         hypervisor=hv,
         executor=executor,
     )

@@ -81,15 +81,16 @@ def effective_throughput(size_bytes: int, vm_count: int, link: LinkModel) -> flo
 class IoDriver:
     """Descriptor-ring device sharing over one engine.
 
-    Occupancy is derived, not counted: a ring holds ``len(ring.inflight)``
-    transfers, the driver ``submissions - completions - drained``, and
-    ``in_flight_by_vm`` keeps only VMs with a transfer in flight.
+    A ring holds ``len(ring.inflight)`` transfers and the driver
+    ``submissions - completions - drained``. Each VM has exactly one ring,
+    so :meth:`active_vm_count` is the number of rings that hold a transfer;
+    it moves only when a ring goes from empty to non-empty and back.
     """
 
     def __init__(self, engine: Engine, link: LinkModel | None = None):
         self.engine = engine
         self.link = link if link is not None else LinkModel()
-        self.in_flight_by_vm: dict[str, int] = {}
+        self._active_rings = 0
         self.submissions = 0
         self.completions = 0
         self.backpressured = 0
@@ -103,10 +104,11 @@ class IoDriver:
     def close_ring(self, ring: IoRing) -> None:
         """Drop in-flight transfers and refuse further submissions; a
         stream on the ring ends at its next submit."""
+        if ring.inflight:
+            self._active_rings -= 1
         for event in ring.inflight.values():
             self.engine.cancel(event)
             self.drained += 1
-            self._leave(ring.vm)
         ring.inflight.clear()
         ring.closed = True
 
@@ -115,7 +117,7 @@ class IoDriver:
         return self.submissions - self.completions - self.drained
 
     def active_vm_count(self) -> int:
-        return len(self.in_flight_by_vm)
+        return self._active_rings
 
     def submit(self, ring: IoRing, size: int,
                on_complete: Callable[[], None] | None = None) -> SimEvent | None:
@@ -139,9 +141,10 @@ class IoDriver:
         size = operator.index(size)
         self.submissions += 1
         number = self.submissions
-        self.in_flight_by_vm[ring.vm] = self.in_flight_by_vm.get(ring.vm, 0) + 1
+        if not ring.inflight:
+            self._active_rings += 1
 
-        peak = self.link.peak_bw(self.active_vm_count())
+        peak = self.link.peak_bw(self._active_rings)
         bw_share = peak / self.in_flight
         duration = self.link.latency_ns + round_half_up(
             size * 8 * NS_PER_S / (bw_share * GIB)
@@ -215,15 +218,9 @@ class IoDriver:
 
     def _complete(self, ring: IoRing, number: int, size: int, on_complete) -> None:
         del ring.inflight[number]
-        self._leave(ring.vm)
+        if not ring.inflight:
+            self._active_rings -= 1
         self.completions += 1
         self.completed_bits += size * 8
         if on_complete is not None:
             on_complete()
-
-    def _leave(self, vm_id: str) -> None:
-        """One of ``vm_id``'s transfers is no longer in flight."""
-        if self.in_flight_by_vm[vm_id] == 1:
-            del self.in_flight_by_vm[vm_id]
-        else:
-            self.in_flight_by_vm[vm_id] -= 1

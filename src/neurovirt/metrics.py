@@ -78,8 +78,6 @@ class MetricsCollector:
     and the executor's synops, on the hypervisor's engine loop."""
 
     def __init__(self, hypervisor: Hypervisor, model: EnergyModel, executor):
-        if hypervisor.driver is None:  # else the first sample fails mid-run
-            raise ValueError("the hypervisor has no I/O driver to sample")
         self.hypervisor = hypervisor
         self.model = model
         self.executor = executor  # reads its total_synops

@@ -26,7 +26,7 @@ from collections import deque
 
 from neurovirt.engine import Engine, round_half_up, NS_PER_S
 from neurovirt.fabric import Fabric, FabricConfig, ResourceVector
-from neurovirt.iodriver import IoRing
+from neurovirt.iodriver import IoDriver, IoRing, LinkModel
 from neurovirt.record import FrozenRecord, Record
 
 
@@ -84,7 +84,7 @@ class ReconfigRecord(Record):
 
 
 class VirtualMachine(Record):
-    __slots__ = ("id", "slot_id", "cores", "loaded", "ring", "inflight_module",
+    __slots__ = ("id", "slot_id", "cores", "ring", "loaded", "inflight_module",
                  "pending_reconfigs")
 
     def __init__(
@@ -92,16 +92,16 @@ class VirtualMachine(Record):
         id: str,
         slot_id: int,
         cores: int,
+        ring: IoRing,
         loaded: DfxModule | None = None,
-        ring: IoRing | None = None,
         inflight_module: DfxModule | None = None,
         pending_reconfigs: deque | None = None,
     ):
         self.id = id
         self.slot_id = slot_id
         self.cores = cores
+        self.ring = ring  # its one I/O ring
         self.loaded = loaded  # the module the region holds, if any
-        self.ring = ring  # its one I/O ring, when the hypervisor has a driver
         self.inflight_module = inflight_module  # the module being programmed, if any
         # (module, mode) requests queued behind the one in flight
         self.pending_reconfigs = deque() if pending_reconfigs is None else pending_reconfigs
@@ -136,18 +136,20 @@ def default_module_catalog(config: FabricConfig) -> dict[str, DfxModule]:
 
 
 class Hypervisor:
-    """VM manager on top of one fabric and one simulation engine."""
+    """VM manager on top of one fabric and one simulation engine. It owns
+    the I/O driver over ``link``: each VM is one fabric slot plus one ring."""
 
     def __init__(
         self,
         engine: Engine,
         fabric: Fabric,
-        driver=None,
+        *,
+        link: LinkModel | None = None,
         params: ReconfigParams | None = None,
     ):
         self.engine = engine
         self.fabric = fabric
-        self.driver = driver
+        self.driver = IoDriver(engine, link)
         self.params = params if params is not None else ReconfigParams()
         self.vms: dict[str, VirtualMachine] = {}
         self.records: list[ReconfigRecord] = []
@@ -161,7 +163,7 @@ class Hypervisor:
         cores: int | None = None,
         vm_id: str | None = None,
     ) -> str:
-        """Allocate a region slot and, given a driver, open the VM's one I/O ring.
+        """Allocate a region slot and open the VM's one I/O ring.
 
         Raises ValueError for ``cores`` below 1, before allocating anything."""
         if cores is not None and cores < 1:
@@ -176,10 +178,7 @@ class Hypervisor:
             config = self.fabric.config
             exact = config.neurocore_count * request.lut / config.total.lut
             cores = max(1, round_half_up(exact))
-        vm = VirtualMachine(vm_id, slot_id, cores)
-        if self.driver is not None:
-            vm.ring = self.driver.open_ring(vm_id)
-        self.vms[vm_id] = vm
+        self.vms[vm_id] = VirtualMachine(vm_id, slot_id, cores, self.driver.open_ring(vm_id))
         return vm_id
 
     def destroy_vm(self, vm_id: str) -> None:
@@ -187,8 +186,7 @@ class Hypervisor:
         # the only guard against freeing a slot mid-reprogram; the fabric has none
         if vm.reconfiguring or vm.pending_reconfigs or self._full_active:
             raise VmBusy(f"{vm_id} is mid-reconfiguration")
-        if vm.ring is not None:
-            self.driver.close_ring(vm.ring)
+        self.driver.close_ring(vm.ring)
         self.fabric.release(vm.slot_id)
         del self.vms[vm_id]
 

@@ -11,7 +11,6 @@ import numpy as np
 from neurovirt.cli import main
 from neurovirt.engine import Engine
 from neurovirt.fabric import Fabric, InsufficientResources, ResourceVector
-from neurovirt.iodriver import IoDriver
 from neurovirt.sched import Scheduler, TaskSpec, exec_time
 from neurovirt.snn import LifParams, make_core_state, step_core
 from neurovirt.virt import (
@@ -180,8 +179,8 @@ def _isolation_run(seed, streams, reconfig=None):
     """VMs stream transfers; VM 'a' optionally reconfigures mid-run."""
     engine = Engine(seed)
     fabric = Fabric()
-    driver = IoDriver(engine)
-    hv = Hypervisor(engine, fabric, driver)
+    hv = Hypervisor(engine, fabric)
+    driver = hv.driver
     hv.create_vm(fabric.total.scaled(1, 4), vm_id="a")  # roomy: holds any module
     completions: dict[str, list[int]] = {}
     for vm_id, size, count in streams:

@@ -67,6 +67,16 @@ def test_the_read_stops_at_the_first_refused_count():
         bench_reconfig(vm_counts=counts())
 
 
+def test_the_throughput_read_stops_at_the_first_count_past_the_fabric():
+    # its VMs held no fabric slot, so no count was ever refused as too many
+    def counts():
+        yield from range(1, 34)
+        raise AssertionError("read past the first refused count")
+
+    with pytest.raises(ValueError, match="^vm count 33 does not fit: the fabric holds 32$"):
+        bench_throughput(vm_counts=counts())
+
+
 def test_energy_rows_run_real_reference_workload():
     rows = _rows(bench_energy(4))
     per_accel = workload_cost(50, 4, 32)  # the reference task shape

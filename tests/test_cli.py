@@ -256,6 +256,16 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
      "error: vm count 25 does not fit: the fabric holds 20"),
     (["bench-energy", "--accelerators", "1000000000000", "--out", "{tmp}/en.csv"],
      "error: accelerator count 1000000000000 does not fit: the fabric holds 32"),
+    # this one used to run: a throughput VM held no fabric slot
+    (["bench-throughput", "--vm-counts", "33", "--out", "{tmp}/tp.csv"],
+     "error: vm count 33 does not fit: the fabric holds 32"),
+    # the loader's bound: the first used to fail with an OverflowError
+    # traceback, the second to simulate past 2**63 ns
+    (["bench-throughput", "--vm-counts", "1", "--sizes", str(10**400), "--out", "{tmp}/tp.csv"],
+     f"error: transfer size {10**400} must be below 2**63 in magnitude"),
+    (["bench-throughput", "--vm-counts", "1", "--sizes", "99999999999999999999999",
+      "--out", "{tmp}/tp.csv"],
+     "error: transfer size 99999999999999999999999 must be below 2**63 in magnitude"),
     # --sizes takes no ranges
     (["bench-throughput", "--sizes", "4096-8192", "--out", "{tmp}/tp.csv"],
      "error: cannot read '4096-8192' in '4096-8192'"),
@@ -278,7 +288,9 @@ def test_validation_error_exit_code_and_field(tmp_path, capsys):
         "no-out-dir", "no-trace-dir", "same-out-and-trace", "no-sizes", "descending-range",
         "unreadable-size", "zero-size", "negative-size",
         "zero-vm-count", "zero-reconfig-vm-count", "zero-accelerators", "no-vm-counts",
-        "first-refused-count", "energy-count-far-past-the-fabric", "size-range",
+        "first-refused-count", "energy-count-far-past-the-fabric",
+        "throughput-count-past-the-fabric", "size-overflowing-a-float", "size-past-2**63",
+        "size-range",
         "seed-past-2**64", "seed-at-minus-2**63",
         "out-is-scenario", "trace-out-is-scenario",
         "out-is-a-hard-link-to-scenario", "trace-out-is-a-hard-link-to-out"])

@@ -12,6 +12,7 @@ from neurovirt.iodriver import (
     GIB, PEAK_GIBPS, IoDriver, LinkModel, RingClosed, effective_throughput,
 )
 from neurovirt.scenario import load_scenario
+from neurovirt.virt import Hypervisor
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -335,8 +336,8 @@ OPS = st.lists(
 def test_active_vm_count_equals_recount(ops):
     eng = Engine(0)
     drv = IoDriver(eng, LinkModel(ring_capacity=2))
-    # six rings on three VMs, two each, so one VM's rings share its count
-    rings = [drv.open_ring(f"vm{i % 3}") for i in range(6)]
+    # six VMs with one ring each, as Hypervisor.create_vm opens them
+    rings = [drv.open_ring(f"vm{i}") for i in range(6)]
 
     def recount():
         """(active VMs, transfers in flight), counted from the rings."""
@@ -356,3 +357,38 @@ def test_active_vm_count_equals_recount(ops):
         assert (drv.active_vm_count(), drv.in_flight) == recount()
     eng.run()
     assert (drv.active_vm_count(), drv.in_flight) == recount() == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["demo.json", "churn.json", "stall.json"])
+def test_each_vm_owns_one_open_ring_and_the_active_count_holds_at_every_event(
+    monkeypatch, name
+):
+    hypervisors, seen = [], []
+    init, schedule = Hypervisor.__init__, Engine.schedule
+
+    def keep(hv, *args, **kwargs):
+        init(hv, *args, **kwargs)
+        hypervisors.append(hv)
+
+    def check():
+        (hv,) = hypervisors
+        rings = [vm.ring for vm in hv.vms.values()]
+        assert [(r.vm, r.closed) for r in rings] == [(vm_id, False) for vm_id in hv.vms]
+        live = [r for r in rings if r.inflight]
+        assert hv.driver.active_vm_count() == len(live)
+        assert hv.driver.in_flight == sum(len(r.inflight) for r in live)
+        seen.append(len(live))
+
+    def checked(engine, at, kind, fn=None, *args, **kwargs):
+        def fire():
+            if fn is not None:
+                fn()
+            check()
+        return schedule(engine, at, kind, fire, *args, **kwargs)
+
+    monkeypatch.setattr(Hypervisor, "__init__", keep)
+    monkeypatch.setattr(Engine, "schedule", checked)
+    result = run_scenario(load_scenario(SCENARIOS / name))
+    # every event was checked, with rings of two or more VMs in flight at once
+    assert len(seen) == result.engine.processed_count
+    assert max(seen) >= 2

@@ -4,7 +4,6 @@ import pytest
 
 from neurovirt.engine import Engine
 from neurovirt.fabric import Fabric, ResourceVector
-from neurovirt.iodriver import IoDriver
 from neurovirt.metrics import (
     SAMPLE_CSV_HEADER,
     EnergyModel,
@@ -26,7 +25,7 @@ class _Executor:
 def _collector(eng, fab, hv=None, synops=0):
     """A collector over an idle executor and, unless given, a new
     hypervisor with an idle driver."""
-    hv = hv if hv is not None else Hypervisor(eng, fab, IoDriver(eng))
+    hv = hv if hv is not None else Hypervisor(eng, fab)
     return MetricsCollector(hv, EnergyModel(), _Executor(synops))
 
 
@@ -98,12 +97,6 @@ def test_export_failure_wrapped():
         export_samples(collector.samples, Broken())
 
 
-def test_a_hypervisor_without_a_driver_is_refused():
-    eng = Engine(0)
-    with pytest.raises(ValueError, match="no I/O driver"):
-        MetricsCollector(Hypervisor(eng, Fabric()), EnergyModel(), _Executor())
-
-
 def test_a_sample_period_below_one_is_refused():
     eng = Engine(0)
     collector = _collector(eng, Fabric())
@@ -134,7 +127,7 @@ def test_reconfig_accumulators_partial_below_full_for_same_swaps():
 def test_accumulators_non_decreasing_over_samples():
     eng = Engine(0)
     fab = Fabric()
-    hv = Hypervisor(eng, fab, IoDriver(eng))
+    hv = Hypervisor(eng, fab)
     collector = _collector(eng, fab, hv)
     vm = hv.create_vm(fab.total.scaled(1, 4))
     module = module_from_share("m", 0.1, fab.config.total, fab.config.bitstream_total_bytes)

@@ -83,8 +83,8 @@ RECORDS = [
     (virt.ReconfigRecord, False, tuple((name, REQUIRED) for name in (
         "vm", "mode", "started_at", "duration", "module"))),
     (virt.VirtualMachine, False, (
-        ("id", REQUIRED), ("slot_id", REQUIRED), ("cores", REQUIRED), ("loaded", None),
-        ("ring", None), ("inflight_module", None), ("pending_reconfigs", New(deque)))),
+        ("id", REQUIRED), ("slot_id", REQUIRED), ("cores", REQUIRED), ("ring", REQUIRED),
+        ("loaded", None), ("inflight_module", None), ("pending_reconfigs", New(deque)))),
     (bench.RunResult, False, tuple((name, REQUIRED) for name in (
         "metrics_csv", "engine", "scheduler", "metrics", "driver", "hypervisor",
         "executor"))),

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from neurovirt.engine import Engine, NS_PER_MS
 from neurovirt.fabric import Fabric, InsufficientResources, ResourceVector
-from neurovirt.iodriver import IoDriver, LinkModel
+from neurovirt.iodriver import LinkModel
 from neurovirt.virt import (
     DfxModule,
     FootprintOverflow,
@@ -20,11 +20,10 @@ from neurovirt.virt import (
 MIB = 1024 * 1024
 
 
-def _hypervisor(driver=False, seed=0):
+def _hypervisor(seed=0):
     eng = Engine(seed=seed)
     fab = Fabric()
-    drv = IoDriver(eng) if driver else None
-    return eng, fab, Hypervisor(eng, fab, drv)
+    return eng, fab, Hypervisor(eng, fab)
 
 
 def _module(share, hv, name=None):
@@ -55,7 +54,7 @@ def test_create_vm_insufficient_resources():
 
 
 def test_create_vm_refuses_an_id_that_exists_before_allocating():
-    eng, fab, hv = _hypervisor(driver=True)
+    eng, fab, hv = _hypervisor()
     hv.create_vm(fab.total.scaled(1, 8), vm_id="a")
     free = fab.free
     with pytest.raises(ValueError, match="vm id a already exists"):
@@ -66,7 +65,7 @@ def test_create_vm_refuses_an_id_that_exists_before_allocating():
 @pytest.mark.parametrize("cores", [0, -3])
 def test_create_vm_refuses_cores_below_one_before_allocating(cores):
     # the loader refuses such a VM; the API held a fabric slot for it
-    eng, fab, hv = _hypervisor(driver=True)
+    eng, fab, hv = _hypervisor()
     with pytest.raises(ValueError, match="cores must be >= 1"):
         hv.create_vm(fab.total.scaled(1, 8), cores=cores)
     assert (fab.free, fab.slots, hv.vms) == (fab.total, {}, {})
@@ -74,7 +73,7 @@ def test_create_vm_refuses_cores_below_one_before_allocating(cores):
 
 
 def test_create_destroy_round_trip():
-    eng, fab, hv = _hypervisor(driver=True)
+    eng, fab, hv = _hypervisor()
     before = fab.free
     vm = hv.create_vm(fab.total.scaled(1, 8))
     hv.destroy_vm(vm)
@@ -202,8 +201,8 @@ def test_destroy_ends_the_vms_transfer_streams():
     # a TransferRetry and the third has not started; "b" streams alongside
     eng = Engine(0)
     fab = Fabric()
-    drv = IoDriver(eng, LinkModel(ring_capacity=1))
-    hv = Hypervisor(eng, fab, drv)
+    hv = Hypervisor(eng, fab, link=LinkModel(ring_capacity=1))
+    drv = hv.driver
     completed = {"a": [], "b": []}
     for vm_id, starts in (("a", (0, 0, 20_000)), ("b", (0,))):
         ring = hv.vms[hv.create_vm(fab.total.scaled(1, 8), vm_id=vm_id)].ring
@@ -327,8 +326,8 @@ def _stream_setup(seed, reconfig_mode=None, reconfig_at=None, share=0.1):
     """VM 'b' streams eight transfers; VM 'a' optionally reconfigures."""
     eng = Engine(seed=seed)
     fab = Fabric()
-    drv = IoDriver(eng)
-    hv = Hypervisor(eng, fab, drv)
+    hv = Hypervisor(eng, fab)
+    drv = hv.driver
     vm_a = hv.create_vm(fab.total.scaled(1, 4), vm_id="a")
     vm_b = hv.create_vm(fab.total.scaled(1, 4), vm_id="b")
     ring_b = hv.vms[vm_b].ring
