@@ -46,6 +46,17 @@ sifts as short as the work in flight (Brown, "Calendar queues", CACM
 1988). The held entry is queued like any other: :meth:`Engine.pending`
 lists it, and it stays held past a handler that raises and between runs.
 
+An event scheduled with ``repeats=n`` and ``every=d`` is counted: it fires
+``n + 1`` times, and each of its first ``n`` fires is logged and counted
+as any other but runs no handler. The loop re-arms it ``d`` ns later
+itself, into the held slot under the next seq, and leaves it in its VM's
+index. That is what a handler doing nothing but ``reschedule(event,
+now() + d)`` would do: such a handler queues nothing before its re-arm,
+so its re-arm takes the seq the loop takes, and no trace line, stall or
+cancel tells the two apart. A stall shifts a counted event like any
+other, and its later fires follow the shifted time; a cancel keeps its
+countdown for a later ``reschedule``. Only the last fire runs the handler.
+
 Each processed event is logged as one ``tick,seq,kind,detail`` line by an
 engine made with ``trace=True``; an engine made without it formats no line.
 The log is held as a few large text chunks of :data:`TRACE_WRITE_LINES`
@@ -170,11 +181,16 @@ class SimEvent(Record):
     ``vm`` tags events that belong to one virtual machine so
     reconfiguration stalls can postpone exactly that machine's progress;
     change it only while the event is not queued, after a cancel if its
-    handler is running. ``index`` is the engine's VM index that holds the
-    event, or None. Two events are equal only if they are the same event.
+    handler is running. ``every`` and ``repeats`` make it a counted event:
+    while ``repeats`` is above 0, a fire runs no handler, takes one off
+    ``repeats`` and re-arms the event ``every`` ns later; change ``every``
+    only when ``vm`` may change. ``index`` is the engine's VM index that
+    holds the event, or None. Two events are equal only if they are the
+    same event.
     """
 
-    __slots__ = ("fire_at", "seq", "kind", "detail", "fn", "vm", "stallable", "index")
+    __slots__ = ("fire_at", "seq", "kind", "detail", "fn", "vm", "stallable", "every",
+                 "repeats", "index")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -187,6 +203,8 @@ class SimEvent(Record):
         fn: Callable[[], None] | None = None,
         vm: str | None = None,
         stallable: bool = True,
+        every: int = 0,
+        repeats: int = 0,
         index: dict[SimEvent, None] | None = None,
     ):
         self.fire_at = fire_at
@@ -196,6 +214,8 @@ class SimEvent(Record):
         self.fn = fn
         self.vm = vm
         self.stallable = stallable
+        self.every = every
+        self.repeats = repeats  # fires left that run no handler
         self.index = index
 
 
@@ -255,14 +275,30 @@ class Engine:
         detail: str = "",
         vm: str | None = None,
         stallable: bool = True,
+        *,
+        every: int = 0,
+        repeats: int = 0,
     ) -> SimEvent:
-        """Queue an event at absolute time ``at``; returns it as a handle."""
-        return self.reschedule(SimEvent(None, -1, kind, detail, fn, vm, stallable), at)
+        """Queue an event at absolute time ``at``; returns it as a handle.
+
+        The event fires ``repeats + 1`` times, ``every`` ns apart, and only
+        its last fire runs ``fn`` (a counted event: see the module
+        docstring). Raises TypeError for an ``every`` or ``repeats`` that is
+        not an integer, and ValueError for ``repeats < 0``, or for
+        ``repeats > 0`` with ``every < 1``, whose fires would all fall at
+        one instant."""
+        every, repeats = operator.index(every), operator.index(repeats)
+        if repeats < 0 or (repeats and every < 1):
+            raise ValueError(f"{kind} event: repeats {repeats} must be >= 0, "
+                             f"and every {every} >= 1 when repeats > 0")
+        return self.reschedule(
+            SimEvent(None, -1, kind, detail, fn, vm, stallable, every, repeats), at)
 
     def reschedule(self, event: SimEvent, at: int) -> SimEvent:
         """Queue a fired or cancelled ``event`` again at absolute time ``at``,
         under the next seq, exactly as a fresh :meth:`schedule` of its kind,
-        detail, fn, VM and stallable flag would be; returns it.
+        detail, fn, VM, stallable flag, ``every`` and remaining ``repeats``
+        would be; returns it.
 
         Raises TypeError for an ``at`` that is not an integer, which would
         put a fractional tick on the clock, and ValueError while the event
@@ -328,7 +364,7 @@ class Engine:
         # handler, or a run_until nested in one, fills or takes it
         heap, setup, lines = self._heap, self._setup, self._lines
         log = None if lines is None else lines.append
-        pop, pushpop = heapq.heappop, heapq.heappushpop
+        pop, push, pushpop = heapq.heappop, heapq.heappush, heapq.heappushpop
         start = self._processed
         self._depth += 1
         try:
@@ -366,6 +402,21 @@ class Engine:
                     if len(lines) == TRACE_WRITE_LINES:
                         self._close_chunk()
                 self._processed += 1
+                repeats = event.repeats
+                if repeats:
+                    # a counted fire: re-armed as reschedule() from its
+                    # handler would re-arm it, into the held slot under the
+                    # next seq, and left in its VM's index; no handler runs
+                    event.repeats = repeats - 1
+                    seq = self._scheduled
+                    self._scheduled = seq + 1
+                    event.fire_at = at = fire_at + event.every
+                    event.seq = seq
+                    held = self._held
+                    if held is not None:
+                        push(heap, held)
+                    self._held = (at, seq, event)
+                    continue
                 try:
                     if event.fn is not None:
                         event.fn()

@@ -13,9 +13,10 @@ gathers those rows, adds the leaked potentials to the first, and runs
 ``add.reduce`` may), so the last row holds exactly the bits of the
 one-row-at-a-time loop, and every run gives the same bits.
 
-``SpikingExecutor`` runs such workloads on the event engine. A
-``SpikeStep`` event only counts the step and its synaptic ops, which is
-all that energy and every CLI output read. The kernel runs when its
+``SpikingExecutor`` runs such workloads on the event engine. Each task's
+steps are the fires of one counted ``SpikeStep`` event, which only count
+the steps; the synaptic ops follow from the count, and they are all that
+energy and every CLI output read. The kernel runs when its
 results are read: ``output_spikes`` and ``potentials(task_id)`` first
 replay every launched task from its last replayed step up to the steps
 processed so far, stepping through ``step_core`` with the weights and
@@ -136,8 +137,8 @@ class _SpikingTask(Record):
     """One spiking workload: its steps on the engine, and the LIF kernel
     that runs behind them as far as a read of spikes or potentials asks."""
 
-    __slots__ = ("task_id", "n_inputs", "n_neurons", "rate", "steps", "remaining",
-                 "interval", "next_event", "replayed", "state", "potentials")
+    __slots__ = ("task_id", "n_inputs", "n_neurons", "rate", "steps", "next_event",
+                 "replayed", "state", "potentials")
 
     def __init__(
         self,
@@ -146,8 +147,6 @@ class _SpikingTask(Record):
         n_neurons: int,
         rate: int,
         steps: int,
-        remaining: int,
-        interval: int,
         next_event: SimEvent | None = None,
         replayed: int = 0,
         state: CoreState | None = None,
@@ -158,10 +157,8 @@ class _SpikingTask(Record):
         self.n_neurons = n_neurons
         self.rate = rate
         self.steps = steps
-        self.remaining = remaining  # steps the engine has not processed yet
-        self.interval = interval
-        # the SpikeStep event of every step, which carries the job's VM;
-        # None after the last step
+        # the counted SpikeStep event of every step, which carries the job's
+        # VM, its interval and its countdown; None after the last step
         self.next_event = next_event
         self.replayed = replayed  # steps the kernel has run
         # the kernel's state from the first replay until the last step is
@@ -169,16 +166,30 @@ class _SpikingTask(Record):
         self.state = state
         self.potentials = potentials
 
+    @property
+    def remaining(self) -> int:
+        """Steps the engine has not processed yet."""
+        event = self.next_event
+        return 0 if event is None else event.repeats + 1
+
 
 class SpikingExecutor:
-    """Runs LIF workloads on the engine: counts their steps and synaptic
-    ops as the events fire, and runs their kernel when it is read."""
+    """Runs LIF workloads on the engine: the engine counts their steps, the
+    synaptic ops follow from the count, and their kernel runs when it is
+    read.
+
+    A job's steps are the fires of one counted event (``every`` its
+    interval, ``repeats`` its steps less one), so the engine fires every
+    step but the last without a handler call, and ``_step`` runs once, at
+    the last step, to settle the job. Its seqs and trace are those of a
+    handler that re-armed the event at every step, since such a handler
+    queued nothing before its re-arm.
+    """
 
     def __init__(self, engine: Engine, params: LifParams | None = None):
         self.engine = engine
         self.params = params if params is not None else LifParams()
         self.active: dict[str, _SpikingTask] = {}
-        self.total_synops = 0
         self._tasks: dict[str, _SpikingTask] = {}  # every launched task
         self._output_spikes = 0
 
@@ -199,15 +210,14 @@ class SpikingExecutor:
             n_neurons=fan_in,
             rate=input_rate,
             steps=steps,
-            remaining=steps,
-            interval=interval,
         )
         self._tasks[task_id] = self.active[task_id] = job
-        # one event for all the job's steps, re-armed by _step and move:
-        # job -> next_event -> fn -> job is the only cycle, and _step breaks
-        # it at the last step
+        # one event for all the job's steps, re-armed by the engine and by
+        # move: job -> next_event -> fn -> job is the only cycle, and _step
+        # breaks it at the last step
         job.next_event = self.engine.schedule(
-            at, "SpikeStep", fn=lambda: self._step(job), detail=f"task={task_id}", vm=vm
+            at, "SpikeStep", fn=lambda: self._step(job), detail=f"task={task_id}", vm=vm,
+            every=interval, repeats=steps - 1,
         )
 
     def check_launch(self, task_id: str, steps: int, input_rate: int, fan_in: int,
@@ -223,6 +233,12 @@ class SpikingExecutor:
         # tasks the draws they interleaved on it
         if task_id in self._tasks:
             raise ValueError(f"task {task_id} is already launched")
+
+    @property
+    def total_synops(self) -> int:
+        """Synaptic ops over every step processed so far, by all tasks."""
+        return sum(job.rate * job.n_neurons * (job.steps - job.remaining)
+                   for job in self._tasks.values())
 
     @property
     def output_spikes(self) -> int:
@@ -275,19 +291,16 @@ class SpikingExecutor:
         return tuple(sorted(pool[: job.rate]))
 
     def _step(self, job: _SpikingTask) -> None:
-        self.total_synops += job.rate * job.n_neurons
-        job.remaining -= 1
-        if job.remaining > 0:
-            self.engine.reschedule(job.next_event, self.engine.now() + job.interval)
-        else:
-            job.next_event = None
-            del self.active[job.task_id]
+        """Settle a job at its last step, the one fire of its event that
+        runs a handler."""
+        job.next_event = None
+        del self.active[job.task_id]
 
     def move(self, job: _SpikingTask, new_vm: str, resume_at: int, interval: int) -> None:
         """Re-home an active workload after a migration, stepping every
-        ``interval`` ns from ``resume_at``."""
+        ``interval`` ns from ``resume_at``; its event keeps its countdown."""
         event = job.next_event
         self.engine.cancel(event)
         event.vm = new_vm
-        job.interval = max(1, interval)
+        event.every = max(1, interval)
         self.engine.reschedule(event, max(resume_at, self.engine.now()))

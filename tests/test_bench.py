@@ -192,11 +192,18 @@ def test_a_spiking_job_keeps_one_event_across_its_steps_and_a_move():
         assert engine.postpone_pending(1, vm="vm0") == 0
         assert engine.postpone_pending(1, vm="vm1") == 1
         engine.run()
+    # the launch and the move queue through reschedule; the engine re-arms
+    # the event at every step but the last, each time under a fresh seq
     armed = [call.args[0] for call in arm.call_args_list]
-    assert len(armed) == 6  # launch, three re-arms by steps, the move, one more step
+    assert len(armed) == 2
     assert all(ev is event for ev in armed)
-    assert [line.split(",")[0] for line in engine.trace] == [
-        "0", "1000", "2000", "2501", "3201"]
+    fires = [line.split(",") for line in engine.trace]
+    assert [at for at, _, _, _ in fires] == ["0", "1000", "2000", "2501", "3201"]
+    assert {(kind, detail) for _, _, kind, detail in fires} == {("SpikeStep", "task=a")}
+    # seq 3 is the step at 3000 that the move replaced with seq 4
+    assert [seq for _, seq, _, _ in fires] == ["0", "1", "2", "4", "5"]
+    # launch, three re-arms by steps, the move, one more step
+    assert len(armed) + len(fires) - 1 == 6 == engine._scheduled
     assert job.next_event is None and executor.active == {}
 
 
@@ -470,6 +477,122 @@ def test_replay_on_read_equals_eager_stepping(seed, launches, leak, split, mover
     assert executor.output_spikes == sum(fired[-1] for fired, _ in eager.values())
     for task, (_, potentials) in eager.items():
         assert executor.potentials(task).tobytes() == potentials.tobytes()
+
+
+class _EagerSteps:
+    """Spiking steps as one handler call per step, which adds the step's
+    synaptic ops and re-arms the task's event ``interval`` ns later, on an
+    engine of its own. Spikes come from each task's eager stepping
+    (``_eager_spikes``)."""
+
+    def __init__(self, engine, spikes):
+        self.engine = engine
+        self.spikes = spikes  # task id -> spikes fired after each step
+        self.total_synops = 0
+        self.active = {}  # task id -> [event, remaining steps, interval, synops a step]
+        self.done = {}  # task id -> steps processed
+
+    def launch(self, task_id, steps, input_rate, fan_in, interval, at, vm=None):
+        job = self.active[task_id] = [None, steps, interval, input_rate * fan_in]
+        job[0] = self.engine.schedule(at, "SpikeStep", fn=lambda: self._step(task_id),
+                                      detail=f"task={task_id}", vm=vm)
+        self.done[task_id] = 0
+
+    def _step(self, task_id):
+        job = self.active[task_id]
+        self.total_synops += job[3]
+        self.done[task_id] += 1
+        job[1] -= 1
+        if job[1] > 0:
+            self.engine.reschedule(job[0], self.engine.now() + job[2])
+        else:
+            del self.active[task_id]
+
+    def move(self, task_id, new_vm, resume_at, interval):
+        job = self.active[task_id]
+        self.engine.cancel(job[0])
+        job[0].vm = new_vm
+        job[2] = max(1, interval)
+        self.engine.reschedule(job[0], max(resume_at, self.engine.now()))
+
+    @property
+    def output_spikes(self):
+        return sum(self.spikes[task][done] for task, done in self.done.items())
+
+
+# each op runs between two runs or, after a delay, from the handler of an
+# unstallable event queued on both engines: ("run", delay); ("stall",
+# delta, vm or None, handler delay or None); ("move", task, vm, resume
+# delay, interval, handler delay or None)
+_HANDLER_DELAY = st.one_of(st.none(), st.integers(0, 3_000))
+_STEP_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("run"), st.integers(0, 8_000)),
+        st.tuples(st.just("stall"), st.integers(0, 2_000),
+                  st.sampled_from([None, "vm0", "vm1"]), _HANDLER_DELAY),
+        st.tuples(st.just("move"), st.integers(0, 2), st.sampled_from(["vm0", "vm1"]),
+                  st.integers(0, 2_000), st.integers(0, 2_000), _HANDLER_DELAY),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), launches=_launches,
+       vms=st.lists(st.sampled_from(["vm0", "vm1"]), min_size=3, max_size=3), ops=_STEP_OPS)
+def test_counted_steps_equal_a_handler_call_per_step(seed, launches, vms, ops):
+    params = LifParams(v_thresh=0.4, leak=0.9)
+    launches = [dict(kw, task_id=f"t{i}") for i, kw in enumerate(launches)]
+    engine, eager_engine = Engine(seed, trace=True), Engine(seed, trace=True)
+    executor = SpikingExecutor(engine, params)
+    eager_spikes = {kw["task_id"]: _eager_spikes(seed, kw, params) for kw in launches}
+    eager = _EagerSteps(eager_engine, {t: fired for t, (fired, _) in eager_spikes.items()})
+    for kw, vm in zip(launches, vms):
+        executor.launch(**kw, vm=vm)
+        eager.launch(**kw, vm=vm)
+
+    def act(side, op):
+        """Apply a stall or a move; the side's result goes on its list."""
+        eng, ex, results = side
+        if op[0] == "stall":
+            results.append(eng.postpone_pending(op[1], vm=op[2]))
+            return
+        task_id = f"t{op[1] % len(launches)}"
+        job = ex.active.get(task_id)
+        if job is not None:
+            ex.move(job if ex is executor else task_id, op[2], eng.now() + op[3], op[4])
+        results.append(job is not None)
+
+    sides = ((engine, executor, []), (eager_engine, eager, []))
+
+    def check():
+        assert sides[0][2] == sides[1][2]
+        assert engine.trace == eager_engine.trace
+        assert engine.processed_count == eager_engine.processed_count
+        assert [(ev.fire_at, ev.seq, ev.kind, ev.vm) for ev in engine.pending()] == [
+            (ev.fire_at, ev.seq, ev.kind, ev.vm) for ev in eager_engine.pending()]
+        assert {t: job.remaining for t, job in executor.active.items()} == {
+            t: job[1] for t, job in eager.active.items()}
+        assert executor.total_synops == eager.total_synops
+        assert executor.output_spikes == eager.output_spikes
+
+    for op in ops:
+        for side in sides:
+            eng = side[0]
+            if op[0] == "run":
+                side[2].append(eng.run_until(eng.now() + op[1]))
+            elif op[-1] is None:
+                act(side, op)
+            else:
+                eng.schedule(eng.now() + op[-1], "Act", fn=lambda side=side, op=op: act(side, op),
+                             stallable=False)
+        check()
+    for side in sides:
+        side[2].append(side[0].run())
+    check()
+    for task, (_, potentials) in eager_spikes.items():
+        assert executor.potentials(task).tobytes() == potentials.tobytes()
+    assert executor.active == eager.active == {}
 
 
 def _launch_kwargs(**kwargs):

@@ -457,6 +457,94 @@ def test_a_time_that_is_not_an_integer_is_refused():
     assert type(eng.now()) is int
 
 
+def test_a_counted_event_fires_its_repeats_without_its_handler():
+    eng = Engine(seed=1, trace=True)
+    calls = []
+    event = eng.schedule(5, "A", fn=lambda: calls.append(eng.now()), detail="x=1", vm="v",
+                         every=10, repeats=3)
+    other = eng.schedule(25, "B")
+    assert eng.run_until(24) == 2 and calls == []
+    # each fire re-armed the one event under the next seq, and it stays indexed
+    assert (event.fire_at, event.seq, event.repeats) == (25, 3, 1)
+    assert eng.pending() == [other, event] and eng._by_vm["v"] == {event: None}
+    assert eng.run() == 3 and calls == [35]
+    assert eng.trace == ["5,0,A,x=1", "15,2,A,x=1", "25,1,B,", "25,3,A,x=1", "35,4,A,x=1"]
+    assert eng.pending() == [] and eng._by_vm["v"] == {}
+
+
+def test_a_counted_event_matches_a_handler_that_rearms_it():
+    counted, rearmed = Engine(seed=1, trace=True), Engine(seed=1, trace=True)
+    counted.schedule(0, "A", every=7, repeats=4, vm="v")
+    left = [4]
+
+    def step():
+        if left[0]:
+            left[0] -= 1
+            rearmed.reschedule(event, rearmed.now() + 7)
+
+    event = rearmed.schedule(0, "A", fn=step, vm="v")
+    for eng in (counted, rearmed):
+        eng.schedule(14, "B", vm="v")
+        eng.run_until(10)
+        assert eng.postpone_pending(3, vm="v") == 2
+        eng.run()
+    assert counted.trace == rearmed.trace
+    assert counted.trace[-1] == "31,5,A,"
+
+
+def test_a_cancelled_counted_event_keeps_its_countdown():
+    eng = Engine(seed=1, trace=True)
+    event = eng.schedule(0, "A", every=5, repeats=3)
+    eng.run_until(5)
+    eng.cancel(event)
+    assert event.repeats == 1 and eng.run() == 0
+    event.every = 2
+    eng.reschedule(event, 20)
+    assert eng.run() == 2
+    assert eng.trace == ["0,0,A,", "5,1,A,", "20,3,A,", "22,4,A,"]
+
+
+@pytest.mark.parametrize("bad", [dict(every=2.5, repeats=1), dict(every="3"), dict(every=None)],
+                         ids=["float", "str", "none"])
+def test_a_period_that_is_not_an_integer_is_refused(bad):
+    eng = Engine(seed=1)
+    with pytest.raises(TypeError):
+        eng.schedule(5, "A", **bad)
+    # the refusal took no seq
+    assert eng.pending() == [] and eng.schedule(5, "B").seq == 0
+
+
+@pytest.mark.parametrize("bad", [dict(every=1, repeats=1.0), dict(repeats="2"),
+                                 dict(repeats=None)], ids=["float", "str", "none"])
+def test_a_repeat_count_that_is_not_an_integer_is_refused(bad):
+    eng = Engine(seed=1)
+    with pytest.raises(TypeError):
+        eng.schedule(5, "A", **bad)
+    assert eng.pending() == [] and eng.schedule(5, "B").seq == 0
+
+
+@pytest.mark.parametrize("bad", [dict(repeats=-1), dict(every=3, repeats=-2)])
+def test_a_negative_repeat_count_is_refused(bad):
+    eng = Engine(seed=1)
+    with pytest.raises(ValueError, match="repeats -\\d+ must be >= 0"):
+        eng.schedule(5, "A", **bad)
+    assert eng.pending() == [] and eng.schedule(5, "B").seq == 0
+
+
+@pytest.mark.parametrize("bad", [dict(repeats=1), dict(every=0, repeats=3),
+                                 dict(every=-4, repeats=2)])
+def test_repeats_at_a_period_below_one_are_refused(bad):
+    # their fires would all fall at one instant
+    eng = Engine(seed=1)
+    with pytest.raises(ValueError, match="every -?\\d+ >= 1 when repeats > 0"):
+        eng.schedule(5, "A", **bad)
+    assert eng.pending() == [] and eng.schedule(5, "B").seq == 0
+    # a plain event takes any period, and numpy integers are integers
+    eng.schedule(6, "C", every=-4)
+    eng.schedule(7, "D", every=np.int64(2), repeats=np.int64(1))
+    assert eng.run() == 4
+
+
 def test_rearmed_stallable_event_is_postponed_with_its_own_vm_only():
     eng = Engine(seed=1, trace=True)
     event = eng.schedule(5, "A", vm="v")
@@ -774,7 +862,8 @@ def test_a_handler_that_raises_leaves_later_set_up_entries_in_the_set_up_heap():
 class _Oracle:
     """The engine's contract as a plain list kept in (fire_at, seq) order on
     demand: cancelling removes the event, postponing edits its time, and
-    rescheduling removes it, then appends it under the next seq."""
+    rescheduling removes it, then appends it under the next seq. A counted
+    fire reschedules its event ``every`` ns later instead of running it."""
 
     def __init__(self):
         self._now = 0
@@ -786,11 +875,11 @@ class _Oracle:
     def now(self):
         return self._now
 
-    def schedule(self, at, kind, fn=None, vm=None, stallable=True):
+    def schedule(self, at, kind, fn=None, vm=None, stallable=True, *, every=0, repeats=0):
         assert at >= self._now
         seq = self._next_seq
         self._next_seq += 1
-        event = SimEvent(at, seq, kind, "", fn, vm, stallable)
+        event = SimEvent(at, seq, kind, "", fn, vm, stallable, every, repeats)
         self._live.append(event)
         return event
 
@@ -827,7 +916,10 @@ class _Oracle:
             self.trace.append(f"{ev.fire_at},{ev.seq},{ev.kind},")
             ev.fire_at = None
             self._processed += 1
-            if ev.fn is not None:
+            if ev.repeats:
+                ev.repeats -= 1
+                self.reschedule(ev, ev.every + self._now)
+            elif ev.fn is not None:
                 ev.fn()
         self._now = max(self._now, t_end)
         return self._processed - start
@@ -864,12 +956,18 @@ MOVE_SELF = st.tuples(st.just("move-self"), VM_TAGS, st.integers(0, 80))
 GRID = 10
 SCHEDULES = st.one_of(st.tuples(st.just("schedule"), st.integers(0, 80)),
                       st.tuples(st.just("schedule-on-grid"), st.integers(0, 6)))
+# (every, repeats) of a schedule, last in its op: a plain event, or one that
+# fires repeats more times every ns apart, running its handler only at the
+# last; a period on the grid often meets other entries at one time
+COUNTS = st.one_of(st.just((0, 0)),
+                   st.tuples(st.one_of(st.integers(1, 30), st.just(GRID)), st.integers(0, 4)))
 # ("schedule-past-run", k, ...), from a handler only: at the k-th multiple
 # of GRID after the end of the innermost run_until in progress, so the entry
 # waits on the run side past that run, where a set-up schedule on the grid
 # often meets it later at the same time under a larger seq
-PAST_RUN = st.builds(lambda k, vm, stallable: ("schedule-past-run", k, vm, stallable, None),
-                     st.integers(0, 6), VM_TAGS, st.booleans())
+PAST_RUN = st.builds(
+    lambda k, vm, stallable, count: ("schedule-past-run", k, vm, stallable, None) + count,
+    st.integers(0, 6), VM_TAGS, st.booleans(), COUNTS)
 # ("run", delay): run_until(now + delay), between runs or nested in a
 # handler, where it takes set-up entries from under the outer loop
 RUNS = st.tuples(st.just("run"), st.integers(0, 60))
@@ -881,17 +979,18 @@ NESTED = st.one_of(
     POSTPONES,
     st.tuples(st.just("cancel"), st.integers(0, 1_000)),
     RESCHEDULES,
-    st.builds(lambda s, vm, stallable: s + (vm, stallable, None), SCHEDULES, VM_TAGS,
-              st.booleans()),
+    st.builds(lambda s, vm, stallable, count: s + (vm, stallable, None) + count, SCHEDULES,
+              VM_TAGS, st.booleans(), COUNTS),
     RUNS,
 )
 OPS = st.lists(
     st.one_of(
-        st.builds(lambda s, vm, stallable, action: s + (vm, stallable, action), SCHEDULES,
-                  VM_TAGS, st.booleans(), st.one_of(st.none(), NESTED, PAST_RUN)),
+        st.builds(lambda s, vm, stallable, action, count: s + (vm, stallable, action) + count,
+                  SCHEDULES, VM_TAGS, st.booleans(), st.one_of(st.none(), NESTED, PAST_RUN),
+                  COUNTS),
         # a handler that leaves an entry past its run's end
-        st.builds(lambda s, vm, stallable, action: s + (vm, stallable, action), SCHEDULES,
-                  VM_TAGS, st.booleans(), PAST_RUN),
+        st.builds(lambda s, vm, stallable, action, count: s + (vm, stallable, action) + count,
+                  SCHEDULES, VM_TAGS, st.booleans(), PAST_RUN, COUNTS),
         POSTPONES,
         st.tuples(st.just("cancel"), st.integers(0, 1_000)),
         RESCHEDULES,
@@ -943,7 +1042,7 @@ def _replay(eng, ops) -> list:
         nonlocal rearms, retired
         name = op[0]
         if name in ("schedule", "schedule-on-grid", "schedule-past-run"):
-            _, delay, vm, stallable, action = op
+            _, delay, vm, stallable, action, every, repeats = op
             i = len(events)
             fn = None if action is None else lambda: handle(action, i)
             if name == "schedule":
@@ -952,7 +1051,8 @@ def _replay(eng, ops) -> list:
                 at = (-(-eng.now() // GRID) + delay) * GRID
             else:  # the final drain has no end to wait past: the grid after now
                 at = ((ends[-1] if ends else eng.now()) // GRID + 1 + delay) * GRID
-            event = eng.schedule(at, f"k{len(events)}", fn=fn, vm=vm, stallable=stallable)
+            event = eng.schedule(at, f"k{len(events)}", fn=fn, vm=vm, stallable=stallable,
+                                 every=every, repeats=repeats)
             events.append(event)
             armed_at.append(event.fire_at)
             held.append(False)
@@ -1004,7 +1104,7 @@ def _replay(eng, ops) -> list:
             ends.append(eng.now() + op[1])
             results.append(("run", eng.run_until(ends[-1])))
             ends.pop()
-        results.append([(ev.fire_at, ev.seq, ev.kind) for ev in eng.pending()])
+        results.append([(ev.fire_at, ev.seq, ev.kind, ev.repeats) for ev in eng.pending()])
         if engine:  # each stale queued entry is one retired entry
             queued = len(eng._heap) + len(eng._setup) + (eng._held is not None)
             assert queued - len(results[-1]) <= retired
@@ -1036,8 +1136,8 @@ def test_engine_matches_sorted_list_oracle(ops):
 OWN_ACTIONS = st.one_of(REARM_SELF, STALL_OWN, REARM_STALL, MOVE_SELF)
 STALL_OPS = st.lists(
     st.one_of(
-        st.builds(lambda s, vm, action: s + (vm, True, action), SCHEDULES, VM_TAGS,
-                  st.one_of(OWN_ACTIONS, RUNS)),
+        st.builds(lambda s, vm, action, count: s + (vm, True, action) + count, SCHEDULES,
+                  VM_TAGS, st.one_of(OWN_ACTIONS, RUNS), COUNTS),
         POSTPONES,
         st.tuples(st.just("cancel"), st.integers(0, 1_000)),
         RESCHEDULES,

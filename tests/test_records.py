@@ -31,7 +31,8 @@ class New:
 RECORDS = [
     (engine.SimEvent, False, (
         ("fire_at", REQUIRED), ("seq", REQUIRED), ("kind", REQUIRED), ("detail", ""),
-        ("fn", None), ("vm", None), ("stallable", True), ("index", None))),
+        ("fn", None), ("vm", None), ("stallable", True), ("every", 0), ("repeats", 0),
+        ("index", None))),
     (fabric.ResourceVector, True, (
         ("lut", 0), ("memory_bytes", 0), ("io_pins", 0), ("dsp", 0))),
     (fabric.FabricConfig, True, (
@@ -74,8 +75,7 @@ RECORDS = [
     (snn._SpikingTask, False, (
         ("task_id", REQUIRED), ("n_inputs", REQUIRED),
         ("n_neurons", REQUIRED), ("rate", REQUIRED), ("steps", REQUIRED),
-        ("remaining", REQUIRED), ("interval", REQUIRED), ("next_event", None),
-        ("replayed", 0), ("state", None), ("potentials", None))),
+        ("next_event", None), ("replayed", 0), ("state", None), ("potentials", None))),
     (virt.DfxModule, True, tuple((name, REQUIRED) for name in (
         "id", "footprint", "bitstream_bytes"))),
     (virt.ReconfigParams, True, (
